@@ -11,9 +11,10 @@
 //! `results/BENCH_stream.json`.
 //!
 //! `--smoke` runs a reduced graph and asserts the contracts instead of
-//! timing: the finished incremental analysis agrees with the batch
-//! passes, and a reset-and-refold pass over pre-sized state performs
-//! zero heap allocations in the fold loop. CI runs this mode.
+//! timing: the incremental analysis finished after any windowing agrees
+//! with the whole-graph entry points, a reset-and-refold pass over
+//! pre-sized state performs zero heap allocations in the fold loop, and
+//! so do reused `GroupScratch` grouping passes. CI runs this mode.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,7 +23,7 @@ use std::time::Instant;
 use cuda_driver::ApiFn;
 use ffm_core::{
     expected_benefit, find_sequences, fold_on_api, single_point_groups, AnalysisConfig, ExecGraph,
-    IncrementalAnalysis, Json, NType, Node, Problem,
+    GroupScratch, IncrementalAnalysis, Json, NType, Node, Problem,
 };
 use gpu_sim::SourceLoc;
 
@@ -135,7 +136,7 @@ fn fold_in_windows(
         let hi = (consumed + window).min(full.nodes.len());
         growing.nodes.extend_from_slice(&full.nodes[consumed..hi]);
         let (c, b) = count_allocs(|| {
-            std::hint::black_box(inc.fold(growing));
+            inc.fold(growing);
         });
         allocs.0 += c;
         allocs.1 += b;
@@ -156,8 +157,9 @@ fn fresh_prefix(full: &ExecGraph) -> ExecGraph {
 // Contracts (--smoke and pre-timing sanity)
 // ---------------------------------------------------------------------------
 
-/// The incremental fold, finished, must agree with the batch passes it
-/// replaces — same benefit, same groups, same sequences.
+/// The incremental fold, finished after folding `full` in windows, must
+/// agree with the whole-graph entry points — same benefit, same groups,
+/// same sequences.
 fn assert_matches_batch(full: &ExecGraph, window: usize) {
     let cfg = AnalysisConfig::default();
     let mut inc = IncrementalAnalysis::new(&cfg);
@@ -201,6 +203,23 @@ fn assert_zero_steady_state(full: &ExecGraph, window: usize) {
     );
 }
 
+/// Reused [`GroupScratch`] grouping passes — single point, folded
+/// function and per-API fold — must not touch the heap once a first pass
+/// has sized the scratch.
+fn assert_zero_steady_state_grouping(full: &ExecGraph) {
+    let benefit = expected_benefit(full, &AnalysisConfig::default().benefit);
+    let mut scratch = GroupScratch::new();
+    let mut passes = || {
+        scratch.compute_single_point(full, &benefit);
+        scratch.compute_folded_function(full, &benefit);
+        scratch.compute_api_fold(full, &benefit);
+        std::hint::black_box(scratch.len());
+    };
+    passes(); // warmup sizes the scratch
+    let (allocs, bytes) = count_allocs(passes);
+    assert_eq!((allocs, bytes), (0, 0), "steady-state grouping passes must not allocate");
+}
+
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
@@ -233,7 +252,7 @@ fn time_incremental(full: &ExecGraph, window: usize) -> f64 {
         while consumed < full.nodes.len() {
             let hi = (consumed + window).min(full.nodes.len());
             growing.nodes.extend_from_slice(&full.nodes[consumed..hi]);
-            std::hint::black_box(inc.fold(&growing));
+            inc.fold(&growing);
             consumed = hi;
         }
     })
@@ -265,7 +284,11 @@ fn main() {
             assert_matches_batch(&full, window);
             assert_zero_steady_state(&full, window);
         }
-        eprintln!("bench_stream --smoke: ok (20000 nodes, batch identity, zero fold allocations)");
+        assert_zero_steady_state_grouping(&full);
+        eprintln!(
+            "bench_stream --smoke: ok (20000 nodes, batch identity, zero fold and grouping \
+             allocations)"
+        );
         return;
     }
 

@@ -4,11 +4,9 @@
 use cuda_driver::ApiFn;
 use gpu_sim::Ns;
 
-use crate::benefit::{expected_benefit, BenefitOptions, BenefitReport};
+use crate::benefit::{BenefitOptions, BenefitReport};
 use crate::graph::ExecGraph;
-use crate::grouping::{
-    find_sequences, fold_on_api, savings_by_api, single_point_groups, ProblemGroup, Sequence,
-};
+use crate::grouping::{IncrementalAnalysis, ProblemGroup, Sequence};
 use crate::problem::{classify, ClassifyConfig, Problem};
 use crate::records::{Stage1Result, Stage2Result, Stage3Result, Stage4Result};
 
@@ -84,53 +82,25 @@ impl Analysis {
     }
 }
 
-/// Run stage 5 over the collected stage results.
+/// Run stage 5 over the collected stage results: build the graph,
+/// classify it, and fold it through [`IncrementalAnalysis`] as one
+/// window — the streaming analysis with the whole trace appended at once.
 ///
-/// `jobs` is the resolved worker budget from the pipeline configuration,
-/// handed down so analysis-internal fan-out (sequence scoring) uses the
-/// configured parallelism instead of consulting the environment — with
-/// `jobs = 1` the whole analysis stays on the caller's thread.
+/// `jobs` is unused: the fold is one sequential pass. The parameter
+/// stays so existing callers keep compiling.
 pub fn analyze(
     s1: &Stage1Result,
     s2: &Stage2Result,
     s3: &Stage3Result,
     s4: &Stage4Result,
     cfg: &AnalysisConfig,
-    jobs: usize,
+    _jobs: usize,
 ) -> Analysis {
     let mut graph = ExecGraph::from_trace(s2, s1.exec_time_ns);
     classify(&mut graph, s3, s4, &cfg.classify);
-    let benefit = expected_benefit(&graph, &cfg.benefit);
-    let mut problems: Vec<ProblemOp> = benefit
-        .per_node
-        .iter()
-        .map(|nb| {
-            let n = &graph.nodes[nb.node];
-            ProblemOp {
-                node: nb.node,
-                api: n.api,
-                site: n.site,
-                problem: nb.problem,
-                benefit_ns: nb.benefit_ns,
-            }
-        })
-        .collect();
-    problems.sort_by_key(|p| std::cmp::Reverse(p.benefit_ns));
-    let single_point = single_point_groups(&graph, &benefit);
-    let api_folds = fold_on_api(&graph, &benefit);
-    let sequences = find_sequences(&graph, jobs);
-    let mut by_api: Vec<(ApiFn, Ns)> = savings_by_api(&graph, &benefit);
-    by_api.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    Analysis {
-        graph,
-        benefit,
-        problems,
-        single_point,
-        api_folds,
-        sequences,
-        by_api,
-        baseline_exec_ns: s1.exec_time_ns,
-    }
+    let mut inc = IncrementalAnalysis::new(cfg);
+    inc.fold(&graph);
+    inc.finish(graph, s1.exec_time_ns)
 }
 
 #[cfg(test)]

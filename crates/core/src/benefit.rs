@@ -18,29 +18,31 @@
 //! Misplaced synchronizations recover up to their sync-to-first-use gap;
 //! unnecessary transfers recover their CPU launch cost.
 
-//! ### Implementation note: the non-mutating columnar pass
+//! ### Implementation note: one forward walk
 //!
 //! Fig. 5 is phrased as graph surgery — zero this duration, grow that
-//! one — evaluated front to back. [`BenefitPass`] computes the identical
-//! result in one O(n) scan over an immutable [`GraphCols`] because every
+//! one — evaluated front to back. [`BenefitFold`] computes the identical
+//! result in one forward walk over the unmodified graph because every
 //! mutation the algorithm performs is invisible to the quantities later
 //! steps read:
 //!
 //! - `EstMaxGPUIdle` windows look strictly *forward* of the node under
 //!   evaluation, and the only `CWork`/`CLaunch` durations the algorithm
 //!   ever changes (zeroed transfers) lie at already-visited indices — so
-//!   the original prefix sums stay exact for every window.
+//!   the original CPU prefix sums ([`GraphIndex`]) stay exact for every
+//!   window.
 //! - Synchronization *growth* only ever lands on `CWait` nodes, which
-//!   `EstMaxGPUIdle` never counts; the pass tracks accumulated growth in
-//!   a scratch column (`extra`) consulted when that sync is itself
-//!   evaluated, and resets only the touched entries afterwards.
+//!   `EstMaxGPUIdle` never counts; the walk tracks accumulated growth in
+//!   a column (`extra`) consulted when that sync is itself evaluated.
 //!
-//! Steady state (same pass reused across evaluations), the pass
-//! allocates nothing.
+//! A node resolves as soon as everything its estimate reads has been
+//! appended, so one walk serves a trace that is still growing (the
+//! streaming analysis) and a whole trace ([`expected_benefit`], the
+//! one-window case).
 
 use gpu_sim::Ns;
 
-use crate::graph::{ExecGraph, GraphCols};
+use crate::graph::{next_wait, ExecGraph, GraphIndex};
 use crate::problem::Problem;
 
 /// Estimator options.
@@ -91,6 +93,7 @@ impl BenefitReport {
 /// `RemoveSyncronization` from Fig. 5 (spelling faithfully theirs).
 ///
 /// Mutates the working graph and returns the estimated benefit.
+#[cfg(test)]
 fn remove_synchronization(g: &mut ExecGraph, node: usize) -> Ns {
     let dur = g.nodes[node].duration;
     let est = match g.next_sync_after(node) {
@@ -116,6 +119,7 @@ fn remove_synchronization(g: &mut ExecGraph, node: usize) -> Ns {
 
 /// `MisplacedSynchronization` from Fig. 5: moving the sync later by the
 /// first-use gap converts up to that much wait into overlap.
+#[cfg(test)]
 fn move_synchronization(g: &mut ExecGraph, node: usize, opts: &BenefitOptions) -> Ns {
     let dur = g.nodes[node].duration;
     let first_use = g.nodes[node].first_use_ns.unwrap_or(0);
@@ -128,6 +132,7 @@ fn move_synchronization(g: &mut ExecGraph, node: usize, opts: &BenefitOptions) -
 }
 
 /// `RemoveMemoryTransfer` from Fig. 5: the CPU launch cost disappears.
+#[cfg(test)]
 fn remove_memory_transfer(g: &mut ExecGraph, node: usize) -> Ns {
     let est = g.nodes[node].duration;
     g.nodes[node].duration = 0;
@@ -135,27 +140,17 @@ fn remove_memory_transfer(g: &mut ExecGraph, node: usize) -> Ns {
 }
 
 /// `ExpectedBenefit` from Fig. 5: evaluate every problematic node, in
-/// program order, against the progressively mutated graph.
-///
-/// Compatibility wrapper over [`BenefitPass`]: builds the columnar view
-/// and a fresh scratch per call. Callers evaluating many graphs (or one
-/// graph many times) should hold a [`BenefitPass`] and [`GraphCols`]
-/// themselves to make repeat evaluations allocation-free.
+/// program order, against the progressively mutated graph — one
+/// [`BenefitFold`] walk over the whole graph.
 pub fn expected_benefit(graph: &ExecGraph, opts: &BenefitOptions) -> BenefitReport {
-    let cols = graph.columns();
-    let mut pass = BenefitPass::new();
-    let summary = pass.run(&cols, opts);
-    BenefitReport {
-        total_ns: summary.total_ns,
-        predicted_exec_ns: summary.predicted_exec_ns,
-        per_node: pass.take_per_node(),
-    }
+    let mut fold = BenefitFold::new();
+    fold.finalize(graph, &graph.index(), opts);
+    fold.take_report()
 }
 
-/// The retired clone-and-mutate implementation of Fig. 5, kept verbatim
-/// as the differential-testing reference for [`BenefitPass`] and as the
-/// "before" baseline in `bench_analysis`. Semantically identical to
-/// [`expected_benefit`]; do not use in new code.
+/// The clone-and-mutate transcription of Fig. 5, kept as the
+/// independent oracle the tests hold [`BenefitFold`] to.
+#[cfg(test)]
 pub fn expected_benefit_reference(graph: &ExecGraph, opts: &BenefitOptions) -> BenefitReport {
     let mut g = graph.clone();
     let mut per_node = Vec::new();
@@ -174,159 +169,33 @@ pub fn expected_benefit_reference(graph: &ExecGraph, opts: &BenefitOptions) -> B
     BenefitReport { per_node, total_ns, predicted_exec_ns }
 }
 
-/// Aggregate results of one [`BenefitPass::run`]; the per-node estimates
-/// stay in the pass's reusable buffer ([`BenefitPass::per_node`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BenefitSummary {
-    pub total_ns: Ns,
-    pub predicted_exec_ns: Ns,
-}
-
-/// Reusable, allocation-free evaluator for the Fig. 5 estimator over a
-/// columnar graph (see the module-level implementation note for the
-/// equivalence argument). Holds the growth scratch column and the
-/// per-node output buffer; steady state — repeat runs over graphs of the
-/// same size — performs zero heap allocations.
-#[derive(Debug, Default)]
-pub struct BenefitPass {
-    /// Accumulated synchronization growth per node (the `duration +=`
-    /// edits of Fig. 5, tracked out-of-band).
-    extra: Vec<Ns>,
-    /// Indices where `extra` is nonzero, for O(touched) reset.
-    touched: Vec<usize>,
-    per_node: Vec<NodeBenefit>,
-}
-
-impl BenefitPass {
-    pub fn new() -> BenefitPass {
-        BenefitPass::default()
-    }
-
-    /// Evaluate the estimator over `cols`, filling the internal per-node
-    /// buffer and returning the aggregates.
-    pub fn run(&mut self, cols: &GraphCols, opts: &BenefitOptions) -> BenefitSummary {
-        let n = cols.len();
-        // Reset scratch from the previous run (touched entries only),
-        // then make sure the growth column covers this graph.
-        for &idx in &self.touched {
-            self.extra[idx] = 0;
-        }
-        self.touched.clear();
-        if self.extra.len() < n {
-            self.extra.resize(n, 0);
-        }
-        self.per_node.clear();
-
-        let ix = &cols.index;
-        let mut total_ns: Ns = 0;
-        let mut predicted_exec_ns: Ns = cols.total_duration;
-        for idx in 0..n {
-            let problem = cols.problem[idx];
-            if problem == Problem::None {
-                continue;
-            }
-            // Effective duration = original + growth received from
-            // earlier removals (Fig. 5's mutated duration).
-            let dur = cols.duration[idx] + self.extra[idx];
-            let benefit_ns = match problem {
-                Problem::None => unreachable!(),
-                Problem::UnnecessarySync => match ix.next_sync_after(idx) {
-                    Some(next_sync) => {
-                        let est_max_gpu_idle = ix.cpu_time_between(idx, next_sync);
-                        let est = est_max_gpu_idle.min(dur);
-                        let growth = dur - est;
-                        if growth > 0 {
-                            if self.extra[next_sync] == 0 {
-                                self.touched.push(next_sync);
-                            }
-                            self.extra[next_sync] += growth;
-                            predicted_exec_ns += growth;
-                        }
-                        predicted_exec_ns -= dur;
-                        est
-                    }
-                    None => {
-                        // Final rendezvous: bounded by the CPU tail.
-                        let tail = ix.cpu_time_between(idx, n);
-                        predicted_exec_ns -= dur;
-                        tail.min(dur)
-                    }
-                },
-                Problem::MisplacedSync => {
-                    let first_use = cols.first_use[idx];
-                    // The sync keeps `dur - min(first_use, dur)`.
-                    predicted_exec_ns -= first_use.min(dur);
-                    if opts.clamp_misplaced {
-                        first_use.min(dur)
-                    } else {
-                        first_use
-                    }
-                }
-                Problem::UnnecessaryTransfer => {
-                    predicted_exec_ns -= dur;
-                    dur
-                }
-            };
-            total_ns += benefit_ns;
-            self.per_node.push(NodeBenefit { node: idx, problem, benefit_ns });
-        }
-        BenefitSummary { total_ns, predicted_exec_ns }
-    }
-
-    /// Per-node estimates from the last [`BenefitPass::run`], in graph
-    /// order.
-    pub fn per_node(&self) -> &[NodeBenefit] {
-        &self.per_node
-    }
-
-    /// Move the per-node buffer out (for building an owned
-    /// [`BenefitReport`]); the pass stays reusable.
-    pub fn take_per_node(&mut self) -> Vec<NodeBenefit> {
-        std::mem::take(&mut self.per_node)
-    }
-}
-
-/// Pending-node contribution computed by [`BenefitFold::complete_into`]:
-/// what the still-unresolved suffix adds to the aggregates when the
-/// graph is treated as ending now.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FoldTail {
-    pub total_ns: Ns,
-    pub growth_ns: Ns,
-    pub reclaim_ns: Ns,
-}
-
-/// Append-only evaluator for the Fig. 5 estimator.
+/// The Fig. 5 estimator as an append-only walk.
 ///
-/// [`BenefitPass`] needs the whole graph up front because an
-/// `UnnecessarySync`'s estimate depends on the *next* synchronization.
-/// The fold instead keeps an evaluation cursor that trails the append
-/// frontier: a node resolves as soon as everything its estimate reads
-/// has been appended (for an `UnnecessarySync`, the next `CWait`; for
-/// every other classification, immediately). Because resolution happens
-/// in graph order against the same growth column semantics, the
-/// resolved per-node estimates are exactly the prefix [`BenefitPass`]
-/// would produce — and after [`BenefitFold::finalize`] the full result
-/// is identical to the batch pass.
+/// An evaluation cursor trails the append frontier: a node resolves as
+/// soon as everything its estimate reads has been appended (for an
+/// `UnnecessarySync`, the next `CWait`; for every other classification,
+/// immediately). Resolution happens in graph order, so the resolved
+/// estimates are exactly the prefix a walk over the finished graph would
+/// produce, and after [`BenefitFold::finalize`] the result is that walk's.
 ///
-/// The caller owns the growing CPU prefix-sum column (shared with
-/// sequence evaluation) and passes it to every call. Steady state —
-/// graph shapes already seen since the last [`BenefitFold::reset`] —
-/// the fold allocates nothing.
+/// The caller owns the [`GraphIndex`] (shared with sequence evaluation)
+/// and passes it to every call. Steady state — graph shapes already seen
+/// since the last [`BenefitFold::reset`] — the fold allocates nothing.
 #[derive(Debug, Default)]
 pub struct BenefitFold {
     /// Accumulated synchronization growth per node, parallel to the
-    /// graph (never reset between windows — growth is part of the
-    /// running state).
+    /// graph (the `duration +=` edits of Fig. 5, tracked out-of-band).
     extra: Vec<Ns>,
     /// First unresolved node index.
     cursor: usize,
-    /// Frontier of the next-`CWait` scan while blocked; never rescans.
+    /// Frontier of the next-`CWait` scan; never rescans.
     scan_from: usize,
     per_node: Vec<NodeBenefit>,
     total_ns: Ns,
-    growth_ns: Ns,
-    reclaim_ns: Ns,
+    /// Durations of the nodes the cursor has passed, plus the growth
+    /// pushed onto later waits, less what fixing the passed problems
+    /// reclaims: after finalize, the predicted execution time.
+    predicted_ns: Ns,
     finished: bool,
 }
 
@@ -342,216 +211,96 @@ impl BenefitFold {
         self.scan_from = 0;
         self.per_node.clear();
         self.total_ns = 0;
-        self.growth_ns = 0;
-        self.reclaim_ns = 0;
+        self.predicted_ns = 0;
         self.finished = false;
     }
 
-    /// Fold the nodes appended since the last call (everything past the
-    /// fold's current length) and advance the evaluation cursor as far
-    /// as it can resolve. `cpu_prefix` must cover the whole graph
-    /// (`len == nodes.len() + 1`).
-    pub fn extend(&mut self, graph: &ExecGraph, cpu_prefix: &[Ns], opts: &BenefitOptions) {
+    /// Copy another fold's state into this one, reusing this fold's
+    /// buffers. Streaming snapshots finalize such a copy, which leaves
+    /// the running fold undisturbed.
+    pub fn copy_from(&mut self, other: &BenefitFold) {
+        self.extra.clone_from(&other.extra);
+        self.cursor = other.cursor;
+        self.scan_from = other.scan_from;
+        self.per_node.clone_from(&other.per_node);
+        self.total_ns = other.total_ns;
+        self.predicted_ns = other.predicted_ns;
+        self.finished = other.finished;
+    }
+
+    /// Fold the nodes appended since the last call and advance the
+    /// evaluation cursor as far as it can resolve. `index` must cover
+    /// the whole graph.
+    pub fn extend(&mut self, graph: &ExecGraph, index: &GraphIndex, opts: &BenefitOptions) {
         assert!(!self.finished, "extend after finalize");
-        let n = graph.nodes.len();
-        debug_assert_eq!(cpu_prefix.len(), n + 1);
-        self.extra.resize(n, 0);
-        while self.cursor < n {
-            let idx = self.cursor;
-            let node = &graph.nodes[idx];
-            let problem = node.problem;
-            if problem == Problem::None {
-                self.cursor += 1;
-                continue;
-            }
-            let dur = node.duration + self.extra[idx];
-            let benefit_ns = match problem {
-                Problem::None => unreachable!(),
-                Problem::UnnecessarySync => {
-                    if self.scan_from <= idx {
-                        self.scan_from = idx + 1;
-                    }
-                    while self.scan_from < n
-                        && graph.nodes[self.scan_from].ntype != crate::graph::NType::CWait
-                    {
-                        self.scan_from += 1;
-                    }
-                    if self.scan_from >= n {
-                        // The estimate needs the next synchronization,
-                        // which has not been appended yet. Stop here;
-                        // a later window (or finalize) resolves it.
-                        return;
-                    }
-                    let next_sync = self.scan_from;
-                    let est =
-                        crate::graph::prefix_cpu_time_between(cpu_prefix, idx, next_sync).min(dur);
-                    let growth = dur - est;
-                    if growth > 0 {
-                        self.extra[next_sync] += growth;
-                        self.growth_ns += growth;
-                    }
-                    self.reclaim_ns += dur;
-                    est
-                }
-                Problem::MisplacedSync => {
-                    let first_use = node.first_use_ns.unwrap_or(0);
-                    self.reclaim_ns += first_use.min(dur);
-                    if opts.clamp_misplaced {
-                        first_use.min(dur)
-                    } else {
-                        first_use
-                    }
-                }
-                Problem::UnnecessaryTransfer => {
-                    self.reclaim_ns += dur;
-                    dur
-                }
-            };
-            self.total_ns += benefit_ns;
-            self.per_node.push(NodeBenefit { node: idx, problem, benefit_ns });
-            self.cursor += 1;
-        }
+        self.walk(graph, index, opts, false);
     }
 
     /// Resolve every pending node under end-of-graph semantics (an
     /// `UnnecessarySync` with no later `CWait` is the program's final
-    /// rendezvous, bounded by the CPU tail). After this the fold's
-    /// resolved state equals a full [`BenefitPass`] run.
-    pub fn finalize(&mut self, graph: &ExecGraph, cpu_prefix: &[Ns], opts: &BenefitOptions) {
+    /// rendezvous, bounded by the CPU tail).
+    pub fn finalize(&mut self, graph: &ExecGraph, index: &GraphIndex, opts: &BenefitOptions) {
         assert!(!self.finished, "finalize called twice");
+        self.walk(graph, index, opts, true);
+        self.finished = true;
+    }
+
+    /// The Fig. 5 step, node by node from the cursor. Without `at_end`,
+    /// an `UnnecessarySync` whose next `CWait` has not been appended yet
+    /// stops the walk; a later window (or finalize) resolves it.
+    fn walk(&mut self, graph: &ExecGraph, index: &GraphIndex, opts: &BenefitOptions, at_end: bool) {
         let n = graph.nodes.len();
+        debug_assert_eq!(index.len(), n, "index must cover the graph");
         self.extra.resize(n, 0);
         while self.cursor < n {
             let idx = self.cursor;
             let node = &graph.nodes[idx];
-            let problem = node.problem;
-            if problem == Problem::None {
-                self.cursor += 1;
-                continue;
-            }
+            // Effective duration = original + growth received from
+            // earlier removals (Fig. 5's mutated duration).
             let dur = node.duration + self.extra[idx];
-            let benefit_ns = match problem {
-                Problem::None => unreachable!(),
+            // (estimate, duration that fixing the node reclaims)
+            let (est, reclaim) = match node.problem {
+                Problem::None => (0, 0),
+                // `RemoveSyncronization`: the CPU time up to the next
+                // synchronization bounds the idle time removal can fill;
+                // with none left, the CPU tail bounds it.
                 Problem::UnnecessarySync => {
-                    if self.scan_from <= idx {
-                        self.scan_from = idx + 1;
+                    let next = next_wait(graph, &mut self.scan_from, idx, n);
+                    if next == n && !at_end {
+                        return;
                     }
-                    while self.scan_from < n
-                        && graph.nodes[self.scan_from].ntype != crate::graph::NType::CWait
-                    {
-                        self.scan_from += 1;
+                    let est = index.cpu_time_between(idx, next).min(dur);
+                    if next < n {
+                        // The next synchronization grows by whatever the
+                        // idle time between the two could not absorb.
+                        self.extra[next] += dur - est;
+                        self.predicted_ns += dur - est;
                     }
-                    if self.scan_from < n {
-                        let next_sync = self.scan_from;
-                        let est = crate::graph::prefix_cpu_time_between(cpu_prefix, idx, next_sync)
-                            .min(dur);
-                        let growth = dur - est;
-                        if growth > 0 {
-                            self.extra[next_sync] += growth;
-                            self.growth_ns += growth;
-                        }
-                        self.reclaim_ns += dur;
-                        est
-                    } else {
-                        let tail = crate::graph::prefix_cpu_time_between(cpu_prefix, idx, n);
-                        self.reclaim_ns += dur;
-                        tail.min(dur)
-                    }
+                    (est, dur)
                 }
+                // `MisplacedSynchronization`: moving the sync later by
+                // the first-use gap converts up to that much wait into
+                // overlap; the sync keeps `dur - min(first_use, dur)`.
                 Problem::MisplacedSync => {
                     let first_use = node.first_use_ns.unwrap_or(0);
-                    self.reclaim_ns += first_use.min(dur);
-                    if opts.clamp_misplaced {
-                        first_use.min(dur)
-                    } else {
-                        first_use
-                    }
+                    let est = if opts.clamp_misplaced { first_use.min(dur) } else { first_use };
+                    (est, first_use.min(dur))
                 }
-                Problem::UnnecessaryTransfer => {
-                    self.reclaim_ns += dur;
-                    dur
-                }
+                // `RemoveMemoryTransfer`: the CPU launch cost disappears.
+                Problem::UnnecessaryTransfer => (dur, dur),
             };
-            self.total_ns += benefit_ns;
-            self.per_node.push(NodeBenefit { node: idx, problem, benefit_ns });
+            self.predicted_ns += node.duration;
+            self.predicted_ns -= reclaim;
+            if node.problem != Problem::None {
+                self.total_ns += est;
+                self.per_node.push(NodeBenefit {
+                    node: idx,
+                    problem: node.problem,
+                    benefit_ns: est,
+                });
+            }
             self.cursor += 1;
         }
-        self.finished = true;
-    }
-
-    /// Non-destructively evaluate the pending suffix as if the graph
-    /// ended now, appending its per-node estimates to `out`. `overlay`
-    /// is caller-provided scratch for a temporary copy of the pending
-    /// region's growth column (the snapshot must not disturb the fold).
-    /// Returns the pending contribution to the aggregates.
-    pub fn complete_into(
-        &self,
-        graph: &ExecGraph,
-        cpu_prefix: &[Ns],
-        opts: &BenefitOptions,
-        out: &mut Vec<NodeBenefit>,
-        overlay: &mut Vec<Ns>,
-    ) -> FoldTail {
-        let n = graph.nodes.len();
-        let base = self.cursor;
-        overlay.clear();
-        overlay.extend_from_slice(&self.extra[base.min(self.extra.len())..]);
-        overlay.resize(n.saturating_sub(base), 0);
-        let mut tail = FoldTail::default();
-        let mut scan_from = base;
-        for idx in base..n {
-            let node = &graph.nodes[idx];
-            let problem = node.problem;
-            if problem == Problem::None {
-                continue;
-            }
-            let dur = node.duration + overlay[idx - base];
-            let benefit_ns = match problem {
-                Problem::None => unreachable!(),
-                Problem::UnnecessarySync => {
-                    if scan_from <= idx {
-                        scan_from = idx + 1;
-                    }
-                    while scan_from < n
-                        && graph.nodes[scan_from].ntype != crate::graph::NType::CWait
-                    {
-                        scan_from += 1;
-                    }
-                    if scan_from < n {
-                        let next_sync = scan_from;
-                        let est = crate::graph::prefix_cpu_time_between(cpu_prefix, idx, next_sync)
-                            .min(dur);
-                        let growth = dur - est;
-                        if growth > 0 {
-                            overlay[next_sync - base] += growth;
-                            tail.growth_ns += growth;
-                        }
-                        tail.reclaim_ns += dur;
-                        est
-                    } else {
-                        let t = crate::graph::prefix_cpu_time_between(cpu_prefix, idx, n);
-                        tail.reclaim_ns += dur;
-                        t.min(dur)
-                    }
-                }
-                Problem::MisplacedSync => {
-                    let first_use = node.first_use_ns.unwrap_or(0);
-                    tail.reclaim_ns += first_use.min(dur);
-                    if opts.clamp_misplaced {
-                        first_use.min(dur)
-                    } else {
-                        first_use
-                    }
-                }
-                Problem::UnnecessaryTransfer => {
-                    tail.reclaim_ns += dur;
-                    dur
-                }
-            };
-            tail.total_ns += benefit_ns;
-            out.push(NodeBenefit { node: idx, problem, benefit_ns });
-        }
-        tail
     }
 
     /// Resolved per-node estimates so far, in graph order.
@@ -559,32 +308,15 @@ impl BenefitFold {
         &self.per_node
     }
 
-    /// Move the resolved per-node buffer out; only valid after
-    /// [`BenefitFold::finalize`].
-    pub fn take_per_node(&mut self) -> Vec<NodeBenefit> {
-        assert!(self.finished, "take_per_node before finalize");
-        std::mem::take(&mut self.per_node)
-    }
-
-    /// Sum of resolved estimates.
-    pub fn total_ns(&self) -> Ns {
-        self.total_ns
-    }
-
-    /// Net growth resolved syncs pushed onto later waits.
-    pub fn growth_ns(&self) -> Ns {
-        self.growth_ns
-    }
-
-    /// Total duration reclaimed from resolved nodes; the predicted
-    /// execution time is `total_duration + growth_ns - reclaim_ns`.
-    pub fn reclaim_ns(&self) -> Ns {
-        self.reclaim_ns
-    }
-
-    /// First unresolved node index.
-    pub fn resolved_upto(&self) -> usize {
-        self.cursor
+    /// Move the finished estimate out (the per-node buffer goes with
+    /// it); only valid after [`BenefitFold::finalize`].
+    pub fn take_report(&mut self) -> BenefitReport {
+        assert!(self.finished, "take_report before finalize");
+        BenefitReport {
+            per_node: std::mem::take(&mut self.per_node),
+            total_ns: self.total_ns,
+            predicted_exec_ns: self.predicted_ns,
+        }
     }
 }
 
@@ -731,8 +463,8 @@ mod tests {
     }
 
     /// Deterministic pseudo-random graphs covering every problem kind in
-    /// every adjacency pattern, for differential testing of the columnar
-    /// pass against the retired mutating implementation.
+    /// every adjacency pattern, for differential testing of the walk
+    /// against the mutating reference.
     fn scrambled(len: usize, seed: u64) -> ExecGraph {
         let mut state = seed | 1;
         let mut next = || {
@@ -774,92 +506,77 @@ mod tests {
         ExecGraph { nodes, exec_time_ns: exec, baseline_exec_ns: exec }
     }
 
-    /// The columnar pass must reproduce the mutating reference exactly —
-    /// per node, totals, and predicted time — for both clamp modes, and
-    /// a reused pass must not leak scratch state between graphs.
+    fn assert_same_report(got: &BenefitReport, want: &BenefitReport, ctx: &str) {
+        assert_eq!(got.per_node, want.per_node, "{ctx}: per_node");
+        assert_eq!(got.total_ns, want.total_ns, "{ctx}: total");
+        assert_eq!(got.predicted_exec_ns, want.predicted_exec_ns, "{ctx}: predicted");
+    }
+
+    /// The walk must reproduce the mutating reference exactly — per
+    /// node, totals, and predicted time — for both clamp modes.
     #[test]
-    fn columnar_pass_matches_mutating_reference() {
-        let mut pass = BenefitPass::new();
+    fn fold_matches_mutating_reference() {
         for (len, seed) in [(0, 1), (1, 2), (7, 3), (93, 4), (512, 5), (513, 6), (64, 7)] {
             let g = scrambled(len, seed);
-            let cols = g.columns();
             for clamp in [true, false] {
                 let opts = BenefitOptions { clamp_misplaced: clamp };
                 let reference = expected_benefit_reference(&g, &opts);
-                // Fresh-pass wrapper path.
-                let wrapped = expected_benefit(&g, &opts);
-                assert_eq!(wrapped.per_node, reference.per_node, "len={len} clamp={clamp}");
-                assert_eq!(wrapped.total_ns, reference.total_ns);
-                assert_eq!(wrapped.predicted_exec_ns, reference.predicted_exec_ns);
-                // Reused-pass path (scratch carried over from prior runs).
-                let summary = pass.run(&cols, &opts);
-                assert_eq!(pass.per_node(), &reference.per_node[..], "reused len={len}");
-                assert_eq!(summary.total_ns, reference.total_ns);
-                assert_eq!(summary.predicted_exec_ns, reference.predicted_exec_ns);
+                let got = expected_benefit(&g, &opts);
+                assert_same_report(&got, &reference, &format!("len={len} clamp={clamp}"));
             }
         }
     }
 
-    /// The append-only fold must resolve to exactly the batch result for
-    /// every windowing, and every intermediate snapshot (resolved +
-    /// pending overlay) must equal the batch pass over the prefix graph.
+    /// The same identity at a size where every adjacency pattern occurs
+    /// many times over.
     #[test]
-    fn fold_matches_batch_pass_for_any_windowing() {
+    fn fold_matches_mutating_reference_on_a_20k_node_graph() {
+        let g = scrambled(20_000, 0xd10_9e2e5);
+        let opts = BenefitOptions::default();
+        assert_same_report(
+            &expected_benefit(&g, &opts),
+            &expected_benefit_reference(&g, &opts),
+            "20k nodes",
+        );
+    }
+
+    /// Folded in any windowing, the walk must resolve to the reference
+    /// over the whole graph, and every intermediate snapshot (a copy of
+    /// the fold, finalized) must equal the reference over the prefix
+    /// graph — without disturbing the running fold.
+    #[test]
+    fn fold_matches_reference_for_any_windowing() {
         for (len, seed) in [(0usize, 1u64), (1, 2), (7, 3), (93, 4), (512, 5), (64, 7)] {
             let g = scrambled(len, seed);
             for clamp in [true, false] {
                 let opts = BenefitOptions { clamp_misplaced: clamp };
-                let reference = expected_benefit(&g, &opts);
+                let reference = expected_benefit_reference(&g, &opts);
                 for window in [1usize, 3, 16, 600] {
                     let mut fold = BenefitFold::new();
+                    let mut snap = BenefitFold::new();
                     let mut partial = ExecGraph {
                         nodes: Vec::new(),
                         exec_time_ns: g.exec_time_ns,
                         baseline_exec_ns: g.baseline_exec_ns,
                     };
-                    let mut prefix: Vec<Ns> = vec![0];
-                    let mut overlay = Vec::new();
+                    let mut index = GraphIndex::new();
                     let mut lo = 0;
                     while lo < len {
                         let hi = (lo + window).min(len);
-                        for node in &g.nodes[lo..hi] {
-                            let cpu = matches!(node.ntype, CWork | CLaunch);
-                            let last = *prefix.last().unwrap();
-                            prefix.push(last + if cpu { node.duration } else { 0 });
-                            partial.nodes.push(node.clone());
-                        }
-                        fold.extend(&partial, &prefix, &opts);
-                        // Snapshot check: resolved + pending == batch
-                        // over the prefix graph.
-                        let prefix_graph = ExecGraph {
-                            nodes: g.nodes[..hi].to_vec(),
-                            exec_time_ns: g.exec_time_ns,
-                            baseline_exec_ns: g.baseline_exec_ns,
-                        };
-                        let pref = expected_benefit(&prefix_graph, &opts);
-                        let mut snap = fold.per_node().to_vec();
-                        let tail =
-                            fold.complete_into(&partial, &prefix, &opts, &mut snap, &mut overlay);
-                        assert_eq!(snap, pref.per_node, "len={len} window={window} hi={hi}");
-                        assert_eq!(fold.total_ns() + tail.total_ns, pref.total_ns);
-                        let total_duration: Ns = partial.nodes.iter().map(|n| n.duration).sum();
-                        assert_eq!(
-                            total_duration + fold.growth_ns() + tail.growth_ns
-                                - fold.reclaim_ns()
-                                - tail.reclaim_ns,
-                            pref.predicted_exec_ns,
-                            "predicted len={len} window={window} hi={hi}"
+                        partial.nodes.extend_from_slice(&g.nodes[lo..hi]);
+                        index.extend(&partial);
+                        fold.extend(&partial, &index, &opts);
+                        snap.copy_from(&fold);
+                        snap.finalize(&partial, &index, &opts);
+                        assert_same_report(
+                            &snap.take_report(),
+                            &expected_benefit_reference(&partial, &opts),
+                            &format!("len={len} window={window} hi={hi}"),
                         );
                         lo = hi;
                     }
-                    fold.finalize(&partial, &prefix, &opts);
-                    assert_eq!(fold.per_node(), &reference.per_node[..], "w={window}");
-                    assert_eq!(fold.total_ns(), reference.total_ns);
-                    let total_duration: Ns = g.nodes.iter().map(|n| n.duration).sum();
-                    assert_eq!(
-                        total_duration + fold.growth_ns() - fold.reclaim_ns(),
-                        reference.predicted_exec_ns
-                    );
+                    fold.finalize(&partial, &index, &opts);
+                    assert_same_report(&fold.take_report(), &reference, &format!("w={window}"));
                 }
             }
         }
@@ -869,20 +586,14 @@ mod tests {
     fn fold_reset_reuses_buffers_cleanly() {
         let g = scrambled(64, 9);
         let opts = BenefitOptions::default();
-        let reference = expected_benefit(&g, &opts);
+        let reference = expected_benefit_reference(&g, &opts);
+        let index = g.index();
         let mut fold = BenefitFold::new();
-        let mut prefix: Vec<Ns> = vec![0];
-        for node in &g.nodes {
-            let cpu = matches!(node.ntype, CWork | CLaunch);
-            let last = *prefix.last().unwrap();
-            prefix.push(last + if cpu { node.duration } else { 0 });
-        }
         for _ in 0..3 {
             fold.reset();
-            fold.extend(&g, &prefix, &opts);
-            fold.finalize(&g, &prefix, &opts);
-            assert_eq!(fold.per_node(), &reference.per_node[..]);
-            assert_eq!(fold.total_ns(), reference.total_ns);
+            fold.extend(&g, &index, &opts);
+            fold.finalize(&g, &index, &opts);
+            assert_same_report(&fold.take_report(), &reference, "after reset");
         }
     }
 

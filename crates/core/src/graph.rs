@@ -137,54 +137,12 @@ impl ExecGraph {
         self.nodes.iter().filter(|n| n.ntype == NType::CWait).map(|n| n.duration).sum()
     }
 
-    /// Build the columnar (structure-of-arrays) view of this graph: the
-    /// per-field columns the analysis hot paths scan, plus the prefix-sum
-    /// index. One allocation set per graph; the benefit and grouping
-    /// passes then run against it with zero per-call allocation (their
-    /// working state lives in reusable scratch structs).
-    ///
-    /// Like [`ExecGraph::index`], valid only while the graph's node
-    /// types and durations stay unchanged.
-    pub fn columns(&self) -> GraphCols {
-        let mut duration = Vec::with_capacity(self.nodes.len());
-        let mut problem = Vec::with_capacity(self.nodes.len());
-        let mut first_use = Vec::with_capacity(self.nodes.len());
-        let mut total_duration: Ns = 0;
-        for n in &self.nodes {
-            duration.push(n.duration);
-            problem.push(n.problem);
-            // `None` and `Some(0)` are equivalent to the estimator
-            // (`first_use_ns.unwrap_or(0)`), so the column stores plain Ns.
-            first_use.push(n.first_use_ns.unwrap_or(0));
-            total_duration += n.duration;
-        }
-        GraphCols { duration, problem, first_use, total_duration, index: self.index() }
-    }
-
     /// Build the O(1)-query index for this graph. Valid only while the
-    /// graph's node types and durations stay unchanged — estimators that
-    /// mutate the graph (the Fig. 5 growth model) must keep using the
-    /// scanning accessors.
+    /// graph's node types and durations stay unchanged.
     pub fn index(&self) -> GraphIndex {
-        let n = self.nodes.len();
-        let mut cpu_prefix = Vec::with_capacity(n + 1);
-        cpu_prefix.push(0);
-        let mut acc: Ns = 0;
-        for node in &self.nodes {
-            if matches!(node.ntype, NType::CWork | NType::CLaunch) {
-                acc += node.duration;
-            }
-            cpu_prefix.push(acc);
-        }
-        let mut next_sync = vec![n; n];
-        let mut nearest = n;
-        for i in (0..n).rev() {
-            next_sync[i] = nearest;
-            if self.nodes[i].ntype == NType::CWait {
-                nearest = i;
-            }
-        }
-        GraphIndex { cpu_prefix, next_sync }
+        let mut ix = GraphIndex::new();
+        ix.extend(self);
+        ix
     }
 }
 
@@ -294,82 +252,79 @@ impl GraphBuilder {
     }
 }
 
-/// Precomputed lookups over an **immutable** [`ExecGraph`]: prefix sums
-/// of CPU (`CWork`/`CLaunch`) durations and per-node next-`CWait`
-/// indices. Turns the linear scans of [`ExecGraph::cpu_time_between`]
-/// and [`ExecGraph::next_sync_after`] into O(1) queries, which is what
-/// makes evaluating thousands of candidate sequence windows cheap.
+/// Prefix sums of CPU (`CWork`/`CLaunch`) durations over an append-only
+/// [`ExecGraph`]. Turns the linear scan of [`ExecGraph::cpu_time_between`]
+/// into an O(1) query, which is what makes evaluating thousands of
+/// candidate sequence windows cheap. [`ExecGraph::index`] covers a whole
+/// graph; the streaming analysis extends one index window by window.
+/// Valid only while the covered nodes' types and durations stay
+/// unchanged.
 #[derive(Debug, Clone)]
 pub struct GraphIndex {
     /// `cpu_prefix[i]` = CPU time in nodes `[0, i)`; length `n + 1`.
     cpu_prefix: Vec<Ns>,
-    /// `next_sync[i]` = index of the first `CWait` strictly after `i`,
-    /// or `n` when none remains; length `n`.
-    next_sync: Vec<usize>,
 }
 
-/// [`GraphIndex::cpu_time_between`] over a raw prefix-sum slice
-/// (`cpu_prefix[i]` = CPU time in nodes `[0, i)`). The incremental fold
-/// maintains its own growing prefix column and shares the exact query
-/// semantics through this helper.
-pub(crate) fn prefix_cpu_time_between(cpu_prefix: &[Ns], start: usize, end: usize) -> Ns {
-    if start + 1 >= end {
-        return 0;
+impl Default for GraphIndex {
+    fn default() -> Self {
+        GraphIndex { cpu_prefix: vec![0] }
     }
-    cpu_prefix[end] - cpu_prefix[start + 1]
 }
 
 impl GraphIndex {
-    /// O(1) equivalent of [`ExecGraph::cpu_time_between`].
-    pub fn cpu_time_between(&self, start: usize, end: usize) -> Ns {
-        prefix_cpu_time_between(&self.cpu_prefix, start, end)
+    pub fn new() -> GraphIndex {
+        GraphIndex::default()
     }
 
-    /// O(1) equivalent of [`ExecGraph::next_sync_after`].
-    pub fn next_sync_after(&self, idx: usize) -> Option<usize> {
-        let next = self.next_sync[idx];
-        (next < self.next_sync.len()).then_some(next)
+    /// Cover the nodes appended to `graph` since the last call.
+    pub fn extend(&mut self, graph: &ExecGraph) {
+        let mut acc = self.cpu_prefix[self.len()];
+        let fresh = &graph.nodes[self.len()..];
+        self.cpu_prefix.reserve(fresh.len());
+        for node in fresh {
+            if matches!(node.ntype, NType::CWork | NType::CLaunch) {
+                acc += node.duration;
+            }
+            self.cpu_prefix.push(acc);
+        }
+    }
+
+    /// Forget every covered node, keeping capacity.
+    pub fn clear(&mut self) {
+        self.cpu_prefix.truncate(1);
+    }
+
+    /// O(1) equivalent of [`ExecGraph::cpu_time_between`].
+    pub fn cpu_time_between(&self, start: usize, end: usize) -> Ns {
+        if start + 1 >= end {
+            return 0;
+        }
+        self.cpu_prefix[end] - self.cpu_prefix[start + 1]
     }
 
     /// Number of nodes the index covers.
     pub fn len(&self) -> usize {
-        self.next_sync.len()
+        self.cpu_prefix.len() - 1
     }
 
     pub fn is_empty(&self) -> bool {
-        self.next_sync.is_empty()
+        self.len() == 0
     }
 }
 
-/// Columnar (structure-of-arrays) view of an immutable [`ExecGraph`]:
-/// the fields the analysis hot paths actually scan, stored as flat
-/// columns so a benefit or grouping pass touches 8–16 bytes per node
-/// instead of the full ~100-byte [`Node`]. Built once per graph via
-/// [`ExecGraph::columns`].
-#[derive(Debug, Clone)]
-pub struct GraphCols {
-    /// Out-edge durations, per node.
-    pub duration: Vec<Ns>,
-    /// Problem classifications, per node.
-    pub problem: Vec<Problem>,
-    /// Sync-to-first-use gaps; `0` where the graph had `None` (the two
-    /// are equivalent to the Fig. 5 estimator).
-    pub first_use: Vec<Ns>,
-    /// Sum of all durations (the mutated-graph sum starts here).
-    pub total_duration: Ns,
-    /// Prefix-sum / next-sync index over the same graph.
-    pub index: GraphIndex,
-}
-
-impl GraphCols {
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.duration.len()
+/// The first `CWait` strictly after `idx` and before `end`, or `end` when
+/// there is none. `frontier` carries the scan between calls for
+/// ascending `idx`: nodes below it are known not to hold that `CWait`, so
+/// a forward walk scans each node once, and a walk that found nothing
+/// resumes where it stopped once more nodes are appended.
+pub(crate) fn next_wait(graph: &ExecGraph, frontier: &mut usize, idx: usize, end: usize) -> usize {
+    if *frontier <= idx {
+        *frontier = idx + 1;
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.duration.is_empty()
+    while *frontier < end && graph.nodes[*frontier].ntype != NType::CWait {
+        *frontier += 1;
     }
+    *frontier
 }
 
 /// Compressed-sparse-row adjacency: a `row → members` mapping flattened
@@ -421,49 +376,6 @@ impl Csr {
         self.offsets = cursor;
     }
 
-    /// Windowed delta variant of [`Csr::rebuild_from_pairs`]: index only
-    /// the pairs of one appended window, with global row ids remapped to
-    /// dense window-local rows (first-appearance order, recorded in
-    /// `remap`). Cost is O(window pairs), independent of the global row
-    /// count — a sliding-window rebuild instead of a full
-    /// reconstruction. All buffers (including the remap scratch) are
-    /// reused across calls, so repeated same-shaped rebuilds allocate
-    /// nothing.
-    pub fn rebuild_from_pairs_windowed(&mut self, pairs: &[(u32, usize)], remap: &mut RowRemap) {
-        remap.begin();
-        self.offsets.clear();
-        self.offsets.push(0);
-        // First pass: assign window-local rows and count members. A new
-        // local row always appears as the current maximum, so the count
-        // array grows in step with the assignment.
-        for &(row, _) in pairs {
-            let local = remap.local(row) as usize;
-            if local + 1 >= self.offsets.len() {
-                self.offsets.push(0);
-            }
-            self.offsets[local + 1] += 1;
-        }
-        let rows = self.offsets.len() - 1;
-        for r in 0..rows {
-            self.offsets[r + 1] += self.offsets[r];
-        }
-        self.items.clear();
-        self.items.resize(pairs.len(), 0);
-        let mut cursor = std::mem::take(&mut self.offsets);
-        for &(row, item) in pairs {
-            let local = remap.local(row) as usize;
-            self.items[cursor[local]] = item;
-            cursor[local] += 1;
-        }
-        for r in (1..=rows).rev() {
-            cursor[r] = cursor[r - 1];
-        }
-        if rows > 0 {
-            cursor[0] = 0;
-        }
-        self.offsets = cursor;
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.offsets.len().saturating_sub(1)
@@ -472,56 +384,6 @@ impl Csr {
     /// Members of row `r`, in insertion order.
     pub fn row(&self, r: usize) -> &[usize] {
         &self.items[self.offsets[r]..self.offsets[r + 1]]
-    }
-}
-
-/// Reusable global-row → window-local-row remapping scratch for
-/// [`Csr::rebuild_from_pairs_windowed`]. Uses epoch-stamped slots so a
-/// new window invalidates the previous mapping in O(1) instead of
-/// clearing O(global rows) state.
-#[derive(Debug, Clone, Default)]
-pub struct RowRemap {
-    local_of: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    rows: Vec<u32>,
-}
-
-impl RowRemap {
-    pub fn new() -> RowRemap {
-        RowRemap::default()
-    }
-
-    fn begin(&mut self) {
-        self.rows.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wrap-around: old stamps would alias re-used epoch
-            // values, so reset them to 0 — never a valid epoch.
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Window-local row for a global row, assigned on first appearance.
-    fn local(&mut self, row: u32) -> u32 {
-        let i = row as usize;
-        if i >= self.local_of.len() {
-            self.local_of.resize(i + 1, 0);
-            self.stamp.resize(i + 1, 0);
-        }
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.local_of[i] = self.rows.len() as u32;
-            self.rows.push(row);
-        }
-        self.local_of[i]
-    }
-
-    /// Global row ids present in the current window, in first-appearance
-    /// order; `rows()[local]` is the global row for a local index.
-    pub fn rows(&self) -> &[u32] {
-        &self.rows
     }
 }
 
@@ -632,10 +494,19 @@ mod tests {
             ],
         };
         let g = ExecGraph::from_trace(&trace, 200);
-        let ix = g.index();
         let n = g.nodes.len();
+        // An index extended one node at a time equals the one-shot build.
+        let mut ix = GraphIndex::new();
+        let mut partial = ExecGraph { nodes: Vec::new(), exec_time_ns: 200, baseline_exec_ns: 200 };
+        for node in &g.nodes {
+            partial.nodes.push(node.clone());
+            ix.extend(&partial);
+        }
+        assert_eq!(ix.cpu_prefix, g.index().cpu_prefix);
+        let mut frontier = 0;
         for i in 0..n {
-            assert_eq!(ix.next_sync_after(i), g.next_sync_after(i), "next_sync @{i}");
+            let next = next_wait(&g, &mut frontier, i, n);
+            assert_eq!((next < n).then_some(next), g.next_sync_after(i), "next_wait @{i}");
             for j in i + 1..=n {
                 assert_eq!(
                     ix.cpu_time_between(i, j),
@@ -643,34 +514,6 @@ mod tests {
                     "cpu_time_between({i}, {j})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn columns_mirror_nodes() {
-        let trace = Stage2Result {
-            exec_time_ns: 200,
-            calls: vec![
-                call(0, ApiFn::CudaFree, 0, 20, 15, false),
-                call(1, ApiFn::CudaLaunchKernel, 30, 40, 0, true),
-                call(2, ApiFn::CudaDeviceSynchronize, 90, 120, 30, false),
-            ],
-        };
-        let mut g = ExecGraph::from_trace(&trace, 200);
-        g.nodes[1].first_use_ns = Some(7);
-        let cols = g.columns();
-        assert_eq!(cols.len(), g.nodes.len());
-        let mut total = 0;
-        for (i, n) in g.nodes.iter().enumerate() {
-            assert_eq!(cols.duration[i], n.duration);
-            assert_eq!(cols.problem[i], n.problem);
-            assert_eq!(cols.first_use[i], n.first_use_ns.unwrap_or(0));
-            total += n.duration;
-        }
-        assert_eq!(cols.total_duration, total);
-        assert_eq!(cols.index.len(), g.nodes.len());
-        for i in 0..g.nodes.len() {
-            assert_eq!(cols.index.next_sync_after(i), g.next_sync_after(i));
         }
     }
 
@@ -753,42 +596,6 @@ mod tests {
         g.problematic_into(&mut scratch);
         assert_eq!(scratch, g.problematic());
         assert_eq!(scratch, vec![wait]);
-    }
-
-    #[test]
-    fn windowed_csr_remaps_rows_densely() {
-        let mut csr = Csr::new();
-        let mut remap = RowRemap::new();
-        // Global rows 5 and 2 only; locals assigned in appearance order.
-        csr.rebuild_from_pairs_windowed(&[(5, 10), (2, 11), (5, 12)], &mut remap);
-        assert_eq!(remap.rows(), &[5, 2]);
-        assert_eq!(csr.rows(), 2);
-        assert_eq!(csr.row(0), &[10, 12]);
-        assert_eq!(csr.row(1), &[11]);
-        // Next window reuses every buffer and forgets the old mapping.
-        csr.rebuild_from_pairs_windowed(&[(2, 20), (7, 21)], &mut remap);
-        assert_eq!(remap.rows(), &[2, 7]);
-        assert_eq!(csr.row(0), &[20]);
-        assert_eq!(csr.row(1), &[21]);
-        // Empty window.
-        csr.rebuild_from_pairs_windowed(&[], &mut remap);
-        assert_eq!(csr.rows(), 0);
-        assert!(remap.rows().is_empty());
-    }
-
-    #[test]
-    fn windowed_csr_matches_full_rebuild_on_dense_rows() {
-        let pairs = [(0u32, 1), (1, 2), (0, 3), (2, 4), (1, 5)];
-        let mut full = Csr::new();
-        full.rebuild_from_pairs(3, &pairs);
-        let mut windowed = Csr::new();
-        let mut remap = RowRemap::new();
-        windowed.rebuild_from_pairs_windowed(&pairs, &mut remap);
-        // Rows 0,1,2 appear in that order, so the remap is the identity.
-        assert_eq!(remap.rows(), &[0, 1, 2]);
-        for r in 0..3 {
-            assert_eq!(windowed.row(r), full.row(r));
-        }
     }
 
     #[test]

@@ -16,9 +16,8 @@ use gpu_sim::{Ns, SourceLoc};
 
 use crate::analysis::{Analysis, AnalysisConfig, ProblemOp};
 use crate::benefit::{BenefitFold, BenefitReport, NodeBenefit};
-use crate::graph::{Csr, ExecGraph, GraphIndex, NType, RowRemap};
+use crate::graph::{next_wait, Csr, ExecGraph, GraphIndex, NType};
 use crate::intern::{intern, intern_static, Sym};
-use crate::par::par_map;
 use crate::problem::Problem;
 
 /// How a group was formed.
@@ -61,6 +60,16 @@ fn site_label_sym(graph: &ExecGraph, node: usize, buf: &mut String) -> Sym {
     }
 }
 
+/// Single-point grouping key: the stack signature of the node's call.
+fn site_key(graph: &ExecGraph, node: usize) -> Option<u64> {
+    graph.nodes[node].instance.map(|i| i.sig)
+}
+
+/// Per-API fold key.
+fn api_key(graph: &ExecGraph, node: usize) -> Option<u64> {
+    graph.nodes[node].api.map(|a| a.index() as u64)
+}
+
 /// Intern the per-API fold label ("Fold on cudaFree").
 fn fold_label_sym(graph: &ExecGraph, node: usize, buf: &mut String) -> Sym {
     buf.clear();
@@ -77,7 +86,7 @@ fn fold_label_sym(graph: &ExecGraph, node: usize, buf: &mut String) -> Sym {
 /// assigned in first-appearance order) and a [`Csr`] member index built
 /// by counting sort. All buffers are retained between calls, so
 /// steady-state grouping — repeat passes over same-shaped graphs —
-/// allocates nothing (`bench_analysis --smoke` asserts this).
+/// allocates nothing (`bench_stream --smoke` asserts this).
 #[derive(Debug, Default, Clone)]
 pub struct GroupScratch {
     /// Grouping key (sig / folded sig / API index) → gid.
@@ -195,19 +204,6 @@ impl GroupScratch {
         self.pairs.clone_from(&other.pairs);
     }
 
-    /// `(gid, node)` pairs accumulated so far, in absorption order —
-    /// the input feed for windowed member-delta rebuilds
-    /// ([`Csr::rebuild_from_pairs_windowed`]).
-    pub fn pairs(&self) -> &[(u32, usize)] {
-        &self.pairs
-    }
-
-    /// Number of distinct groups accumulated so far (valid before
-    /// [`GroupScratch::seal`], unlike [`GroupScratch::len`]).
-    pub fn group_count(&self) -> usize {
-        self.rep_node.len()
-    }
-
     /// Number of groups found by the last [`GroupScratch::compute`].
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -256,7 +252,7 @@ impl GroupScratch {
 
     /// Single-point pass ([`single_point_groups`] on reusable scratch).
     pub fn compute_single_point(&mut self, graph: &ExecGraph, benefit: &BenefitReport) {
-        self.compute(benefit, |n| graph.nodes[n].instance.map(|i| i.sig));
+        self.compute(benefit, |n| site_key(graph, n));
     }
 
     /// Folded-function pass ([`folded_function_groups`] on reusable
@@ -267,7 +263,7 @@ impl GroupScratch {
 
     /// Per-API fold pass ([`fold_on_api`] on reusable scratch).
     pub fn compute_api_fold(&mut self, graph: &ExecGraph, benefit: &BenefitReport) {
-        self.compute(benefit, |n| graph.nodes[n].api.map(|a| a.index() as u64));
+        self.compute(benefit, |n| api_key(graph, n));
     }
 
     /// Materialize sealed single-point groups with site labels.
@@ -354,28 +350,21 @@ impl Sequence {
 /// `RemoveSyncronization` described in §3.5.2). Transfers contribute
 /// their full CPU cost. Returns the total estimate.
 pub fn carry_forward_benefit(graph: &ExecGraph, start: usize, end: usize) -> Ns {
-    carry_forward_indexed(graph, &graph.index(), start, end)
+    carry_forward_masked(graph, &graph.index(), start, end, |_| true)
 }
 
-/// [`carry_forward_benefit`] against a prebuilt [`GraphIndex`], so
-/// evaluating many windows of one immutable graph (sequence discovery,
-/// subsequence refinement sweeps) pays the O(n) index build once and
-/// each window O(entries) instead of O(n) rescans. The estimator only
-/// *reads* durations — unlike the Fig. 5 growth model — which is what
-/// makes the cached index sound here.
-pub fn carry_forward_indexed(graph: &ExecGraph, ix: &GraphIndex, start: usize, end: usize) -> Ns {
-    carry_forward_masked(graph, ix, start, end, |_| true)
-}
-
-/// [`carry_forward_indexed`] with a node-mask predicate: nodes for which
-/// `mask` returns `false` are treated as unproblematic (`Problem::None`)
-/// without mutating or cloning the graph.
+/// [`carry_forward_benefit`] against a prebuilt [`GraphIndex`], with a
+/// node-mask predicate: nodes for which `mask` returns `false` are
+/// treated as unproblematic (`Problem::None`) without mutating or
+/// cloning the graph. This is the one carry-forward walk: sequence
+/// scoring, subsequence refinement and sequence families all call it.
 ///
-/// This is exactly equivalent to cloning the graph and clearing the
-/// masked nodes' classifications — the window structure
-/// (`next_sync_after`, `cpu_time_between`) depends only on node types
-/// and durations, which a problem mask never changes — but it keeps
-/// Fig. 8-style subsequence refinement sweeps allocation-free.
+/// Many windows of one graph share one O(n) index build. The estimator
+/// only *reads* durations — unlike the Fig. 5 growth model — which is
+/// what makes the cached index sound here, and masking equals clearing
+/// the masked nodes' classifications on a clone, because the window
+/// structure depends only on node types and durations. Window ends are
+/// found among the nodes `ix` covers.
 pub fn carry_forward_masked(
     graph: &ExecGraph,
     ix: &GraphIndex,
@@ -383,14 +372,16 @@ pub fn carry_forward_masked(
     end: usize,
     mask: impl Fn(usize) -> bool,
 ) -> Ns {
+    let n = ix.len();
     let mut total: Ns = 0;
     let mut carry: Ns = 0;
-    for idx in start..end.min(graph.nodes.len()) {
+    let mut scan = start;
+    for idx in start..end.min(n) {
         let node = &graph.nodes[idx];
         let problem = if mask(idx) { node.problem } else { Problem::None };
         match problem {
             Problem::UnnecessarySync => {
-                let window_end = ix.next_sync_after(idx).unwrap_or(graph.nodes.len());
+                let window_end = next_wait(graph, &mut scan, idx, n);
                 let avail = ix.cpu_time_between(idx, window_end);
                 let demand = node.duration + carry;
                 let est = avail.min(demand);
@@ -425,116 +416,120 @@ fn is_starter(n: &crate::graph::Node) -> bool {
     !matches!(n.problem, Problem::None | Problem::MisplacedSync)
 }
 
-/// Block size for the chunked terminator scan. Big enough that per-task
-/// dispatch cost is noise against scanning the block, small enough that
-/// a multi-million-node graph splits into plenty of tasks.
-const SCAN_CHUNK: usize = 8192;
+/// One candidate run found by the [`RunTracker`].
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: usize,
+    /// Exclusive end, set when the run closes: the terminator index, or
+    /// the end of the graph.
+    end: usize,
+    /// Problem entries in `[start, end)`.
+    entries: usize,
+    /// Carry-forward estimate; computed only when `entries > 1` (runs
+    /// below the display threshold keep 0).
+    benefit_ns: Ns,
+}
 
-/// Enumerate candidate runs `(start, end)`: terminators split the node
-/// array into segments, and each segment containing at least one
-/// starter yields exactly one maximal run — from its first starter to
-/// the terminator (exclusive) or the end of the program.
-///
-/// This is the sharded reformulation of the old single-pass scan (and
-/// provably equivalent to it: the old scan skipped non-starters, opened
-/// a run at the first starter, extended it to the next terminator, then
-/// resumed *at* that terminator — i.e. one run per terminator-delimited
-/// segment). Both the terminator scan and the per-segment starter
-/// search are embarrassingly parallel reads of the immutable graph, so
-/// both shard over the pool; results are concatenated in index order,
-/// making the run list byte-identical at every `jobs` value.
-fn candidate_runs(graph: &ExecGraph, jobs: usize) -> Vec<(usize, usize)> {
-    let n = graph.nodes.len();
-
-    // Shard 1: find every terminator index, in order.
-    let terminators: Vec<usize> = if jobs > 1 && n >= 2 * SCAN_CHUNK {
-        let chunks: Vec<usize> = (0..n.div_ceil(SCAN_CHUNK)).collect();
-        par_map(chunks, jobs, |c| {
-            let lo = c * SCAN_CHUNK;
-            let hi = (lo + SCAN_CHUNK).min(n);
-            (lo..hi).filter(|&i| is_terminator(&graph.nodes[i])).collect::<Vec<usize>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        (0..n).filter(|&i| is_terminator(&graph.nodes[i])).collect()
-    };
-
-    // Segments between terminators (terminators themselves excluded).
-    let mut segments: Vec<(usize, usize)> = Vec::with_capacity(terminators.len() + 1);
-    let mut lo = 0;
-    for &t in &terminators {
-        if t > lo {
-            segments.push((lo, t));
+impl Run {
+    /// End the run at `end` and score it.
+    fn close(mut self, graph: &ExecGraph, index: &GraphIndex, end: usize) -> Run {
+        self.end = end;
+        if self.entries > 1 {
+            self.benefit_ns = carry_forward_masked(graph, index, self.start, end, |_| true);
         }
-        lo = t + 1;
+        self
     }
-    if lo < n {
-        segments.push((lo, n));
+}
+
+/// Sequence discovery over an append-only graph. Terminators split the
+/// nodes into segments, and each segment holding a starter yields one
+/// maximal candidate run: from its first starter to the terminator
+/// (exclusive) or the end of the graph. A run is scored when its
+/// terminator is appended — every window end its estimate reads lies at
+/// or before the terminator, so the score equals the one over the
+/// finished graph.
+#[derive(Debug, Default)]
+struct RunTracker {
+    /// Closed runs, in discovery order.
+    closed: Vec<Run>,
+    /// The run still waiting for its terminator.
+    open: Option<Run>,
+}
+
+impl RunTracker {
+    fn clear(&mut self) {
+        self.closed.clear();
+        self.open = None;
     }
 
-    // Shard 2: first starter per segment. Dispatch overhead dwarfs the
-    // scan for a handful of segments; only fan out with real work.
-    let seg_jobs = if segments.len() >= 64 { jobs } else { 1 };
-    par_map(segments, seg_jobs, |(s_lo, s_hi): (usize, usize)| {
-        (s_lo..s_hi).find(|&i| is_starter(&graph.nodes[i])).map(|start| (start, s_hi))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    /// Track the nodes `from..index.len()` of `graph`.
+    fn extend(&mut self, graph: &ExecGraph, index: &GraphIndex, from: usize) {
+        for idx in from..index.len() {
+            let node = &graph.nodes[idx];
+            if is_terminator(node) {
+                if let Some(run) = self.open.take() {
+                    self.closed.push(run.close(graph, index, idx));
+                }
+            } else if node.problem != Problem::None {
+                if self.open.is_none() && is_starter(node) {
+                    self.open = Some(Run { start: idx, end: idx, entries: 0, benefit_ns: 0 });
+                }
+                if let Some(run) = &mut self.open {
+                    run.entries += 1;
+                }
+            }
+        }
+    }
+
+    /// Candidate runs found so far, the open one included.
+    fn candidates(&self) -> usize {
+        self.closed.len() + usize::from(self.open.is_some())
+    }
+
+    /// The sequences — runs of more than one problem — as if the graph
+    /// ended after the nodes tracked so far, sorted by descending
+    /// benefit (stable: ties keep graph order).
+    fn sequences(&self, graph: &ExecGraph, index: &GraphIndex) -> Vec<Sequence> {
+        let open = self.open.map(|run| run.close(graph, index, index.len()));
+        let mut sequences: Vec<Sequence> = self
+            .closed
+            .iter()
+            .chain(&open)
+            .filter(|run| run.entries > 1)
+            .map(|run| Sequence {
+                start: run.start,
+                end: run.end,
+                entries: (run.start..run.end)
+                    .filter(|&i| graph.nodes[i].problem != Problem::None)
+                    .enumerate()
+                    .map(|(k, i)| SeqEntry {
+                        index: k + 1,
+                        node: i,
+                        api: graph.nodes[i].api,
+                        site: graph.nodes[i].site,
+                        problem: graph.nodes[i].problem,
+                    })
+                    .collect(),
+                benefit_ns: run.benefit_ns,
+            })
+            .collect();
+        sequences.sort_by_key(|s| std::cmp::Reverse(s.benefit_ns));
+        sequences
+    }
 }
 
 /// Find maximal sequences: runs beginning at a problematic node and
 /// ending at the first *necessary* synchronization (a `CWait` with no
-/// problem, or a misplaced one — it must still happen).
+/// problem, or a misplaced one — it must still happen). This is the
+/// streaming analysis' run tracker, run over the whole graph.
 ///
-/// `jobs` is the *resolved* worker budget handed down from the pipeline
-/// configuration (`FfmConfig::jobs` via `effective_jobs`): both the
-/// candidate-window enumeration ([`candidate_runs`]) and sequence
-/// scoring fan out on the shared pool only when the caller granted more
-/// than one worker, so `jobs = 1` runs plain sequential loops and
-/// spawns nothing — grouping no longer consults the environment behind
-/// the configuration's back.
-pub fn find_sequences(graph: &ExecGraph, jobs: usize) -> Vec<Sequence> {
-    let _span = crate::telemetry::span("find_sequences");
-    // Pass 1: discover the maximal runs (sharded over the pool).
-    let runs = candidate_runs(graph, jobs.max(1));
-
-    // Pass 2: evaluate every run against one shared index. Runs are
-    // independent reads of the immutable graph, so the fleet fans out
-    // over `par_map` (order-preserving) when the environment grants more
-    // than one worker; jobs=1 is the plain sequential loop.
-    let ix = graph.index();
-    let evaluate = |(start, end): (usize, usize)| -> Option<Sequence> {
-        let entries: Vec<SeqEntry> = (start..end)
-            .filter(|&i| graph.nodes[i].problem != Problem::None)
-            .enumerate()
-            .map(|(k, i)| SeqEntry {
-                index: k + 1,
-                node: i,
-                api: graph.nodes[i].api,
-                site: graph.nodes[i].site,
-                problem: graph.nodes[i].problem,
-            })
-            .collect();
-        if entries.len() > 1 {
-            let benefit_ns = carry_forward_indexed(graph, &ix, start, end);
-            Some(Sequence { start, end, entries, benefit_ns })
-        } else {
-            None
-        }
-    };
-    // Dispatch overhead dwarfs per-run evaluation on small graphs; only
-    // fan out when there is real work to split.
-    crate::telemetry::counter_add("grouping.candidate_runs", runs.len() as u64);
-    let jobs = if runs.len() >= 64 { jobs.max(1) } else { 1 };
-    let mut sequences: Vec<Sequence> =
-        par_map(runs, jobs, evaluate).into_iter().flatten().collect();
-
-    // Stable sort: ties keep discovery (graph) order regardless of jobs.
-    sequences.sort_by_key(|s| std::cmp::Reverse(s.benefit_ns));
-    sequences
+/// `jobs` is unused: discovery and scoring are one forward pass. The
+/// parameter stays so existing callers keep compiling.
+pub fn find_sequences(graph: &ExecGraph, _jobs: usize) -> Vec<Sequence> {
+    let index = graph.index();
+    let mut runs = RunTracker::default();
+    runs.extend(graph, &index, 0);
+    runs.sequences(graph, &index)
 }
 
 /// Refined estimate for a user-selected subsequence (paper Fig. 8):
@@ -556,7 +551,7 @@ pub fn subsequence_benefit(
 /// refinement sweep over many candidate ranges (the automated
 /// subsequence search) pays the index build once and never clones the
 /// graph: problems outside the chosen entries are suppressed with a
-/// node-mask predicate in the estimator instead.
+/// node-mask predicate in [`carry_forward_masked`] instead.
 ///
 /// Allocation-free: entry nodes are strictly increasing (sequences are
 /// built by a forward scan), so chosen-set membership is a binary search
@@ -606,395 +601,200 @@ pub fn savings_by_api(graph: &ExecGraph, benefit: &BenefitReport) -> Vec<(ApiFn,
     table.into_iter().filter_map(|(api, ns)| api.map(|a| (a, ns))).collect()
 }
 
-/// Per-window statistics returned by [`IncrementalAnalysis::fold`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowStats {
-    /// Graph nodes appended in this window.
-    pub nodes: usize,
-    /// Benefit entries that became resolvable in this window.
-    pub resolved: usize,
-    /// Distinct single-point groups that received entries this window
-    /// (from the windowed member-delta rebuild).
-    pub groups_touched: usize,
+/// The two group tables a report carries — single point and per-API
+/// fold — fed the same benefit entries.
+#[derive(Debug, Default)]
+struct ReportGroups {
+    single_point: GroupScratch,
+    api_fold: GroupScratch,
 }
 
-/// Evaluate the carry-forward estimator over `[start, end)` against the
-/// incremental CPU prefix column, scanning for each sync's window end
-/// among the first `limit` appended nodes. Semantics mirror
-/// [`carry_forward_masked`] with an all-true mask: for closed runs the
-/// window ends exist at or before the terminating sync, so the value
-/// computed at close time equals the batch value on the final graph.
-fn carry_forward_prefix(
-    graph: &ExecGraph,
-    cpu_prefix: &[Ns],
-    start: usize,
-    end: usize,
-    limit: usize,
-) -> Ns {
-    let mut total: Ns = 0;
-    let mut carry: Ns = 0;
-    let mut scan = start;
-    for idx in start..end {
-        let node = &graph.nodes[idx];
-        match node.problem {
-            Problem::UnnecessarySync => {
-                if scan <= idx {
-                    scan = idx + 1;
-                }
-                while scan < limit && graph.nodes[scan].ntype != NType::CWait {
-                    scan += 1;
-                }
-                let window_end = scan.min(limit);
-                let avail = crate::graph::prefix_cpu_time_between(cpu_prefix, idx, window_end);
-                let demand = node.duration + carry;
-                let est = avail.min(demand);
-                total += est;
-                carry = demand - est;
-            }
-            Problem::MisplacedSync => {
-                let est = node.first_use_ns.unwrap_or(0).min(node.duration + carry);
-                total += est;
-                carry = (node.duration + carry).saturating_sub(est);
-            }
-            Problem::UnnecessaryTransfer => {
-                total += node.duration;
-            }
-            Problem::None => {}
-        }
+impl ReportGroups {
+    fn begin(&mut self) {
+        self.single_point.begin();
+        self.api_fold.begin();
     }
-    total
+
+    fn absorb(&mut self, graph: &ExecGraph, entries: &[NodeBenefit]) {
+        self.single_point.absorb(entries, |n| site_key(graph, n));
+        self.api_fold.absorb(entries, |n| api_key(graph, n));
+    }
+
+    fn copy_from(&mut self, other: &ReportGroups) {
+        self.single_point.copy_from(&other.single_point);
+        self.api_fold.copy_from(&other.api_fold);
+    }
+
+    /// Seal both tables and materialize the owned groups.
+    fn materialize(&mut self, graph: &ExecGraph) -> (Vec<ProblemGroup>, Vec<ProblemGroup>) {
+        self.single_point.seal();
+        self.api_fold.seal();
+        (
+            self.single_point.materialize_single_point(graph),
+            self.api_fold.materialize_api_fold(graph),
+        )
+    }
 }
 
-/// One candidate run discovered by the incremental sequence tracker.
-#[derive(Debug, Clone, Copy)]
-struct RunState {
-    start: usize,
-    /// Exclusive end (the terminator index, or pending for the open run).
-    end: usize,
-    /// Problem entries in `[start, end)`.
-    entries: usize,
-    /// Carry-forward estimate, computed at close time (only when
-    /// `entries > 1`; runs below the display threshold keep 0).
-    benefit_ns: Ns,
-}
-
-/// The streaming counterpart of [`crate::analyze`]: an append-only
-/// state machine that folds each window of freshly appended (and
-/// already classified) graph nodes into running benefit estimates,
-/// problem groups and sequence runs.
+/// Stage 5 as an append-only state machine: it folds each window of
+/// freshly appended (and already classified) graph nodes into running
+/// benefit estimates, problem groups and sequence runs.
+/// [`crate::analyze`] is the one-window case: it folds the whole
+/// classified graph at once and finishes.
 ///
-/// The contract that makes it trustworthy: **the final state is
-/// byte-identical to the batch answer**. Every constituent is either
-/// resolved in graph order with the exact batch semantics (benefit via
-/// [`BenefitFold`], groups via [`GroupScratch`] absorption in the same
-/// entry order, runs closed at the same terminators with the same
-/// carry-forward arithmetic) or assembled at [`IncrementalAnalysis::
-/// finish`] with the same sorts the batch path uses. Intermediate
-/// [`IncrementalAnalysis::snapshot`]s equal the batch analysis of the
-/// graph prefix seen so far (pending entries are overlaid
-/// non-destructively). The per-window fold itself performs zero
-/// steady-state allocations; snapshots allocate (they materialize an
-/// owned [`Analysis`]).
+/// Every constituent is resolved in graph order with the semantics of a
+/// walk over the finished graph (benefit via [`BenefitFold`], groups via
+/// [`GroupScratch`] absorption in the same entry order, runs closed at
+/// the same terminators with the same carry-forward arithmetic), so the
+/// result is the same for every windowing — the identity
+/// `streaming_identity` pins at the report-byte level. Intermediate
+/// [`IncrementalAnalysis::snapshot`]s equal the analysis of the graph
+/// prefix seen so far (pending entries are resolved on copies). The
+/// per-window fold itself performs zero steady-state allocations;
+/// snapshots allocate (they materialize an owned [`Analysis`]).
 #[derive(Debug)]
 pub struct IncrementalAnalysis {
     cfg: AnalysisConfig,
-    /// Growing CPU prefix column (`len == nodes folded + 1`).
-    cpu_prefix: Vec<Ns>,
-    /// Sum of all folded node durations.
-    total_duration: Ns,
+    /// CPU prefix column over the nodes folded so far.
+    index: GraphIndex,
     fold: BenefitFold,
     /// Benefit entries already absorbed into the group tables.
     absorbed: usize,
-    /// Running group tables (single point by instance signature, per-API
-    /// fold), fed in resolution order.
-    sp: GroupScratch,
-    af: GroupScratch,
-    /// Closed candidate runs, in discovery order.
-    runs: Vec<RunState>,
-    open_start: Option<usize>,
-    open_entries: usize,
-    /// Windowed member-delta table over the single-point pairs.
-    window_members: Csr,
-    window_remap: RowRemap,
-    window_pairs_from: usize,
+    /// Running group tables, fed in resolution order.
+    groups: ReportGroups,
+    runs: RunTracker,
     // Snapshot scratch, reused across epochs.
-    snap_per_node: Vec<NodeBenefit>,
-    snap_overlay: Vec<Ns>,
-    snap_sp: GroupScratch,
-    snap_af: GroupScratch,
+    snap_fold: BenefitFold,
+    snap_groups: ReportGroups,
 }
 
 impl IncrementalAnalysis {
     pub fn new(cfg: &AnalysisConfig) -> IncrementalAnalysis {
         IncrementalAnalysis {
             cfg: cfg.clone(),
-            cpu_prefix: vec![0],
-            total_duration: 0,
+            index: GraphIndex::new(),
             fold: BenefitFold::new(),
             absorbed: 0,
-            sp: GroupScratch::new(),
-            af: GroupScratch::new(),
-            runs: Vec::new(),
-            open_start: None,
-            open_entries: 0,
-            window_members: Csr::new(),
-            window_remap: RowRemap::new(),
-            window_pairs_from: 0,
-            snap_per_node: Vec::new(),
-            snap_overlay: Vec::new(),
-            snap_sp: GroupScratch::new(),
-            snap_af: GroupScratch::new(),
+            groups: ReportGroups::default(),
+            runs: RunTracker::default(),
+            snap_fold: BenefitFold::new(),
+            snap_groups: ReportGroups::default(),
         }
     }
 
     /// Clear all state (keeping buffer capacity) for a fresh graph.
     pub fn reset(&mut self) {
-        self.cpu_prefix.clear();
-        self.cpu_prefix.push(0);
-        self.total_duration = 0;
+        self.index.clear();
         self.fold.reset();
         self.absorbed = 0;
-        self.sp.begin();
-        self.af.begin();
+        self.groups.begin();
         self.runs.clear();
-        self.open_start = None;
-        self.open_entries = 0;
-        self.window_pairs_from = 0;
     }
 
     /// Number of graph nodes folded so far.
     pub fn folded_nodes(&self) -> usize {
-        self.cpu_prefix.len() - 1
+        self.index.len()
     }
 
     /// Fold every node appended to `graph` since the last call. Nodes
     /// must already carry their problem classification
     /// ([`crate::problem::classify_range`] over the appended range).
-    pub fn fold(&mut self, graph: &ExecGraph) -> WindowStats {
-        let n = graph.nodes.len();
-        let from = self.folded_nodes();
-        debug_assert!(from <= n, "graph shrank between folds");
-        for idx in from..n {
-            let node = &graph.nodes[idx];
-            let cpu = matches!(node.ntype, NType::CWork | NType::CLaunch);
-            let last = *self.cpu_prefix.last().unwrap();
-            self.cpu_prefix.push(last + if cpu { node.duration } else { 0 });
-            self.total_duration += node.duration;
-            if is_terminator(node) {
-                if let Some(start) = self.open_start.take() {
-                    let entries = self.open_entries;
-                    self.open_entries = 0;
-                    let benefit_ns = if entries > 1 {
-                        carry_forward_prefix(graph, &self.cpu_prefix, start, idx, idx + 1)
-                    } else {
-                        0
-                    };
-                    self.runs.push(RunState { start, end: idx, entries, benefit_ns });
-                }
-            } else if node.problem != Problem::None {
-                if self.open_start.is_none() && is_starter(node) {
-                    self.open_start = Some(idx);
-                }
-                if self.open_start.is_some() {
-                    self.open_entries += 1;
-                }
-            }
-        }
-        self.fold.extend(graph, &self.cpu_prefix, &self.cfg.benefit);
-        let resolved = &self.fold.per_node()[self.absorbed..];
-        let resolved_count = resolved.len();
-        self.sp.absorb(resolved, |i| graph.nodes[i].instance.map(|inst| inst.sig));
-        self.af.absorb(resolved, |i| graph.nodes[i].api.map(|a| a.index() as u64));
+    pub fn fold(&mut self, graph: &ExecGraph) {
+        let from = self.index.len();
+        debug_assert!(from <= graph.nodes.len(), "graph shrank between folds");
+        self.index.extend(graph);
+        self.runs.extend(graph, &self.index, from);
+        self.fold.extend(graph, &self.index, &self.cfg.benefit);
+        self.groups.absorb(graph, &self.fold.per_node()[self.absorbed..]);
         self.absorbed = self.fold.per_node().len();
-        // Windowed delta rebuild: member table over only this window's
-        // single-point pairs — O(window), not O(history).
-        let pairs = self.sp.pairs();
-        self.window_members
-            .rebuild_from_pairs_windowed(&pairs[self.window_pairs_from..], &mut self.window_remap);
-        self.window_pairs_from = pairs.len();
-        WindowStats {
-            nodes: n - from,
-            resolved: resolved_count,
-            groups_touched: self.window_remap.rows().len(),
-        }
-    }
-
-    /// Member-delta table from the last fold: row `r` lists the nodes
-    /// absorbed this window into the group `window_rows()[r]`.
-    pub fn window_members(&self) -> &Csr {
-        &self.window_members
-    }
-
-    /// Global single-point group ids touched by the last fold, parallel
-    /// to [`IncrementalAnalysis::window_members`] rows.
-    pub fn window_rows(&self) -> &[u32] {
-        self.window_remap.rows()
     }
 
     /// Materialize the analysis of everything folded so far, as if the
-    /// trace ended here — equal to running the batch [`crate::analyze`]
-    /// assembly over the current graph prefix. Non-destructive: pending
-    /// benefit entries are evaluated into snapshot scratch and the
-    /// running state is untouched, so folding can continue afterwards.
+    /// trace ended here. Non-destructive: pending benefit entries are
+    /// resolved on snapshot copies and the running state is untouched,
+    /// so folding can continue afterwards.
     pub fn snapshot(&mut self, graph: &ExecGraph, baseline_exec_ns: Ns) -> Analysis {
         debug_assert_eq!(graph.nodes.len(), self.folded_nodes(), "snapshot mid-append");
-        let (benefit, problems, single_point, api_folds, sequences, by_api) = self.assemble(graph);
-        Analysis {
-            graph: graph.clone(),
-            benefit,
-            problems,
-            single_point,
-            api_folds,
-            sequences,
-            by_api,
+        self.snap_fold.copy_from(&self.fold);
+        self.snap_fold.finalize(graph, &self.index, &self.cfg.benefit);
+        self.snap_groups.copy_from(&self.groups);
+        self.snap_groups.absorb(graph, &self.snap_fold.per_node()[self.absorbed..]);
+        assemble(
+            graph.clone(),
             baseline_exec_ns,
-        }
+            &self.index,
+            self.snap_fold.take_report(),
+            &mut self.snap_groups,
+            &self.runs,
+        )
     }
 
     /// Resolve everything pending under end-of-trace semantics and
-    /// materialize the final analysis. The result is structurally
-    /// identical to [`crate::analyze`] over the same classified graph —
-    /// the identity `streaming_identity` pins at the report-byte level.
+    /// materialize the final analysis.
     pub fn finish(mut self, graph: ExecGraph, baseline_exec_ns: Ns) -> Analysis {
         debug_assert_eq!(graph.nodes.len(), self.folded_nodes(), "finish before final fold");
-        self.fold.finalize(&graph, &self.cpu_prefix, &self.cfg.benefit);
-        let resolved = &self.fold.per_node()[self.absorbed..];
-        self.sp.absorb(resolved, |i| graph.nodes[i].instance.map(|inst| inst.sig));
-        self.af.absorb(resolved, |i| graph.nodes[i].api.map(|a| a.index() as u64));
-        self.absorbed = self.fold.per_node().len();
-        let candidate_runs = self.runs.len() + usize::from(self.open_start.is_some());
-        crate::telemetry::counter_add("grouping.candidate_runs", candidate_runs as u64);
-        let (benefit, problems, single_point, api_folds, sequences, by_api) = self.assemble(&graph);
-        Analysis {
+        self.fold.finalize(&graph, &self.index, &self.cfg.benefit);
+        self.groups.absorb(&graph, &self.fold.per_node()[self.absorbed..]);
+        crate::telemetry::counter_add("grouping.candidate_runs", self.runs.candidates() as u64);
+        assemble(
             graph,
-            benefit,
-            problems,
-            single_point,
-            api_folds,
-            sequences,
-            by_api,
             baseline_exec_ns,
-        }
+            &self.index,
+            self.fold.take_report(),
+            &mut self.groups,
+            &self.runs,
+        )
     }
+}
 
-    /// Shared assembly for snapshots and the final analysis: overlay
-    /// pending benefit entries, rebuild the presentation tables, and
-    /// materialize owned results with the exact batch sorts.
-    #[allow(clippy::type_complexity)]
-    fn assemble(
-        &mut self,
-        graph: &ExecGraph,
-    ) -> (
-        BenefitReport,
-        Vec<ProblemOp>,
-        Vec<ProblemGroup>,
-        Vec<ProblemGroup>,
-        Vec<Sequence>,
-        Vec<(ApiFn, Ns)>,
-    ) {
-        let n = graph.nodes.len();
-        // Benefit: resolved entries + pending overlay.
-        self.snap_per_node.clear();
-        self.snap_per_node.extend_from_slice(self.fold.per_node());
-        let tail = self.fold.complete_into(
-            graph,
-            &self.cpu_prefix,
-            &self.cfg.benefit,
-            &mut self.snap_per_node,
-            &mut self.snap_overlay,
-        );
-        let benefit = BenefitReport {
-            per_node: self.snap_per_node.clone(),
-            total_ns: self.fold.total_ns() + tail.total_ns,
-            predicted_exec_ns: self.total_duration + self.fold.growth_ns() + tail.growth_ns
-                - self.fold.reclaim_ns()
-                - tail.reclaim_ns,
-        };
-        // Problems, sorted by descending benefit (stable, as in analyze).
-        let mut problems: Vec<ProblemOp> = benefit
-            .per_node
-            .iter()
-            .map(|nb| {
-                let node = &graph.nodes[nb.node];
-                ProblemOp {
-                    node: nb.node,
-                    api: node.api,
-                    site: node.site,
-                    problem: nb.problem,
-                    benefit_ns: nb.benefit_ns,
-                }
-            })
-            .collect();
-        problems.sort_by_key(|p| std::cmp::Reverse(p.benefit_ns));
-        // Groups: running tables + pending overlay, sealed in snapshot
-        // scratch so the incremental tables stay undisturbed.
-        let pending = &self.snap_per_node[self.fold.per_node().len()..];
-        self.snap_sp.copy_from(&self.sp);
-        self.snap_sp.absorb(pending, |i| graph.nodes[i].instance.map(|inst| inst.sig));
-        self.snap_sp.seal();
-        let single_point = self.snap_sp.materialize_single_point(graph);
-        self.snap_af.copy_from(&self.af);
-        self.snap_af.absorb(pending, |i| graph.nodes[i].api.map(|a| a.index() as u64));
-        self.snap_af.seal();
-        let api_folds = self.snap_af.materialize_api_fold(graph);
-        // Sequences: closed runs plus the still-open run under
-        // end-of-trace semantics.
-        let materialize_entries = |start: usize, end: usize| -> Vec<SeqEntry> {
-            (start..end)
-                .filter(|&i| graph.nodes[i].problem != Problem::None)
-                .enumerate()
-                .map(|(k, i)| SeqEntry {
-                    index: k + 1,
-                    node: i,
-                    api: graph.nodes[i].api,
-                    site: graph.nodes[i].site,
-                    problem: graph.nodes[i].problem,
-                })
-                .collect()
-        };
-        let mut sequences: Vec<Sequence> = Vec::new();
-        for run in &self.runs {
-            if run.entries > 1 {
-                sequences.push(Sequence {
-                    start: run.start,
-                    end: run.end,
-                    entries: materialize_entries(run.start, run.end),
-                    benefit_ns: run.benefit_ns,
-                });
+/// Shared assembly for snapshots and the final analysis: the finished
+/// benefit report, the group tables that absorbed all of it, and the
+/// runs found so far, materialized with the report's presentation sorts.
+fn assemble(
+    graph: ExecGraph,
+    baseline_exec_ns: Ns,
+    index: &GraphIndex,
+    benefit: BenefitReport,
+    groups: &mut ReportGroups,
+    runs: &RunTracker,
+) -> Analysis {
+    // Problems, sorted by descending benefit (stable: ties keep graph
+    // order).
+    let mut problems: Vec<ProblemOp> = benefit
+        .per_node
+        .iter()
+        .map(|nb| {
+            let node = &graph.nodes[nb.node];
+            ProblemOp {
+                node: nb.node,
+                api: node.api,
+                site: node.site,
+                problem: nb.problem,
+                benefit_ns: nb.benefit_ns,
             }
-        }
-        if let Some(start) = self.open_start {
-            if self.open_entries > 1 {
-                let benefit_ns = carry_forward_prefix(graph, &self.cpu_prefix, start, n, n);
-                sequences.push(Sequence {
-                    start,
-                    end: n,
-                    entries: materialize_entries(start, n),
-                    benefit_ns,
-                });
-            }
-        }
-        sequences.sort_by_key(|s| std::cmp::Reverse(s.benefit_ns));
-        // Savings by API, in the batch presentation order.
-        let mut table: [(Option<ApiFn>, Ns); ApiFn::COUNT] = [(None, 0); ApiFn::COUNT];
-        for nb in &benefit.per_node {
-            if let Some(api) = graph.nodes[nb.node].api {
-                let slot = &mut table[api.index()];
-                slot.0 = Some(api);
-                slot.1 += nb.benefit_ns;
-            }
-        }
-        let mut by_api: Vec<(ApiFn, Ns)> =
-            table.into_iter().filter_map(|(api, ns)| api.map(|a| (a, ns))).collect();
-        by_api.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        (benefit, problems, single_point, api_folds, sequences, by_api)
+        })
+        .collect();
+    problems.sort_by_key(|p| std::cmp::Reverse(p.benefit_ns));
+    let (single_point, api_folds) = groups.materialize(&graph);
+    let sequences = runs.sequences(&graph, index);
+    let mut by_api = savings_by_api(&graph, &benefit);
+    by_api.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    Analysis {
+        graph,
+        benefit,
+        problems,
+        single_point,
+        api_folds,
+        sequences,
+        by_api,
+        baseline_exec_ns,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benefit::{expected_benefit, BenefitOptions};
+    use crate::benefit::{expected_benefit, expected_benefit_reference, BenefitOptions};
     use crate::graph::Node;
     use crate::records::OpInstance;
 
@@ -1159,9 +959,9 @@ mod tests {
         assert_eq!(s.benefit_ns, 20);
     }
 
-    /// Differential check of the binary-search membership against an
-    /// explicit boolean mask, over scrambled graphs and every range — no
-    /// graph clone anywhere.
+    /// Differential check of the binary-search membership and the
+    /// index-backed walk against an explicit boolean mask on the scanning
+    /// reference, over scrambled graphs and every range.
     #[test]
     fn masked_subsequence_equals_boolean_mask_reference() {
         let g = scrambled_graph(300, 11);
@@ -1178,44 +978,45 @@ mod tests {
                         }
                     }
                     let first = s.entries.iter().find(|e| e.index == from).unwrap();
-                    let want = Some(carry_forward_masked(&g, &ix, first.node, s.end, |i| keep[i]));
+                    let want = Some(carry_forward_reference(&g, first.node, s.end, |i| keep[i]));
                     assert_eq!(masked, want, "range {from}..={to}");
                 }
             }
         }
     }
 
-    /// Sequence scoring honors the jobs handed down from the pipeline:
-    /// results are identical at any worker count (and `jobs = 1` stays on
-    /// the caller's thread — covered process-wide by the thread-count
-    /// probe in `crates/diogenes/tests`).
-    #[test]
-    fn find_sequences_is_jobs_invariant() {
-        use NType::*;
-        use Problem::*;
-        // Enough runs (>= 64) that the parallel path actually engages.
-        let mut nodes = Vec::new();
-        for k in 0..200u64 {
-            nodes.push(node(CWait, 10 + k % 7, UnnecessarySync, k, 0, ApiFn::CudaFree, 10));
-            nodes.push(node(CLaunch, 6, UnnecessaryTransfer, 1_000 + k, 0, ApiFn::CudaMemcpy, 11));
-            nodes.push(node(CWork, 4 + k % 3, None, 0, k, ApiFn::CudaMalloc, 12));
-            nodes.push(node(CWait, 8, None, 2_000 + k, 0, ApiFn::CudaDeviceSynchronize, 13));
+    /// The carry-forward estimator transcribed over the scanning graph
+    /// accessors, the oracle for [`carry_forward_masked`].
+    fn carry_forward_reference(
+        graph: &ExecGraph,
+        start: usize,
+        end: usize,
+        mask: impl Fn(usize) -> bool,
+    ) -> Ns {
+        let mut total: Ns = 0;
+        let mut carry: Ns = 0;
+        for idx in start..end.min(graph.nodes.len()) {
+            let node = &graph.nodes[idx];
+            let demand = node.duration + carry;
+            let est = match if mask(idx) { node.problem } else { Problem::None } {
+                Problem::UnnecessarySync => {
+                    let window_end = graph.next_sync_after(idx).unwrap_or(graph.nodes.len());
+                    graph.cpu_time_between(idx, window_end).min(demand)
+                }
+                Problem::MisplacedSync => node.first_use_ns.unwrap_or(0).min(demand),
+                Problem::UnnecessaryTransfer => {
+                    total += node.duration;
+                    continue;
+                }
+                Problem::None => continue,
+            };
+            total += est;
+            carry = demand - est;
         }
-        let exec = nodes.iter().map(|n| n.duration).sum();
-        let g = ExecGraph { nodes, exec_time_ns: exec, baseline_exec_ns: exec };
-        let seq = find_sequences(&g, 1);
-        assert!(seq.len() >= 64, "graph must exercise the fan-out path");
-        for jobs in [2, 4, 16] {
-            let par = find_sequences(&g, jobs);
-            assert_eq!(seq.len(), par.len(), "jobs={jobs}");
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!((a.start, a.end, a.benefit_ns), (b.start, b.end, b.benefit_ns));
-            }
-        }
+        total
     }
 
-    /// The retired single-pass scan, kept verbatim as the reference
-    /// implementation for the sharded enumeration.
+    /// The single-pass run scan, the reference for the run tracker.
     fn reference_runs(graph: &ExecGraph) -> Vec<(usize, usize)> {
         let mut runs: Vec<(usize, usize)> = Vec::new();
         let mut idx = 0;
@@ -1273,30 +1074,32 @@ mod tests {
         ExecGraph { nodes, exec_time_ns: exec, baseline_exec_ns: exec }
     }
 
-    /// The sharded enumeration must reproduce the retired sequential
-    /// scan exactly, at every job count — including graphs large enough
-    /// to cross the chunked-terminator-scan threshold.
+    /// The run tracker must find exactly the reference scan's runs for
+    /// any windowing, on graphs up to well past any window size.
     #[test]
-    fn candidate_enumeration_matches_reference_scan() {
-        for (len, seed) in [(0, 1), (1, 2), (97, 3), (500, 4), (2 * SCAN_CHUNK + 129, 5)] {
+    fn run_tracker_matches_reference_scan() {
+        for (len, seed) in [(0, 1), (1, 2), (97, 3), (500, 4), (16_513, 5)] {
             let g = scrambled_graph(len, seed);
             let expect = reference_runs(&g);
-            for jobs in [1, 2, 4, 16] {
-                assert_eq!(candidate_runs(&g, jobs), expect, "len={len} seed={seed} jobs={jobs}");
-            }
-        }
-    }
-
-    #[test]
-    fn find_sequences_jobs_invariant_on_chunked_scan_path() {
-        let g = scrambled_graph(2 * SCAN_CHUNK + 777, 9);
-        let seq = find_sequences(&g, 1);
-        assert!(!seq.is_empty());
-        for jobs in [2, 8] {
-            let par = find_sequences(&g, jobs);
-            assert_eq!(seq.len(), par.len(), "jobs={jobs}");
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!((a.start, a.end, a.benefit_ns), (b.start, b.end, b.benefit_ns));
+            for window in [1, 7, 1000, len.max(1)] {
+                let mut partial = ExecGraph {
+                    nodes: Vec::new(),
+                    exec_time_ns: g.exec_time_ns,
+                    baseline_exec_ns: g.baseline_exec_ns,
+                };
+                let mut index = GraphIndex::new();
+                let mut runs = RunTracker::default();
+                for chunk in g.nodes.chunks(window) {
+                    let from = partial.nodes.len();
+                    partial.nodes.extend_from_slice(chunk);
+                    index.extend(&partial);
+                    runs.extend(&partial, &index, from);
+                }
+                let open = runs.open.map(|r| (r.start, len));
+                let found: Vec<(usize, usize)> =
+                    runs.closed.iter().map(|r| (r.start, r.end)).chain(open).collect();
+                assert_eq!(found, expect, "len={len} seed={seed} window={window}");
+                assert_eq!(runs.candidates(), expect.len());
             }
         }
     }
@@ -1346,11 +1149,13 @@ mod tests {
         }
     }
 
-    /// The batch stage-5 assembly over an already-classified graph —
-    /// exactly what `analyze` does after classification, kept here as
-    /// the reference for the incremental state machine.
-    fn batch_analysis(graph: &ExecGraph, jobs: usize) -> Analysis {
-        let benefit = expected_benefit(graph, &BenefitOptions::default());
+    /// An independent stage-5 assembly over an already-classified graph,
+    /// the oracle for the incremental state machine: benefit from the
+    /// mutating Fig. 5 reference, groups from one-shot `GroupScratch`
+    /// passes, and sequences from the reference run scan scored by the
+    /// reference carry-forward walk.
+    fn batch_analysis(graph: &ExecGraph) -> Analysis {
+        let benefit = expected_benefit_reference(graph, &BenefitOptions::default());
         let mut problems: Vec<ProblemOp> = benefit
             .per_node
             .iter()
@@ -1368,7 +1173,25 @@ mod tests {
         problems.sort_by_key(|p| std::cmp::Reverse(p.benefit_ns));
         let single_point = single_point_groups(graph, &benefit);
         let api_folds = fold_on_api(graph, &benefit);
-        let sequences = find_sequences(graph, jobs);
+        let mut sequences: Vec<Sequence> = reference_runs(graph)
+            .into_iter()
+            .filter_map(|(start, end)| {
+                let entries: Vec<SeqEntry> = (start..end)
+                    .filter(|&i| graph.nodes[i].problem != Problem::None)
+                    .enumerate()
+                    .map(|(k, i)| SeqEntry {
+                        index: k + 1,
+                        node: i,
+                        api: graph.nodes[i].api,
+                        site: graph.nodes[i].site,
+                        problem: graph.nodes[i].problem,
+                    })
+                    .collect();
+                let benefit_ns = carry_forward_reference(graph, start, end, |_| true);
+                (entries.len() > 1).then_some(Sequence { start, end, entries, benefit_ns })
+            })
+            .collect();
+        sequences.sort_by_key(|s| std::cmp::Reverse(s.benefit_ns));
         let mut by_api = savings_by_api(graph, &benefit);
         by_api.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         Analysis {
@@ -1428,14 +1251,13 @@ mod tests {
         assert_eq!(got.baseline_exec_ns, want.baseline_exec_ns, "{ctx}: baseline");
     }
 
-    /// The heart of the streaming refactor: folding any windowing of a
-    /// classified graph and finishing must equal the batch assembly
-    /// exactly — every field, every order.
+    /// Folding any windowing of a classified graph and finishing must
+    /// equal the independent assembly exactly — every field, every order.
     #[test]
     fn incremental_finish_matches_batch_for_any_windowing() {
         for (len, seed) in [(0usize, 1u64), (1, 2), (97, 3), (500, 7), (603, 11)] {
             let full = scrambled_graph(len, seed);
-            let want = batch_analysis(&full, 1);
+            let want = batch_analysis(&full);
             for window in [1usize, 3, 17, 1000] {
                 let mut inc = IncrementalAnalysis::new(&AnalysisConfig::default());
                 let mut growing = ExecGraph {
@@ -1447,9 +1269,8 @@ mod tests {
                 while lo < len {
                     let hi = (lo + window).min(len);
                     growing.nodes.extend(full.nodes[lo..hi].iter().cloned());
-                    let stats = inc.fold(&growing);
-                    assert_eq!(stats.nodes, hi - lo);
-                    assert!(stats.groups_touched <= stats.resolved.max(1));
+                    inc.fold(&growing);
+                    assert_eq!(inc.folded_nodes(), hi);
                     lo = hi;
                 }
                 if len == 0 {
@@ -1461,9 +1282,9 @@ mod tests {
         }
     }
 
-    /// Snapshots must equal the batch analysis of the prefix seen so
-    /// far — and must not disturb the running state (folding continues
-    /// and still converges to the batch answer).
+    /// Snapshots must equal the independent analysis of the prefix seen
+    /// so far — and must not disturb the running state (folding continues
+    /// and still converges to the whole-graph answer).
     #[test]
     fn incremental_snapshot_matches_batch_on_every_prefix() {
         let full = scrambled_graph(120, 5);
@@ -1481,11 +1302,11 @@ mod tests {
                 growing.exec_time_ns = growing.nodes.iter().map(|n| n.duration).sum();
                 inc.fold(&growing);
                 let snap = inc.snapshot(&growing, growing.baseline_exec_ns);
-                let want = batch_analysis(&growing, 1);
+                let want = batch_analysis(&growing);
                 assert_same_analysis(&snap, &want, &format!("prefix={hi} w={window}"));
                 lo = hi;
             }
-            let want = batch_analysis(&growing, 1);
+            let want = batch_analysis(&growing);
             let got = inc.finish(growing, want.baseline_exec_ns);
             assert_same_analysis(&got, &want, &format!("final w={window}"));
         }
@@ -1495,7 +1316,7 @@ mod tests {
     #[test]
     fn incremental_reset_reuses_state_cleanly() {
         let g = scrambled_graph(200, 13);
-        let want = batch_analysis(&g, 1);
+        let want = batch_analysis(&g);
         let mut inc = IncrementalAnalysis::new(&AnalysisConfig::default());
         inc.fold(&g);
         let _ = inc.snapshot(&g, g.baseline_exec_ns);

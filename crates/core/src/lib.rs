@@ -79,10 +79,7 @@ pub mod sweep;
 pub mod telemetry;
 
 pub use analysis::{analyze, Analysis, AnalysisConfig, ProblemOp};
-pub use benefit::{
-    expected_benefit, expected_benefit_reference, BenefitFold, BenefitOptions, BenefitPass,
-    BenefitReport, BenefitSummary, FoldTail, NodeBenefit,
-};
+pub use benefit::{expected_benefit, BenefitFold, BenefitOptions, BenefitReport, NodeBenefit};
 pub use codec::{
     decode_any_doc, decode_artifact, decode_doc, decode_sweep, encode_artifact, encode_doc,
     encode_sweep, is_ffb, read_sweep_header, write_artifact_to, write_doc_to, write_sweep_to,
@@ -95,12 +92,12 @@ pub use engine::{
     EngineOut, StageId,
 };
 pub use export::{analysis_to_json, report_to_json};
-pub use graph::{Csr, ExecGraph, GraphBuilder, GraphCols, GraphIndex, NType, Node, RowRemap};
+pub use graph::{Csr, ExecGraph, GraphBuilder, GraphIndex, NType, Node};
 pub use grouping::{
-    carry_forward_benefit, carry_forward_indexed, carry_forward_masked, find_sequences,
-    fold_on_api, folded_function_groups, savings_by_api, single_point_groups, subsequence_benefit,
+    carry_forward_benefit, carry_forward_masked, find_sequences, fold_on_api,
+    folded_function_groups, savings_by_api, single_point_groups, subsequence_benefit,
     subsequence_benefit_indexed, GroupKind, GroupScratch, GroupView, IncrementalAnalysis,
-    ProblemGroup, SeqEntry, Sequence, WindowStats,
+    ProblemGroup, SeqEntry, Sequence,
 };
 pub use intern::{intern, intern_static, Sym};
 pub use json::Json;

@@ -80,7 +80,6 @@ fn profiling_changes_no_report_bytes_and_records_well_formed_telemetry() {
         "stage3b-data-hashing",
         "stage4-sync-use",
         "stage5-analysis",
-        "find_sequences",
         "run_sweep",
         "sweep.cell",
         "pool.task",

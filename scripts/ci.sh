@@ -20,12 +20,9 @@ cargo clippy --workspace --all-targets -- $CLIPPY_DENY
 # shellcheck disable=SC2086
 cargo clippy --workspace --all-targets --features extern-testing -- $CLIPPY_DENY
 
-echo "== tier-1: build + test =="
+echo "== tier-1: build + test (every workspace member) =="
 cargo build --release
 cargo test -q
-
-echo "== full workspace tests =="
-cargo test -q --workspace
 
 echo "== sweep determinism (jobs=1 vs jobs=N bit-identical SWEEP json) =="
 cargo test -q -p diogenes --test sweep_determinism
@@ -46,10 +43,15 @@ cargo test -q -p diogenes --test shard_merge
 
 echo "== telemetry smoke (--profile writes a valid self-trace) =="
 cargo build --release -p diogenes
-./target/release/diogenes als --profile --jobs 4 > /dev/null
-python3 - <<'EOF'
-import json
-d = json.load(open('results/TELEMETRY_cumf_als.json'))
+# Run from a scratch directory so the committed
+# results/TELEMETRY_cumf_als.json is not rewritten with fresh timings.
+DIOGENES=$(pwd)/target/release/diogenes
+TELEMETRY=$(mktemp -d)
+mkdir "$TELEMETRY/results"
+(cd "$TELEMETRY" && "$DIOGENES" als --profile --jobs 4 > /dev/null)
+TELEMETRY_JSON="$TELEMETRY/results/TELEMETRY_cumf_als.json" python3 - <<'EOF'
+import json, os
+d = json.load(open(os.environ['TELEMETRY_JSON']))
 spans = {s['name'] for s in d['spans']}
 expected = {'run_ffm', 'stage1-baseline', 'stage2-detailed-tracing',
             'stage3a-memory-tracing', 'stage3b-data-hashing',
@@ -63,6 +65,7 @@ assert any(w['thread'].startswith('ffm-pool-') for w in d['workers']), \
 print(f"telemetry smoke ok: {len(d['traceEvents'])} trace events, "
       f"{len(d['workers'])} worker tracks, {len(d['counters'])} counters")
 EOF
+rm -rf "$TELEMETRY"
 
 echo "== sweep shard/merge smoke (CLI round trip, byte-identical) =="
 SMOKE=$(mktemp -d)
@@ -232,10 +235,6 @@ cargo build --release -p diogenes-bench --bin bench_codec
 echo "== columnar identity (reports/sweeps byte-identical to pinned artifacts) =="
 cargo test -q -p diogenes --test columnar_identity
 
-echo "== analysis allocation smoke (zero steady-state allocations in grouping) =="
-cargo build --release -p diogenes-bench --bin bench_analysis
-./target/release/bench_analysis --smoke
-
 echo "== streaming determinism (windowed incremental byte-identical to batch) =="
 cargo test -q -p diogenes --test streaming_identity
 STREAM=$(mktemp -d)
@@ -246,7 +245,7 @@ cmp "$STREAM/batch.json" "$STREAM/stream.json"
 rm -rf "$STREAM"
 echo "streaming determinism ok"
 
-echo "== streaming allocation smoke (zero steady-state allocations in fold loop) =="
+echo "== streaming allocation smoke (zero steady-state allocations in fold loop and grouping) =="
 cargo build --release -p diogenes-bench --bin bench_stream
 ./target/release/bench_stream --smoke
 
