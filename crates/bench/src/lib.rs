@@ -2,7 +2,8 @@
 //!
 //! Text renderers and helpers shared by the per-table/per-figure binaries
 //! (`table1`, `table2`, `figure4`, `figure6`, `figure7`, `figure8`,
-//! `overhead`, `cupti_gaps`, `ablations`) and the Criterion benches.
+//! `overhead`, `cupti_gaps`, `ablations`), plus the environment stamp
+//! `layerbench` records with every run.
 
 #![warn(rust_2018_idioms)]
 
@@ -111,9 +112,9 @@ pub fn git_rev() -> Option<String> {
     }
 }
 
-/// The environment block stamped into every `results/BENCH_*.json`
-/// document so entries are comparable across machines and PRs: worker
-/// budget, live pool size, core count, cost-model name, git revision.
+/// The environment block stamped into every `layerbench` run so runs
+/// are comparable across machines and PRs: worker budget, live pool
+/// size, core count, cost-model name, git revision.
 pub fn bench_meta(jobs: usize, cost_model: &str) -> ffm_core::Json {
     use ffm_core::Json;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

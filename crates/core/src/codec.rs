@@ -437,9 +437,16 @@ impl<W: std::io::Read + std::io::Write + std::io::Seek> FfbWriter<W> {
     }
 }
 
-/// A parsed (but not decoded) FFB container: validated header, checksum,
-/// and section bounds. Parsing allocates nothing — the section table is
-/// a fixed array — so scratch readers built on it stay allocation-free.
+/// A parsed (but not decoded) FFB container over a caller-owned buffer —
+/// a mapped file, a pooled disk read, or an in-place request body. One
+/// [`Ffb::parse`] validates the header, checksum, and section bounds;
+/// after that, section payloads, the interned string table
+/// ([`Ffb::strings_into`]), and typed columns ([`Dec::col_u64`]) come
+/// straight out of the buffer with no scratch `Vec` per section.
+/// Parsing allocates nothing — the section table is a fixed array — so
+/// scratch readers built on it stay allocation-free. No alignment is
+/// assumed anywhere (see [`ColU64`]), so the buffer can start at any
+/// offset.
 pub struct Ffb<'a> {
     pub kind: u8,
     pub build_tag: u64,
@@ -503,47 +510,12 @@ impl<'a> Ffb<'a> {
             .map(|&(_, start, len)| &self.bytes[start..start + len])
             .ok_or_else(|| format!("ffb: missing section {id}"))
     }
-}
-
-/// The borrowed decode layer over a caller-owned buffer — a mapped
-/// file, a pooled disk read, or an in-place request body. One
-/// [`Ffb::parse`] validates the header, checksum, and section bounds;
-/// after that, section payloads, the interned string table
-/// ([`FfbView::strings_into`]), and typed columns ([`Dec::col_u64`])
-/// come straight out of the buffer with no scratch `Vec` per section.
-/// No alignment is assumed anywhere (see [`ColU64`]), so the buffer can
-/// start at any offset.
-pub struct FfbView<'a> {
-    ffb: Ffb<'a>,
-}
-
-impl<'a> FfbView<'a> {
-    /// Validate once; every later accessor is a bounds-checked borrow.
-    pub fn parse(bytes: &'a [u8]) -> Result<FfbView<'a>, String> {
-        Ok(FfbView { ffb: Ffb::parse(bytes)? })
-    }
-
-    /// The container's kind byte.
-    pub fn kind(&self) -> u8 {
-        self.ffb.kind
-    }
-
-    /// The producing binary's build tag (not integrity-checked; the
-    /// artifact-cache path compares it against [`build_tag`]).
-    pub fn build_tag(&self) -> u64 {
-        self.ffb.build_tag
-    }
-
-    /// Payload of the first section with `id`.
-    pub fn section(&self, id: u32) -> Result<&'a [u8], String> {
-        self.ffb.section(id)
-    }
 
     /// `Err` unless the container carries `kind` (`what` names the
     /// expected kind in the message).
     pub fn expect_kind(&self, kind: u8, what: &str) -> Result<(), String> {
-        if self.ffb.kind != kind {
-            return Err(format!("not a {what} container (kind {})", self.ffb.kind));
+        if self.kind != kind {
+            return Err(format!("not a {what} container (kind {})", self.kind));
         }
         Ok(())
     }
@@ -889,7 +861,7 @@ impl StrTableBuilder {
 
 /// A container's parsed string table: every entry interned exactly once
 /// at parse time, so per-record resolution is one `Vec` index. Reusable
-/// — [`FfbView::strings_into`] refills one in place, and refilling with
+/// — [`Ffb::strings_into`] refills one in place, and refilling with
 /// already-interned strings allocates nothing, which is what keeps the
 /// scratch readers' steady state off the heap entirely.
 #[derive(Default)]
@@ -1339,150 +1311,15 @@ fn dec_stage4(d: &mut Dec<'_>) -> Result<Stage4Result, String> {
     Ok(Stage4Result { first_use_ns, exec_time_ns: d.u64()? })
 }
 
-/// Reusable zero-allocation reader for a Stage 4 container: after one
-/// warmup sizes the column vectors, repeat reads touch the heap zero
-/// times (asserted by `bench_codec --smoke`).
-#[derive(Default)]
-pub struct Stage4Cols {
-    pub sig: Vec<u64>,
-    pub occ: Vec<u64>,
-    pub first_use_ns: Vec<u64>,
-    pub exec_time_ns: u64,
-}
-
-impl Stage4Cols {
-    pub fn new() -> Self {
-        Stage4Cols::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.sig.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.sig.is_empty()
-    }
-
-    /// One pass over a whole Stage 4 FFB file into reused columns.
-    pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
-    }
-
-    /// Same, over an already-validated container view (so one parse can
-    /// feed several readers).
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(ArtifactKind::Stage4.byte(), "stage4")?;
-        let mut d = Dec::new(view.section(SEC_RECORDS)?);
-        let n = d.col_len(24)?;
-        extend_u64s(&mut self.sig, d.col_u64(n)?);
-        extend_u64s(&mut self.occ, d.col_u64(n)?);
-        extend_u64s(&mut self.first_use_ns, d.col_u64(n)?);
-        self.exec_time_ns = d.u64()?;
-        d.finish()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Borrowed scratch readers — zero steady-state allocation, every kind
+// Borrowed Stage 2 reader
 // ---------------------------------------------------------------------------
 //
-// Owned decoding (`decode_artifact`) materializes Vec/HashMap-heavy
-// records — ~60k allocations for a 20k-call Stage-2 trace, dominated by
-// one `Vec<Frame>` per call. The readers below run the same validated
-// pass over an `FfbView` into reused flat columns (stacks flatten into
-// one shared frame table); after a warmup read sizes the vectors,
-// repeat reads touch the heap zero times, for *all* artifact kinds —
-// asserted by `bench_codec --smoke`.
-
-/// Reusable zero-allocation reader for a Discovery container.
-#[derive(Default)]
-pub struct DiscoveryCols {
-    /// The funnel everything waits through. `None` only before the
-    /// first successful read.
-    pub sync_fn: Option<InternalFn>,
-    pub wait_fns: Vec<InternalFn>,
-    pub wait_ns: Vec<u64>,
-}
-
-impl DiscoveryCols {
-    pub fn new() -> Self {
-        DiscoveryCols::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.wait_fns.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.wait_fns.is_empty()
-    }
-
-    pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
-    }
-
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(ArtifactKind::Discovery.byte(), "discovery")?;
-        let mut d = Dec::new(view.section(SEC_RECORDS)?);
-        self.sync_fn = Some(internal_fn_from_index(d.u8()?)?);
-        let n = d.seq_len()?;
-        self.wait_fns.clear();
-        self.wait_ns.clear();
-        for _ in 0..n {
-            self.wait_fns.push(internal_fn_from_index(d.u8()?)?);
-            self.wait_ns.push(d.u64()?);
-        }
-        d.finish()
-    }
-}
-
-/// Reusable zero-allocation reader for a Stage 1 container.
-#[derive(Default)]
-pub struct Stage1Cols {
-    pub exec_time_ns: u64,
-    pub total_wait_ns: u64,
-    pub sync_hits: u64,
-    /// Synchronizing APIs in canonical (sorted) encode order, paired
-    /// with `api_hits`.
-    pub apis: Vec<ApiFn>,
-    pub api_hits: Vec<u64>,
-    strings: StrTable,
-}
-
-impl Stage1Cols {
-    pub fn new() -> Self {
-        Stage1Cols::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.apis.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.apis.is_empty()
-    }
-
-    pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
-    }
-
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(ArtifactKind::Stage1.byte(), "stage1")?;
-        view.strings_into(&mut self.strings)?;
-        let mut d = Dec::new(view.section(SEC_RECORDS)?);
-        self.exec_time_ns = d.u64()?;
-        self.total_wait_ns = d.u64()?;
-        self.sync_hits = d.u64()?;
-        let n = d.seq_len()?;
-        self.apis.clear();
-        self.api_hits.clear();
-        for _ in 0..n {
-            self.apis.push(dec_api(&mut d, &self.strings)?);
-            self.api_hits.push(d.u64()?);
-        }
-        d.finish()
-    }
-}
+// Owned decoding (`decode_artifact`) materializes one `TracedCall` and
+// one `Vec<Frame>` per call. `Stage2Cols` runs the same validated pass
+// into reused flat columns instead (stacks flatten into one shared frame
+// table); after a warmup read sizes the vectors, repeat reads touch the
+// heap zero times (asserted by `crates/core/tests/alloc_contracts.rs`).
 
 /// One traced call in a [`Stage2Cols`] read: the full [`TracedCall`]
 /// payload with the stack flattened into the shared frame table —
@@ -1513,10 +1350,8 @@ pub struct FrameRow {
     pub callsite: SourceLoc,
 }
 
-/// Reusable zero-allocation reader for a Stage 2 container — the
-/// replacement for the ~60k-allocation owned decode on the trace-heavy
-/// path. Stacks land in one shared `frames` table; each [`CallRow`]
-/// holds a range into it.
+/// Reusable zero-allocation reader for a Stage 2 container. Stacks land
+/// in one shared `frames` table; each [`CallRow`] holds a range into it.
 #[derive(Default)]
 pub struct Stage2Cols {
     pub exec_time_ns: u64,
@@ -1544,14 +1379,12 @@ impl Stage2Cols {
         &self.frames[start..start + call.frame_len as usize]
     }
 
+    /// One pass over a whole Stage 2 FFB file into reused columns.
     pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
-    }
-
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(ArtifactKind::Stage2.byte(), "stage2")?;
-        view.strings_into(&mut self.strings)?;
-        let mut d = Dec::new(view.section(SEC_RECORDS)?);
+        let ffb = Ffb::parse(file)?;
+        ffb.expect_kind(ArtifactKind::Stage2.byte(), "stage2")?;
+        ffb.strings_into(&mut self.strings)?;
+        let mut d = Dec::new(ffb.section(SEC_RECORDS)?);
         self.exec_time_ns = d.u64()?;
         let n = d.seq_len()?;
         self.calls.clear();
@@ -1585,97 +1418,6 @@ impl Stage2Cols {
                 frame_len: nframes as u32,
             });
         }
-        d.finish()
-    }
-}
-
-/// A protected-data access row in a [`Stage3Cols`] read.
-#[derive(Debug, Clone, Copy)]
-pub struct AccessRow {
-    pub sync: OpInstance,
-    pub access_site: SourceLoc,
-    pub rough_gap_ns: u64,
-}
-
-/// A duplicate-transfer row in a [`Stage3Cols`] read.
-#[derive(Debug, Clone, Copy)]
-pub struct DuplicateRow {
-    pub op: OpInstance,
-    pub site: SourceLoc,
-    pub first_site: SourceLoc,
-    pub bytes: u64,
-    pub digest: Digest,
-}
-
-/// Reusable zero-allocation reader for a Stage 3 container. The op sets
-/// come back as sorted vectors (canonical encode order), which callers
-/// probe by binary search instead of rebuilding hash sets.
-#[derive(Default)]
-pub struct Stage3Cols {
-    /// Sorted by `(sig, occ)`.
-    pub required_syncs: Vec<OpInstance>,
-    /// Sorted by `(sig, occ)`.
-    pub observed_syncs: Vec<OpInstance>,
-    pub accesses: Vec<AccessRow>,
-    pub duplicates: Vec<DuplicateRow>,
-    /// Sorted (canonical encode order).
-    pub first_use_sites: Vec<SourceLoc>,
-    pub hashed_bytes: u64,
-    pub exec_time_sync_ns: u64,
-    pub exec_time_hash_ns: u64,
-    pub exec_time_ns: u64,
-    strings: StrTable,
-}
-
-impl Stage3Cols {
-    pub fn new() -> Self {
-        Stage3Cols::default()
-    }
-
-    pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
-    }
-
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(ArtifactKind::Stage3.byte(), "stage3")?;
-        view.strings_into(&mut self.strings)?;
-        let mut d = Dec::new(view.section(SEC_RECORDS)?);
-        for set in [&mut self.required_syncs, &mut self.observed_syncs] {
-            let n = d.seq_len()?;
-            set.clear();
-            for _ in 0..n {
-                set.push(dec_op(&mut d)?);
-            }
-        }
-        let n = d.seq_len()?;
-        self.accesses.clear();
-        for _ in 0..n {
-            self.accesses.push(AccessRow {
-                sync: dec_op(&mut d)?,
-                access_site: dec_loc(&mut d, &self.strings)?,
-                rough_gap_ns: d.u64()?,
-            });
-        }
-        let n = d.seq_len()?;
-        self.duplicates.clear();
-        for _ in 0..n {
-            self.duplicates.push(DuplicateRow {
-                op: dec_op(&mut d)?,
-                site: dec_loc(&mut d, &self.strings)?,
-                first_site: dec_loc(&mut d, &self.strings)?,
-                bytes: d.u64()?,
-                digest: Digest(d.u128()?),
-            });
-        }
-        let n = d.seq_len()?;
-        self.first_use_sites.clear();
-        for _ in 0..n {
-            self.first_use_sites.push(dec_loc(&mut d, &self.strings)?);
-        }
-        self.hashed_bytes = d.u64()?;
-        self.exec_time_sync_ns = d.u64()?;
-        self.exec_time_hash_ns = d.u64()?;
-        self.exec_time_ns = d.u64()?;
         d.finish()
     }
 }
@@ -1733,10 +1475,11 @@ pub fn write_doc_to<W: std::io::Read + std::io::Write + std::io::Seek>(
 /// come back as [`Json::Sym`] over the file's interned table — content-
 /// equal to the original `Str` values and serialized identically.
 pub fn decode_doc(bytes: &[u8]) -> Result<Json, String> {
-    let ffb = Ffb::parse(bytes)?;
-    if ffb.kind != KIND_DOC {
-        return Err(format!("not a document container (kind {})", ffb.kind));
-    }
+    doc_from(&Ffb::parse(bytes)?)
+}
+
+fn doc_from(ffb: &Ffb<'_>) -> Result<Json, String> {
+    ffb.expect_kind(KIND_DOC, "document")?;
     let st = StrTable::parse(ffb.section(SEC_STRINGS)?)?;
     let mut d = Dec::new(ffb.section(SEC_DOC)?);
     let doc = dec_json(&mut d, &st, 0)?;
@@ -1970,10 +1713,10 @@ pub struct SweepHeaderRef {
 }
 
 /// Decode just the header section of a sweep container. `st` must hold
-/// the container's string table (see [`FfbView::strings_into`]).
-pub fn read_sweep_header(view: &FfbView<'_>, st: &StrTable) -> Result<SweepHeaderRef, String> {
-    view.expect_kind(KIND_SWEEP, "sweep")?;
-    let mut h = Dec::new(view.section(SEC_SWEEP_HEADER)?);
+/// the container's string table (see [`Ffb::strings_into`]).
+pub fn read_sweep_header(ffb: &Ffb<'_>, st: &StrTable) -> Result<SweepHeaderRef, String> {
+    ffb.expect_kind(KIND_SWEEP, "sweep")?;
+    let mut h = Dec::new(ffb.section(SEC_SWEEP_HEADER)?);
     let app = st.sym(h.u32()?)?;
     let workload = st.sym(h.u32()?)?;
     let layout = match h.u8()? {
@@ -2004,10 +1747,13 @@ pub fn read_sweep_header(view: &FfbView<'_>, st: &StrTable) -> Result<SweepHeade
 /// raw bits, so the argmin/argmax rows match the producing run exactly.
 /// `cache_stats` is diagnostic-only and never serialized.
 pub fn decode_sweep(bytes: &[u8]) -> Result<SweepMatrix, String> {
-    let view = FfbView::parse(bytes)?;
-    view.expect_kind(KIND_SWEEP, "sweep")?;
-    let st = StrTable::parse(view.section(SEC_STRINGS)?)?;
-    let hdr = read_sweep_header(&view, &st)?;
+    sweep_from(&Ffb::parse(bytes)?)
+}
+
+fn sweep_from(ffb: &Ffb<'_>) -> Result<SweepMatrix, String> {
+    ffb.expect_kind(KIND_SWEEP, "sweep")?;
+    let st = StrTable::parse(ffb.section(SEC_STRINGS)?)?;
+    let hdr = read_sweep_header(ffb, &st)?;
     let app_name = hdr.app.resolve().to_string();
     let workload = hdr.workload.resolve().to_string();
     let layout = hdr.layout;
@@ -2028,7 +1774,7 @@ pub fn decode_sweep(bytes: &[u8]) -> Result<SweepMatrix, String> {
         .collect();
 
     let mut cols = SweepCellCols::new();
-    cols.read_view(&view)?;
+    cols.read_view(ffb)?;
     if cols.axes != axes.len() {
         return Err(format!(
             "cells carry {} axes but the header declares {}",
@@ -2106,14 +1852,14 @@ impl SweepCellCols {
 
     /// One pass over a whole sweep FFB file into reused columns.
     pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
+        self.read_view(&Ffb::parse(file)?)
     }
 
-    /// Same, over an already-validated container view (the merge fold
-    /// parses each shard once and reads header + cells from it).
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(KIND_SWEEP, "sweep")?;
-        let mut d = Dec::new(view.section(SEC_SWEEP_CELLS)?);
+    /// Same, over an already-validated container (the merge fold parses
+    /// each shard once and reads header + cells from it).
+    pub fn read_view(&mut self, ffb: &Ffb<'_>) -> Result<(), String> {
+        ffb.expect_kind(KIND_SWEEP, "sweep")?;
+        let mut d = Dec::new(ffb.section(SEC_SWEEP_CELLS)?);
         let n = d.col_len(8)?;
         let n_axes = d.u32()? as usize;
         // 9 fixed columns + one per axis, 8 bytes per element each.
@@ -2147,8 +1893,8 @@ impl SweepCellCols {
 pub fn decode_any_doc(bytes: &[u8]) -> Result<Json, String> {
     let ffb = Ffb::parse(bytes)?;
     match ffb.kind {
-        KIND_DOC => decode_doc(bytes),
-        KIND_SWEEP => Ok(crate::sweep::sweep_to_json(&decode_sweep(bytes)?)),
+        KIND_DOC => doc_from(&ffb),
+        KIND_SWEEP => Ok(crate::sweep::sweep_to_json(&sweep_from(&ffb)?)),
         k => Err(format!("container kind {k} is not a convertible document")),
     }
 }
@@ -2569,26 +2315,6 @@ mod tests {
 
     #[test]
     fn scratch_readers_are_zero_alloc_capable_and_consistent() {
-        // Stage 4 columns match the map-materializing decoder.
-        let mut s = Stage4Result::default();
-        for i in 0..50u64 {
-            s.first_use_ns.insert(OpInstance { sig: i % 7, occ: i }, i * 3);
-        }
-        s.exec_time_ns = 99;
-        let bytes = encode_artifact(&Artifact::Stage4(Arc::new(s.clone()))).unwrap();
-        let mut cols = Stage4Cols::new();
-        cols.read(&bytes).unwrap();
-        assert_eq!(cols.len(), 50);
-        assert_eq!(cols.exec_time_ns, 99);
-        for i in 0..cols.len() {
-            let op = OpInstance { sig: cols.sig[i], occ: cols.occ[i] };
-            assert_eq!(s.first_use_ns[&op], cols.first_use_ns[i]);
-        }
-        // Columns are sorted by (sig, occ) — the canonical encode order.
-        for i in 1..cols.len() {
-            assert!((cols.sig[i - 1], cols.occ[i - 1]) < (cols.sig[i], cols.occ[i]));
-        }
-
         // Sweep columns match the struct decoder, reusing one scratch.
         let m = sample_matrix(None);
         let sweep_bytes = encode_sweep(&m).unwrap();
@@ -2800,78 +2526,6 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_readers_match_owned_decode_for_remaining_kinds() {
-        let disc = Discovery {
-            sync_fn: InternalFn::SyncWait,
-            waits: [(InternalFn::SyncWait, 500), (InternalFn::Enqueue, 0)].into_iter().collect(),
-        };
-        let bytes = encode_artifact(&Artifact::Discovery(Arc::new(disc.clone()))).unwrap();
-        let mut dc = DiscoveryCols::new();
-        dc.read(&bytes).unwrap();
-        assert_eq!(dc.sync_fn, Some(disc.sync_fn));
-        let waits: HashMap<InternalFn, u64> =
-            dc.wait_fns.iter().copied().zip(dc.wait_ns.iter().copied()).collect();
-        assert_eq!(waits, disc.waits);
-
-        let s1 = Stage1Result {
-            exec_time_ns: 42,
-            sync_apis: [(ApiFn::CudaFree, 3), (ApiFn::CudaMemcpy, 7)].into_iter().collect(),
-            total_wait_ns: 99,
-            sync_hits: 10,
-        };
-        let bytes = encode_artifact(&Artifact::Stage1(Arc::new(s1.clone()))).unwrap();
-        let mut c1 = Stage1Cols::new();
-        c1.read(&bytes).unwrap();
-        assert_eq!(
-            (c1.exec_time_ns, c1.total_wait_ns, c1.sync_hits),
-            (s1.exec_time_ns, s1.total_wait_ns, s1.sync_hits)
-        );
-        let apis: HashMap<ApiFn, u64> =
-            c1.apis.iter().copied().zip(c1.api_hits.iter().copied()).collect();
-        assert_eq!(apis, s1.sync_apis);
-
-        let s3 = sample_stage3();
-        let bytes = encode_artifact(&Artifact::Stage3(Arc::new(s3))).unwrap();
-        let mut c3 = Stage3Cols::new();
-        c3.read(&bytes).unwrap();
-        // Rebuild and re-encode: byte equality is full equivalence.
-        let rebuilt = Stage3Result {
-            required_syncs: c3.required_syncs.iter().copied().collect(),
-            observed_syncs: c3.observed_syncs.iter().copied().collect(),
-            accesses: c3
-                .accesses
-                .iter()
-                .map(|a| ProtectedAccess {
-                    sync: a.sync,
-                    access_site: a.access_site,
-                    rough_gap_ns: a.rough_gap_ns,
-                })
-                .collect(),
-            duplicates: c3
-                .duplicates
-                .iter()
-                .map(|dup| DuplicateTransfer {
-                    op: dup.op,
-                    site: dup.site,
-                    first_site: dup.first_site,
-                    bytes: dup.bytes,
-                    digest: dup.digest,
-                })
-                .collect(),
-            first_use_sites: c3.first_use_sites.iter().copied().collect(),
-            hashed_bytes: c3.hashed_bytes,
-            exec_time_sync_ns: c3.exec_time_sync_ns,
-            exec_time_hash_ns: c3.exec_time_hash_ns,
-            exec_time_ns: c3.exec_time_ns,
-        };
-        let re = encode_artifact(&Artifact::Stage3(Arc::new(rebuilt))).unwrap();
-        assert_eq!(re, bytes);
-        for w in c3.required_syncs.windows(2) {
-            assert!(w[0] < w[1], "op sets come back sorted for binary search");
-        }
-    }
-
-    #[test]
     fn borrowed_readers_work_at_any_buffer_alignment() {
         // Copy a container to every offset 1..8 of a larger buffer and
         // read it from there: per-access LE reads make alignment moot.
@@ -2883,15 +2537,19 @@ mod tests {
             cols.read(&shifted[offset..]).unwrap();
             assert_eq!(cols.len(), 1);
         }
+        // The owned decoder reads columns the same way.
         let mut s4 = Stage4Result::default();
         s4.first_use_ns.insert(OpInstance { sig: 3, occ: 1 }, 55);
         let bytes = encode_artifact(&Artifact::Stage4(Arc::new(s4))).unwrap();
-        let mut c4 = Stage4Cols::new();
         for offset in 1..8 {
             let mut shifted = vec![0u8; offset];
             shifted.extend_from_slice(&bytes);
-            c4.read(&shifted[offset..]).unwrap();
-            assert_eq!((c4.sig[0], c4.occ[0], c4.first_use_ns[0]), (3, 1, 55));
+            let Artifact::Stage4(got) =
+                decode_artifact(&shifted[offset..], ArtifactKind::Stage4).unwrap()
+            else {
+                panic!("wrong kind");
+            };
+            assert_eq!(got.first_use_ns[&OpInstance { sig: 3, occ: 1 }], 55);
         }
     }
 

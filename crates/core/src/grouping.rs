@@ -86,7 +86,7 @@ fn fold_label_sym(graph: &ExecGraph, node: usize, buf: &mut String) -> Sym {
 /// assigned in first-appearance order) and a [`Csr`] member index built
 /// by counting sort. All buffers are retained between calls, so
 /// steady-state grouping — repeat passes over same-shaped graphs —
-/// allocates nothing (`bench_stream --smoke` asserts this).
+/// allocates nothing (`crates/core/tests/alloc_contracts.rs` asserts this).
 #[derive(Debug, Default, Clone)]
 pub struct GroupScratch {
     /// Grouping key (sig / folded sig / API index) → gid.

@@ -6,7 +6,7 @@
 //! else — or when the syscall fails, the file is empty, or
 //! `DIOGENES_NO_MMAP` is set — [`read_file`] falls back to reading into
 //! a pooled buffer. Either way the caller holds one contiguous `&[u8]`
-//! it can hand to the borrowed decode layer ([`crate::codec::FfbView`])
+//! it can hand to the borrowed decode layer ([`crate::codec::Ffb`])
 //! without further copies. Mapped buffers carry no alignment guarantee
 //! beyond the page the kernel picks, and FFB section payloads start at
 //! arbitrary offsets anyway, so the decode layer never assumes

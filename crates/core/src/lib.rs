@@ -83,8 +83,7 @@ pub use benefit::{expected_benefit, BenefitFold, BenefitOptions, BenefitReport, 
 pub use codec::{
     decode_any_doc, decode_artifact, decode_doc, decode_sweep, encode_artifact, encode_doc,
     encode_sweep, is_ffb, read_sweep_header, write_artifact_to, write_doc_to, write_sweep_to,
-    AccessRow, CallRow, ColF64, ColU64, DiscoveryCols, DuplicateRow, Ffb, FfbView, FfbWriter,
-    FrameRow, Stage1Cols, Stage2Cols, Stage3Cols, Stage4Cols, StrTable, SweepCellCols,
+    CallRow, ColF64, ColU64, Ffb, FfbWriter, FrameRow, Stage2Cols, StrTable, SweepCellCols,
     SweepHeaderRef, KIND_DOC, KIND_SWEEP,
 };
 pub use engine::{

@@ -335,7 +335,7 @@ fn record_collection_metrics(
     stage4: &Stage4Result,
     analysis: &Analysis,
 ) {
-    if !telemetry::enabled() {
+    if !telemetry::collecting() {
         return;
     }
     telemetry::counter_add("stage2.traced_calls", stage2.calls.len() as u64);

@@ -533,7 +533,7 @@ const MERGE_HEADER_KEYS: [&str; 5] = ["app", "workload", "layout", "axes", "tota
 /// parsed JSON via [`SweepMergeFold::add_doc`], binary sweep containers
 /// via [`SweepMergeFold::add_ffb`] (which reads header and cells
 /// straight out of the mapped/pooled file bytes through
-/// [`codec::FfbView`], never materializing an owned document) — then
+/// [`codec::Ffb`], never materializing an owned document) — then
 /// [`SweepMergeFold::finish`]. Produces the document an unsharded run
 /// would have, byte-identically once rendered, regardless of how each
 /// shard arrived. Peak memory is the merged cell set plus one shard's
@@ -672,10 +672,10 @@ impl SweepMergeFold {
     /// beyond the merged cell JSON itself.
     pub fn add_ffb(&mut self, bytes: &[u8]) -> Result<(), String> {
         let i = self.docs_seen;
-        let view = codec::FfbView::parse(bytes)?;
-        view.strings_into(&mut self.strings)?;
-        let hdr = codec::read_sweep_header(&view, &self.strings)?;
-        self.cols.read_view(&view)?;
+        let ffb = codec::Ffb::parse(bytes)?;
+        ffb.strings_into(&mut self.strings)?;
+        let hdr = codec::read_sweep_header(&ffb, &self.strings)?;
+        self.cols.read_view(&ffb)?;
         if self.cols.axes != hdr.axis_fields.len() {
             return Err(format!(
                 "document {i} cells carry {} axes but the header declares {}",

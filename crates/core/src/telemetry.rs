@@ -20,15 +20,17 @@
 //!    pipeline's perspective; nothing in `run_ffm`/`run_sweep` reads the
 //!    sink. Reports are bit-identical with profiling on or off, at every
 //!    `--jobs` value (pinned by `crates/diogenes/tests`).
-//! 2. **No-op fast path.** When disabled (the default), every entry
-//!    point is one relaxed atomic load and an early return — no
-//!    allocation, no locks, no clock reads — so the hot paths in
-//!    `par.rs` / `pipeline.rs` cost nothing on tier-1 runs.
-//! 3. **Lock-sharded, thread-local-buffered sink.** Each thread owns a
-//!    private shard (registered once, uncontended mutex) and buffers
-//!    span events in a plain `Vec` that is flushed when the outermost
-//!    span closes, so recording never serializes worker threads against
-//!    each other.
+//! 2. **No-op fast path.** When off (the default), every entry point is
+//!    one relaxed atomic load and an early return — no allocation, no
+//!    locks, no clock reads — so the hot paths in `par.rs` /
+//!    `pipeline.rs` cost nothing on tier-1 runs.
+//! 3. **One span sink, lock-sharded.** Every closed span goes to the
+//!    flight ring, whose lock shards are keyed by track, so worker
+//!    threads recording at once rarely contend. `--profile` runs the
+//!    ring with no byte budget and renders it as `TELEMETRY_<app>.json`
+//!    ([`snapshot`]); `diogenes serve` bounds it and dumps it at
+//!    `GET /trace`. Counters and histograms go to a private per-thread
+//!    shard (registered once, uncontended mutex).
 //!
 //! Wall-clock timestamps make telemetry output inherently
 //! non-deterministic — which is exactly why it lives in separate
@@ -36,7 +38,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -45,49 +47,26 @@ use std::time::Instant;
 /// ids never collide in one viewer session).
 pub const SELF_TRACE_PID: u32 = 1;
 
-/// Flush the thread-local event buffer into the shard at this size even
-/// if a span is still open (bounds buffer growth under deep fan-out).
-const FLUSH_AT: usize = 128;
-
 // ---------------------------------------------------------------------------
-// Enable flag — the no-op fast path.
-// ---------------------------------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Whether telemetry collection is active. One relaxed load; every other
-/// entry point checks this first, so a disabled process pays nothing.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn collection on or off process-wide (the CLI's `--profile` flag).
-/// Spans opened while enabled still record on drop after a disable.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Flight recorder flag + trace correlation — the always-on layer.
+// Collection switch — the no-op fast path — and trace correlation.
 // ---------------------------------------------------------------------------
 
 /// Total byte budget of the flight-recorder ring; `0` = off (the
-/// default, so one-shot CLI runs pay nothing).
+/// default, so one-shot CLI runs pay nothing), `usize::MAX` = keep every
+/// span (`--profile`).
 static FLIGHT_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-/// Whether the flight recorder is retaining recent spans.
+/// Whether spans and metrics are being collected. One relaxed load —
+/// this is the no-op fast path of every entry point.
 #[inline]
-pub fn flight_enabled() -> bool {
+pub fn collecting() -> bool {
     FLIGHT_BYTES.load(Ordering::Relaxed) != 0
 }
 
-/// Whether *any* sink wants span data: the drainable profiling sink
-/// (`--profile`) or the always-on flight recorder. One or two relaxed
-/// loads — this is the no-op fast path of every entry point.
-#[inline]
-pub fn collecting() -> bool {
-    enabled() || flight_enabled()
+/// Turn whole-run profiling on or off (the CLI's `--profile` flag):
+/// `true` runs the ring with no byte budget, `false` turns it off.
+pub fn set_enabled(on: bool) {
+    flight_configure(if on { usize::MAX } else { 0 });
 }
 
 /// Set the flight recorder's total byte budget (`diogenes serve
@@ -144,7 +123,7 @@ impl Drop for TraceScope {
 }
 
 // ---------------------------------------------------------------------------
-// The sink: per-thread shards registered in a global list.
+// Per-thread shards registered in a global list.
 // ---------------------------------------------------------------------------
 
 /// One recorded span: a named interval on one thread's track.
@@ -283,15 +262,14 @@ impl Hist {
     }
 }
 
-/// One thread's shard of the sink. Only the owning thread writes; the
-/// drainer locks briefly to take the accumulated data, so the mutexes
-/// are uncontended in steady state.
+/// One thread's track id and metrics shard. Only the owning thread
+/// writes; [`gather_metrics`] locks briefly to take the accumulated data,
+/// so the mutexes are uncontended in steady state.
 struct ThreadShard {
     /// Owning thread's name. Mutable because shards of dead threads are
     /// recycled (see [`Registry::free`]) and renamed by their new owner.
     thread: Mutex<String>,
     track: u32,
-    events: Mutex<Vec<SpanEvent>>,
     counters: Mutex<HashMap<&'static str, u64>>,
     hists: Mutex<HashMap<&'static str, Hist>>,
 }
@@ -320,10 +298,9 @@ fn now_ns() -> u64 {
     registry().epoch.elapsed().as_nanos() as u64
 }
 
-/// Thread-local half: the shard handle plus the span buffer and depth.
+/// Thread-local half: the shard handle plus the span nesting depth.
 struct Local {
     shard: Arc<ThreadShard>,
-    buf: Vec<SpanEvent>,
     depth: u32,
 }
 
@@ -337,7 +314,7 @@ impl Local {
                 .map(|n| n.to_string())
                 .unwrap_or_else(|| format!("thread-{}", shard.track));
             *shard.thread.lock().unwrap() = name;
-            return Local { shard, buf: Vec::new(), depth: 0 };
+            return Local { shard, depth: 0 };
         }
         let mut shards = reg.shards.lock().unwrap();
         let track = shards.len() as u32;
@@ -348,27 +325,19 @@ impl Local {
         let shard = Arc::new(ThreadShard {
             thread: Mutex::new(thread),
             track,
-            events: Mutex::new(Vec::new()),
             counters: Mutex::new(HashMap::new()),
             hists: Mutex::new(HashMap::new()),
         });
         shards.push(Arc::clone(&shard));
-        Local { shard, buf: Vec::new(), depth: 0 }
-    }
-
-    fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            self.shard.events.lock().unwrap().append(&mut self.buf);
-        }
+        Local { shard, depth: 0 }
     }
 }
 
 impl Drop for Local {
     fn drop(&mut self) {
-        self.flush();
         // Return the shard for reuse by the next registering thread. Any
-        // not-yet-drained data stays on the shard and is attributed to
-        // its track as usual.
+        // not-yet-gathered metrics stay on the shard and are counted as
+        // usual.
         registry().free.lock().unwrap().push(Arc::clone(&self.shard));
     }
 }
@@ -413,7 +382,7 @@ pub fn span(name: &'static str) -> Span {
 }
 
 /// Open a span with a per-instance label; `detail` is only invoked while
-/// a sink is collecting, so label formatting is free on the no-op path.
+/// [`collecting`], so label formatting is free on the no-op path.
 #[inline]
 pub fn span_detail(name: &'static str, detail: impl FnOnce() -> String) -> Span {
     if !collecting() {
@@ -442,25 +411,11 @@ impl Drop for Span {
                 depth: l.depth,
                 trace,
             };
-            // Spans close child-before-parent, so each sink receives a
-            // post-order stream: this is what lets the flight ring's
-            // drop-oldest policy preserve well-formed nesting (evicting
-            // a prefix removes children before their parents).
-            match (enabled(), flight_enabled()) {
-                (true, true) => {
-                    flight_push(l.shard.track, ev.clone());
-                    l.buf.push(ev);
-                }
-                (true, false) => l.buf.push(ev),
-                (false, true) => flight_push(l.shard.track, ev),
-                (false, false) => {}
-            }
-            // Flushing at depth 0 keeps parked pool workers' shards
-            // complete: a worker is only ever idle between tasks, i.e.
-            // with no span open.
-            if l.depth == 0 || l.buf.len() >= FLUSH_AT {
-                l.flush();
-            }
+            // Spans close child-before-parent, so the ring receives a
+            // post-order stream: this is what lets its drop-oldest
+            // policy preserve well-formed nesting (evicting a prefix
+            // removes children before their parents).
+            flight_push(l.shard.track, ev);
         });
     }
 }
@@ -470,7 +425,7 @@ impl Drop for Span {
 // ---------------------------------------------------------------------------
 
 /// Add `n` to the named counter on this thread's shard. Counters from
-/// all shards are summed at [`drain`] time (addition commutes, so the
+/// all shards are summed by [`gather_metrics`] (addition commutes, so the
 /// merged value is worker-count independent).
 #[inline]
 pub fn counter_add(name: &'static str, n: u64) {
@@ -492,10 +447,10 @@ pub fn record(name: &'static str, value: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Drain + snapshot.
+// Snapshot + metrics totals.
 // ---------------------------------------------------------------------------
 
-/// One thread's drained events.
+/// One thread's recorded spans.
 #[derive(Debug, Clone)]
 pub struct TrackSnapshot {
     pub thread: String,
@@ -511,8 +466,8 @@ impl TrackSnapshot {
     }
 }
 
-/// Everything collected since the last drain, with per-thread shards
-/// merged into order-independent totals.
+/// Everything collected so far: the ring's spans by thread, plus the
+/// per-thread metric shards merged into order-independent totals.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
     /// Per-thread span tracks, in registration order.
@@ -556,43 +511,30 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Take everything recorded so far and reset the sink. Shards stay
-/// registered (their threads keep writing into the next snapshot); the
-/// caller's local buffer is flushed first so its own spans are included.
-pub fn drain() -> TelemetrySnapshot {
-    with_local(|l| l.flush());
-    let shards: Vec<Arc<ThreadShard>> = registry().shards.lock().unwrap().clone();
-    let mut snap = TelemetrySnapshot::default();
-    for shard in shards {
-        let events = std::mem::take(&mut *shard.events.lock().unwrap());
-        if !events.is_empty() {
-            snap.tracks.push(TrackSnapshot {
-                thread: shard.thread.lock().unwrap().clone(),
-                track: shard.track,
-                events,
-            });
-        }
-        for (name, v) in std::mem::take(&mut *shard.counters.lock().unwrap()) {
-            *snap.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, h) in std::mem::take(&mut *shard.hists.lock().unwrap()) {
-            snap.hists.entry(name).or_default().merge(&h);
+/// The resident spans grouped into per-thread tracks (registration
+/// order), plus [`gather_metrics`]' cumulative totals — what `--profile`
+/// renders as `TELEMETRY_<app>.json` after turning collection off.
+pub fn snapshot() -> TelemetrySnapshot {
+    let names = track_names();
+    let mut tracks: Vec<TrackSnapshot> = Vec::new();
+    for (track, event) in flight_events() {
+        match tracks.last_mut() {
+            Some(t) if t.track == track => t.events.push(event),
+            _ => tracks.push(TrackSnapshot {
+                thread: track_label(&names, track),
+                track,
+                events: vec![event],
+            }),
         }
     }
-    snap.tracks.sort_by_key(|t| t.track);
-    snap
+    let MetricsTotals { counters, hists } = gather_metrics();
+    TelemetrySnapshot { tracks, counters, hists }
 }
 
 /// Fold every shard's accumulated counters and histograms into a
-/// process-global running total and return a copy. Unlike [`drain`]
-/// (which hands the data to one caller and resets everything), the
-/// running total is left in place, so repeated `/metrics` scrapes see
-/// monotone counters — the Prometheus contract. Span events are *not*
-/// consumed; the flight recorder owns those.
-///
-/// `gather_metrics` and `drain` take from the same shard accumulators,
-/// so a process should use one or the other (`serve` gathers; the CLI's
-/// `--profile` drains).
+/// process-global running total and return a copy. The running total is
+/// left in place, so repeated `/metrics` scrapes see monotone counters —
+/// the Prometheus contract.
 pub fn gather_metrics() -> MetricsTotals {
     static TOTALS: OnceLock<Mutex<MetricsTotals>> = OnceLock::new();
     let totals = TOTALS.get_or_init(|| Mutex::new(MetricsTotals::default()));
@@ -658,7 +600,13 @@ fn flight_shards() -> &'static [Mutex<FlightShard>; FLIGHT_SHARDS] {
 /// children before their parents and each track's surviving suffix
 /// still passes [`spans_well_formed`] once all its open spans close.
 fn flight_push(track: u32, event: SpanEvent) {
-    let budget = (FLIGHT_BYTES.load(Ordering::Relaxed) / FLIGHT_SHARDS).max(1);
+    let total = FLIGHT_BYTES.load(Ordering::Relaxed);
+    if total == 0 {
+        // The ring was turned off while this span was open: drop the
+        // span instead of evicting its shard down to a zero budget.
+        return;
+    }
+    let budget = (total / FLIGHT_SHARDS).max(1);
     let mut s = flight_shards()[track as usize % FLIGHT_SHARDS].lock().unwrap();
     let ev = FlightEvent { track, event };
     s.bytes += ev.cost();
@@ -679,7 +627,8 @@ pub struct FlightStats {
     /// Resident bytes across all shards (always ≤ `budget_bytes` once
     /// the budget is ≥ [`FLIGHT_SHARDS`], the practical regime).
     pub bytes: usize,
-    /// The configured total budget ([`flight_configure`]).
+    /// The configured total budget ([`flight_configure`]; `usize::MAX`
+    /// under [`set_enabled`]).
     pub budget_bytes: usize,
     /// Spans currently resident.
     pub events: usize,
@@ -742,6 +691,10 @@ fn track_names() -> HashMap<u32, String> {
         .collect()
 }
 
+fn track_label(names: &HashMap<u32, String>, track: u32) -> String {
+    names.get(&track).cloned().unwrap_or_else(|| format!("track-{track}"))
+}
+
 /// Render the flight ring as a Perfetto-openable Chrome trace document
 /// (`GET /trace`). With `filter`, only spans carrying that request id
 /// are included (`/trace?job=<id>`). Each event carries its nesting
@@ -765,15 +718,8 @@ pub fn flight_trace_json(filter: Option<TraceId>) -> Json {
         }
         if last_track != Some(track) {
             last_track = Some(track);
-            let fallback;
-            let label = match names.get(&track) {
-                Some(n) => n.as_str(),
-                None => {
-                    fallback = format!("track-{track}");
-                    &fallback
-                }
-            };
-            events.push(chrome_metadata_event("thread_name", SELF_TRACE_PID, track, label));
+            let label = track_label(&names, track);
+            events.push(chrome_metadata_event("thread_name", SELF_TRACE_PID, track, &label));
         }
         events.push(chrome_duration_event_args(
             e.label(),
@@ -1010,7 +956,7 @@ mod tests {
         drop(s);
         counter_add("never.counter", 7);
         record("never.hist", 7);
-        let snap = drain();
+        let snap = snapshot();
         assert!(!snap.counters.contains_key("never.counter"));
         assert!(!snap.hists.contains_key("never.hist"));
         assert!(snap.tracks.iter().all(|t| t.events.iter().all(|e| e.name != "never")));
@@ -1020,6 +966,7 @@ mod tests {
     fn spans_counters_and_hists_round_trip() {
         let _g = test_lock();
         set_enabled(true);
+        flight_clear();
         {
             let _outer = span_detail("tele.outer", || "label".to_string());
             let _inner = span("tele.inner");
@@ -1029,7 +976,7 @@ mod tests {
             record("tele.hist", 1000);
         }
         set_enabled(false);
-        let snap = drain();
+        let snap = snapshot();
         assert_eq!(snap.counters["tele.count"], 5);
         let h = &snap.hists["tele.hist"];
         assert_eq!((h.count, h.sum, h.min, h.max), (2, 1010, 10, 1000));
@@ -1056,7 +1003,8 @@ mod tests {
     fn worker_threads_get_their_own_tracks() {
         let _g = test_lock();
         set_enabled(true);
-        // Keep the worker alive across the drain: a dead thread's shard
+        flight_clear();
+        // Keep the worker alive across the snapshot: a dead thread's shard
         // enters the recycling free list and may be renamed by its next
         // owner, so the name is only stable while the thread lives.
         let (recorded_tx, recorded_rx) = std::sync::mpsc::channel();
@@ -1073,7 +1021,7 @@ mod tests {
             .unwrap();
         recorded_rx.recv().unwrap();
         set_enabled(false);
-        let snap = drain();
+        let snap = snapshot();
         release_tx.send(()).unwrap();
         worker.join().unwrap();
         let track = snap
@@ -1200,13 +1148,14 @@ mod tests {
         assert!(!evs.is_empty());
         spans_well_formed(&evs).unwrap();
         assert!(evs.iter().all(|e| e.trace != 0), "spans inherit the installed trace id");
-        // Nothing leaked into the drainable profiling sink: telemetry
-        // proper was off the whole time.
-        assert!(drain()
-            .tracks
-            .iter()
-            .all(|t| t.events.iter().all(|e| !e.name.starts_with("flight."))));
+        // A span that closes after the ring is turned off is dropped; it
+        // must not evict what the ring holds.
+        let late = span("flight.late");
         flight_configure(0);
+        let before = flight_stats();
+        drop(late);
+        let after = flight_stats();
+        assert_eq!((after.events, after.overwritten), (before.events, before.overwritten));
         flight_clear();
     }
 

@@ -4,19 +4,15 @@
 //! truncated, corrupted, or misaligned containers must return `Err` (or
 //! the original content), never panic, never read out of bounds.
 
-// Gated: run with `--features extern-testing` (see workspace README).
-#![cfg(feature = "extern-testing")]
-
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use cuda_driver::{ApiFn, InternalFn};
 use ffm_core::{
     decode_artifact, decode_doc, encode_artifact, encode_doc, encode_sweep, write_artifact_to,
-    write_doc_to, write_sweep_to, Artifact, ArtifactKind, Axis, AxisLayout, DiscoveryCols,
-    DuplicateTransfer, FfbView, Json, OpInstance, ProtectedAccess, Shard, Stage1Cols, Stage1Result,
-    Stage2Cols, Stage2Result, Stage3Cols, Stage3Result, Stage4Cols, Stage4Result, SweepCell,
-    SweepMatrix, TracedCall, TransferRec,
+    write_doc_to, write_sweep_to, Artifact, ArtifactKind, Axis, AxisLayout, DuplicateTransfer, Ffb,
+    Json, OpInstance, ProtectedAccess, Shard, Stage1Result, Stage2Cols, Stage2Result, Stage3Result,
+    Stage4Result, SweepCell, SweepMatrix, TracedCall, TransferRec,
 };
 use gpu_sim::{Digest, Direction, Frame, SourceLoc, StackTrace, WaitReason};
 use instrument::Discovery;
@@ -226,18 +222,17 @@ fn build_sweep(seed: u64, n: usize, sharded: bool) -> SweepMatrix {
     }
 }
 
-/// Read `bytes` through the borrowed scratch reader matching `kind`;
-/// `true` iff the read succeeded. Exercised below against damaged and
-/// misaligned buffers — must never panic or read out of bounds.
+/// Read `bytes` as an artifact of `kind` — Stage 2 through the borrowed
+/// [`Stage2Cols`] reader, every other kind through the store's owned
+/// decoder; `true` iff the read succeeded. Exercised below against
+/// damaged and misaligned buffers — must never panic or read out of
+/// bounds.
 fn scratch_read(kind: ArtifactKind, bytes: &[u8]) -> bool {
     match kind {
-        ArtifactKind::Discovery => DiscoveryCols::new().read(bytes).is_ok(),
-        ArtifactKind::Stage1 => Stage1Cols::new().read(bytes).is_ok(),
         ArtifactKind::Stage2 => Stage2Cols::new().read(bytes).is_ok(),
-        ArtifactKind::Stage3 => Stage3Cols::new().read(bytes).is_ok(),
-        ArtifactKind::Stage4 => Stage4Cols::new().read(bytes).is_ok(),
         // Analysis artifacts are memory-only; the strategy never builds one.
         ArtifactKind::Analysis => unreachable!("analysis artifacts are not serialized"),
+        _ => decode_artifact(bytes, kind).is_ok(),
     }
 }
 
@@ -371,13 +366,13 @@ proptest! {
         prop_assert_eq!(cur.into_inner(), encode_sweep(&m).expect("encodes"));
     }
 
-    /// The borrowed readers accept a container at any buffer alignment
+    /// The readers accept a container at any buffer alignment
     /// (mapped files and socket bodies make no alignment promises) and
     /// reject every truncation and every corruption outside the
     /// checksum-exempt build-tag bytes — without panicking or reading
     /// out of bounds at any offset.
     #[test]
-    fn borrowed_readers_survive_damage_at_any_alignment(
+    fn readers_survive_damage_at_any_alignment(
         artifact in artifact_strategy(),
         off in 0usize..8,
         pos in 0u64..u64::MAX,
@@ -391,7 +386,7 @@ proptest! {
         let mut shifted = vec![0u8; off];
         shifted.extend_from_slice(&bytes);
         prop_assert!(scratch_read(kind, &shifted[off..]), "intact misaligned read failed");
-        prop_assert!(FfbView::parse(&shifted[off..]).is_ok());
+        prop_assert!(Ffb::parse(&shifted[off..]).is_ok());
 
         // Single-byte corruption: only the build tag (bytes 12..20,
         // outside the integrity region but compared as a staleness
@@ -407,6 +402,6 @@ proptest! {
         // Every truncation errs, at every alignment.
         let end = (pos % bytes.len() as u64) as usize;
         prop_assert!(!scratch_read(kind, &shifted[off..off + end]));
-        prop_assert!(FfbView::parse(&shifted[off..off + end]).is_err());
+        prop_assert!(Ffb::parse(&shifted[off..off + end]).is_err());
     }
 }

@@ -4,9 +4,6 @@
 //! must be order-independent and equal to single-shard recording —
 //! otherwise worker count would leak into exposed metrics.
 
-// Gated: run with `--features extern-testing` (see workspace README).
-#![cfg(feature = "extern-testing")]
-
 use ffm_core::telemetry::Hist;
 use proptest::prelude::*;
 

@@ -1,8 +1,5 @@
 //! Property-based tests for the analysis algorithms' invariants.
 
-// Gated: run with `--features extern-testing` (see workspace README).
-#![cfg(feature = "extern-testing")]
-
 use ffm_core::{
     carry_forward_benefit, expected_benefit, BenefitOptions, ExecGraph, Json, NType, Node,
     OpInstance, Problem,

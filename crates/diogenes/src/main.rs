@@ -46,12 +46,12 @@ use diogenes::{
 use ffm_core::{log_error, report_to_json, telemetry};
 use gpu_sim::CostModel;
 
-/// Stop collecting, drain the sink, and write the self-measurement
-/// summary (spans, metrics, worker utilization, tool-self Chrome trace)
-/// to `results/TELEMETRY_<app>.json`.
+/// Stop collecting, snapshot the span ring and metrics, and write the
+/// self-measurement summary (spans, metrics, worker utilization,
+/// tool-self Chrome trace) to `results/TELEMETRY_<app>.json`.
 fn write_telemetry(app_name: &str, workload: &str, jobs: usize) {
     telemetry::set_enabled(false);
-    let snap = telemetry::drain();
+    let snap = telemetry::snapshot();
     let doc = ffm_core::snapshot_to_json(app_name, workload, jobs, &snap);
     let path = format!("results/TELEMETRY_{app_name}.json");
     match diogenes::write_json_doc(&path, &doc) {
@@ -75,7 +75,7 @@ fn usage() -> ! {
          \x20      diogenes cache [--dir <dir>] [--clear-stale] [--clear-all]\n\
          \x20      diogenes serve [--addr HOST:PORT] [--jobs N] [--executors N] \
          [--cache-dir <dir>] [--no-cache] [--max-queue N] [--max-done N] \
-         [--flight-recorder-bytes N] [--profile]\n\
+         [--flight-recorder-bytes N]\n\
          \x20      diogenes trace-check <trace.json>   (validate a Chrome trace dump)"
     );
     std::process::exit(2);
@@ -156,7 +156,6 @@ fn convert_main(args: &[String]) -> ! {
 /// can discover the ephemeral port.
 fn serve_main(args: &[String]) -> ! {
     let mut cfg = ServeConfig::default();
-    let mut profile = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -190,12 +189,10 @@ fn serve_main(args: &[String]) -> ! {
                 cfg.flight_recorder_bytes =
                     args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
-            "--profile" => profile = true,
             _ => usage(),
         }
         i += 1;
     }
-    telemetry::set_enabled(profile);
     match diogenes::serve(cfg) {
         Ok(()) => {
             eprintln!("diogenes serve: drained, exiting");

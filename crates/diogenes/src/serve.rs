@@ -246,13 +246,12 @@ struct ServeState {
 }
 
 /// Request routes with dedicated telemetry aggregates.
-const ROUTES: [&str; 10] = [
+const ROUTES: [&str; 9] = [
     "POST /run",
     "POST /sweep",
     "GET /report",
     "GET /sweep",
     "GET /stats",
-    "GET /telemetry",
     "GET /metrics",
     "GET /trace",
     "POST /shutdown",
@@ -262,7 +261,6 @@ const ROUTES: [&str; 10] = [
 #[derive(Default)]
 struct RouteStats {
     count: AtomicU64,
-    total_ns: AtomicU64,
     /// Latency distribution behind the `/metrics` quantile summaries.
     /// Uncontended except when the same route is hit concurrently.
     hist: Mutex<telemetry::Hist>,
@@ -403,7 +401,7 @@ pub fn serve(cfg: ServeConfig) -> Result<(), String> {
     println!("diogenes serve: listening on {addr}");
     eprintln!(
         "diogenes serve: POST /run[?stream=1] | POST /sweep | GET /report/<id>[?epoch=<k>] | \
-         GET /sweep/<id> | GET /stats | GET /telemetry | GET /metrics | \
+         GET /sweep/<id> | GET /stats | GET /metrics | \
          GET /trace[?job=<id>] | POST /shutdown"
     );
     server.run()
@@ -586,7 +584,6 @@ fn route_index(method: &str, path: &str) -> usize {
         ("POST", "/sweep") => "POST /sweep",
         ("POST", "/shutdown") => "POST /shutdown",
         ("GET", "/stats") => "GET /stats",
-        ("GET", "/telemetry") => "GET /telemetry",
         ("GET", "/metrics") => "GET /metrics",
         ("GET", "/trace") => "GET /trace",
         ("GET", p) if p.starts_with("/report/") => "GET /report",
@@ -628,7 +625,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, self_addr: std::net
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
         let ri = route_index(&req.method, &req.path);
         shared.routes[ri].count.fetch_add(1, Ordering::Relaxed);
-        shared.routes[ri].total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
         shared.routes[ri].hist.lock().unwrap().record(elapsed_ns);
         shared.bytes_served.fetch_add(body.len() as u64, Ordering::Relaxed);
         let keep_alive = wants_keep_alive(&req) && exchange + 1 < MAX_KEEPALIVE_EXCHANGES;
@@ -666,9 +662,6 @@ fn respond(
                 ("POST", "/run") => submit(req, shared, false),
                 ("POST", "/sweep") => submit(req, shared, true),
                 ("GET", "/stats") => (200, stats_doc(shared).to_string_pretty().into_bytes()),
-                ("GET", "/telemetry") => {
-                    (200, telemetry_doc(shared).to_string_pretty().into_bytes())
-                }
                 ("GET", "/trace") => trace_dump(req),
                 ("POST", "/shutdown") => shutdown(shared, self_addr),
                 ("GET", _) => (404, error_body(&format!("no such resource {:?}", req.path))),
@@ -1187,11 +1180,7 @@ fn render_metrics(shared: &Shared) -> String {
 fn trace_dump(req: &Request) -> (u16, Vec<u8>) {
     let filter = match req.query_param("job") {
         None => None,
-        Some(id)
-            if !id.is_empty()
-                && id.len() >= 16
-                && id[..16].bytes().all(|b| b.is_ascii_hexdigit()) =>
-        {
+        Some(id) if id.get(..16).is_some_and(|h| h.bytes().all(|b| b.is_ascii_hexdigit())) => {
             Some(job_trace(id))
         }
         Some(id) => {
@@ -1204,25 +1193,6 @@ fn trace_dump(req: &Request) -> (u16, Vec<u8>) {
         Ok(()) => (200, bytes),
         Err(e) => (500, error_body(&format!("render trace: {e}"))),
     }
-}
-
-fn telemetry_doc(shared: &Shared) -> Json {
-    let requests: Vec<Json> = ROUTES
-        .iter()
-        .zip(&shared.routes)
-        .map(|(route, rs)| {
-            Json::obj([
-                ("route", Json::Static(route)),
-                ("count", Json::Int(rs.count.load(Ordering::Relaxed) as i128)),
-                ("total_ns", Json::Int(rs.total_ns.load(Ordering::Relaxed) as i128)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("uptime_ns", Json::Int(shared.started.elapsed().as_nanos() as i128)),
-        ("bytes_served", Json::Int(shared.bytes_served.load(Ordering::Relaxed) as i128)),
-        ("requests", Json::Arr(requests)),
-    ])
 }
 
 #[cfg(test)]
@@ -1473,6 +1443,13 @@ mod tests {
         assert!(!st.jobs.contains_key(&ids[2]), "least-recently-accessed evicted");
         assert!(st.jobs.contains_key(&ids[1]), "fetch refreshed recency");
         assert_eq!(shared.evicted.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn trace_filter_rejects_a_multibyte_char_across_the_prefix_end() {
+        // Byte 16 falls inside the two-byte 'é': a client error, no panic.
+        let (status, _) = trace_dump(&get("/trace?job=aaaaaaaaaaaaaaaé"));
+        assert_eq!(status, 400);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::artifact::OutFormat;
 use cuda_driver::GpuApp;
 use ffm_core::{
-    decode_any_doc, is_ffb, run_sweep, sweep_to_json, Axis, FfbView, FfmConfig, Json, Shard,
+    decode_any_doc, is_ffb, run_sweep, sweep_to_json, Axis, Ffb, FfmConfig, Json, Shard,
     SweepMatrix, SweepMergeFold, SweepSpec, KIND_SWEEP,
 };
 
@@ -152,13 +152,13 @@ pub fn merge_shard_files(paths: &[String]) -> Result<Json, String> {
     for p in paths {
         // Each shard is mapped (or read into a pooled buffer) and folded
         // in place: binary sweep shards go header+cells straight off the
-        // buffer via `FfbView`, so no owned document is ever built for
+        // buffer via `Ffb`, so no owned document is ever built for
         // them. The buffer is unmapped/recycled before the next shard.
         let bytes = ffm_core::iobuf::read_file(std::path::Path::new(p))
             .map_err(|e| format!("cannot read {p}: {e}"))?;
         if is_ffb(&bytes) {
-            let view = FfbView::parse(&bytes).map_err(|e| format!("{p}: {e}"))?;
-            if view.kind() == KIND_SWEEP {
+            let ffb = Ffb::parse(&bytes).map_err(|e| format!("{p}: {e}"))?;
+            if ffb.kind == KIND_SWEEP {
                 fold.add_ffb(&bytes).map_err(|e| format!("{p}: {e}"))?;
             } else {
                 // A shard converted to a generic document container.

@@ -97,10 +97,6 @@ fn flight_recorder_changes_no_report_bytes_and_keeps_well_formed_spans() {
         "foreign trace filter must keep only metadata events"
     );
 
-    // Nothing leaked into the profiling sink: flight-only mode must not
-    // populate `--profile`'s buffers.
-    let snap = telemetry::drain();
-    assert!(snap.tracks.is_empty(), "flight-only mode leaked spans into drain()");
     telemetry::flight_configure(0);
     telemetry::flight_clear();
 }

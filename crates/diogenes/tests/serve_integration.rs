@@ -1,7 +1,7 @@
 //! End-to-end exercise of `diogenes serve`: the daemon must answer a
 //! `POST /run` + `GET /report/<id>` with bytes identical to the offline
 //! CLI export for the same config, concurrent identical submissions must
-//! compute once, and `/stats`, `/telemetry`, and `/shutdown` must behave
+//! compute once, and `/stats`, `/metrics`, and `/shutdown` must behave
 //! as documented.
 
 use std::io::{Read, Write};
@@ -107,16 +107,15 @@ fn serve_dedupes_concurrent_runs_and_matches_the_offline_cli() {
         "stats carries claim introspection"
     );
 
-    // /telemetry: the daemon accounts for its own request traffic.
-    let (status, tel) = request(addr, "GET", "/telemetry", b"");
+    // /metrics: the daemon accounts for its own request traffic.
+    let (status, metrics) = request(addr, "GET", "/metrics", b"");
     assert_eq!(status, 200);
-    let tel = Json::parse(std::str::from_utf8(&tel).unwrap()).unwrap();
-    let routes = tel.get("requests").and_then(Json::as_arr).expect("per-route aggregates");
-    let run_route = routes
-        .iter()
-        .find(|r| r.get("route").and_then(Json::as_str) == Some("POST /run"))
+    let metrics = String::from_utf8(metrics).unwrap();
+    let run_count = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("diogenes_http_requests_total{route=\"POST /run\"} "))
         .expect("POST /run tracked");
-    assert_eq!(run_route.get("count").and_then(Json::as_i128), Some(2));
+    assert_eq!(run_count, "2");
 
     // Error surface: bad submissions and unknown ids are client errors.
     let (status, _) = request(addr, "POST", "/run", br#"{"app": "nonesuch"}"#);

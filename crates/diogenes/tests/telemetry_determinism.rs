@@ -4,9 +4,9 @@
 //! records must be a well-formed span hierarchy with the documented
 //! taxonomy and pool metrics.
 //!
-//! Everything lives in ONE `#[test]`: the enabled flag and the event
-//! sink are process-global, and the Rust test harness runs `#[test]`
-//! functions concurrently in one process — a second test draining or
+//! Everything lives in ONE `#[test]`: the enabled flag and the span
+//! ring are process-global, and the Rust test harness runs `#[test]`
+//! functions concurrently in one process — a second test clearing or
 //! toggling mid-run would corrupt both.
 
 use std::collections::HashSet;
@@ -44,7 +44,7 @@ fn profiling_changes_no_report_bytes_and_records_well_formed_telemetry() {
     assert_eq!(sweep_off_1, sweep_off_8, "sweep jobs invariance broken with profiling off");
 
     // The disabled fast path must have recorded nothing at all.
-    let empty = telemetry::drain();
+    let empty = telemetry::snapshot();
     assert!(empty.tracks.is_empty(), "spans recorded while disabled: {:?}", empty.tracks);
     assert!(empty.counters.is_empty(), "counters recorded while disabled: {:?}", empty.counters);
     assert!(empty.hists.is_empty(), "histograms recorded while disabled");
@@ -58,9 +58,9 @@ fn profiling_changes_no_report_bytes_and_records_well_formed_telemetry() {
     telemetry::set_enabled(false);
     // Pool workers record their busy/idle counters just after signaling
     // batch completion; give the last batch's stragglers a moment so the
-    // drain below observes a settled sink.
+    // snapshot below observes settled metrics.
     std::thread::sleep(std::time::Duration::from_millis(100));
-    let snap = telemetry::drain();
+    let snap = telemetry::snapshot();
 
     assert_eq!(report_on_1, report_off_1, "profiling changed the jobs=1 report");
     assert_eq!(report_on_8, report_off_8, "profiling changed the jobs=8 report");

@@ -1,9 +1,6 @@
 //! Property-based tests of driver/machine invariants under random
 //! operation sequences.
 
-// Gated: run with `--features extern-testing` (see workspace README).
-#![cfg(feature = "extern-testing")]
-
 use cuda_driver::{Cuda, KernelDesc};
 use gpu_sim::{CostModel, SourceLoc, StreamId};
 use proptest::prelude::*;

@@ -16,8 +16,9 @@
 //! failing case panics with its case number and seed so it can be
 //! replayed), string strategies ignore the regex and produce arbitrary
 //! escaped-and-unescaped text (the workspace only uses `".*"`), and the
-//! default case count is 64 to keep `--features extern-testing` runs
-//! quick on small machines. Set `PROPTEST_CASES` to override.
+//! default case count is 64 to keep the property suites quick under a
+//! plain `cargo test` on small machines. Set `PROPTEST_CASES` to
+//! override.
 
 use std::fmt;
 

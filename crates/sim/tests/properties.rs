@@ -1,8 +1,5 @@
 //! Property-based tests for the simulator's core invariants.
 
-// Gated: run with `--features extern-testing` (see workspace README).
-#![cfg(feature = "extern-testing")]
-
 use gpu_sim::clock::{merged_duration, Span};
 use gpu_sim::{AddressSpace, Device, Direction, GpuOpKind, HostAllocKind, StreamId};
 use proptest::prelude::*;

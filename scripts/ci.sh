@@ -2,8 +2,8 @@
 # Offline CI for the Diogenes reproduction workspace.
 #
 # Everything here runs without network access: the workspace has no
-# registry dependencies (proptest/criterion are in-repo shims under
-# crates/), so `cargo` never needs to touch crates.io.
+# registry dependencies (proptest is an in-repo shim under crates/), so
+# `cargo` never needs to touch crates.io.
 #
 # Usage: scripts/ci.sh
 set -eu
@@ -17,12 +17,14 @@ echo "== clippy (deny warnings + allocation-churn lints) =="
 CLIPPY_DENY="-D warnings -D clippy::redundant_clone -D clippy::inefficient_to_string"
 # shellcheck disable=SC2086
 cargo clippy --workspace --all-targets -- $CLIPPY_DENY
-# shellcheck disable=SC2086
-cargo clippy --workspace --all-targets --features extern-testing -- $CLIPPY_DENY
 
-echo "== tier-1: build + test (every workspace member) =="
+echo "== tier-1: build + test (every workspace member, property suites and allocation contracts) =="
 cargo build --release
 cargo test -q
+
+echo "== layerbench: unit tests + smoke (the benchmark builds against this tree) =="
+cargo test --offline --manifest-path layerbench/Cargo.toml
+cargo run --release --offline --manifest-path layerbench/Cargo.toml -- --smoke
 
 echo "== sweep determinism (jobs=1 vs jobs=N bit-identical SWEEP json) =="
 cargo test -q -p diogenes --test sweep_determinism
@@ -228,10 +230,6 @@ cmp "$SERVE/cli.json" "$SERVE/served.json"
 ./target/release/diogenes trace-check "$SERVE/trace.json"
 rm -rf "$SERVE"
 
-echo "== codec allocation smoke (zero steady-state allocations in FFB decode) =="
-cargo build --release -p diogenes-bench --bin bench_codec
-./target/release/bench_codec --smoke
-
 echo "== columnar identity (reports/sweeps byte-identical to pinned artifacts) =="
 cargo test -q -p diogenes --test columnar_identity
 
@@ -244,16 +242,5 @@ STREAM=$(mktemp -d)
 cmp "$STREAM/batch.json" "$STREAM/stream.json"
 rm -rf "$STREAM"
 echo "streaming determinism ok"
-
-echo "== streaming allocation smoke (zero steady-state allocations in fold loop and grouping) =="
-cargo build --release -p diogenes-bench --bin bench_stream
-./target/release/bench_stream --smoke
-
-echo "== flight recorder smoke (zero steady-state allocations, ring in budget) =="
-cargo build --release -p diogenes-bench --bin bench_flight
-./target/release/bench_flight --smoke
-
-echo "== property tests (extern-testing feature) =="
-cargo test -q --workspace --features extern-testing
 
 echo "ci: all green"
