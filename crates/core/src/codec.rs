@@ -3,9 +3,16 @@
 //! Every machine-path artifact in the workspace (stage-cache entries,
 //! binary sweep shards, `--format bin` exports) is an **FFB** file: a
 //! versioned little-endian container whose sections follow the same
-//! interned-`Sym`/columnar layout the in-memory analysis core uses, so a
-//! reader makes one pass with zero per-record allocation. JSON remains
-//! the human-facing export; FFB is what other runs and tools ingest.
+//! interned-`Sym`/columnar layout the in-memory analysis core uses. JSON
+//! remains the human-facing export; FFB is what other runs and tools
+//! ingest.
+//!
+//! One writer, one reader: [`encode_artifact`], [`encode_doc`] and
+//! [`encode_sweep`] assemble the whole container in memory through
+//! [`FfbBuilder`] (callers write it with one `write_all`), and
+//! [`Ffb::parse`] validates a container once before the owned decoders
+//! ([`decode_artifact`], [`decode_doc`], [`decode_sweep`]) copy it into
+//! owned values.
 //!
 //! Container layout (all integers little-endian):
 //!
@@ -149,76 +156,23 @@ const CHECKSUM_INIT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// a bijection of the running state for a fixed input suffix, so any
 /// single-word (hence single-byte) change is *guaranteed* to change the
 /// result — exactly the corruption class disk rot and truncated writes
-/// produce.
+/// produce. The covered length is folded into the seed and a trailing
+/// partial word is zero-padded. Files written by earlier builds must
+/// keep parsing, so the value is pinned by a unit test.
 fn checksum(bytes: &[u8]) -> u64 {
-    let mut cs = ChecksumStream::new(bytes.len() as u64);
-    cs.update(bytes);
-    cs.finish()
-}
-
-/// Incremental form of [`checksum`] for streamed writes: feed the
-/// covered region in arbitrary chunks and [`finish`]. The one-shot
-/// function folds the total length into the *seed*, so the length must
-/// be known up front — which [`FfbWriter::finish`] always does, since
-/// it runs after the last payload byte has streamed out. Chunking is
-/// invisible to the result (a partial trailing word is carried between
-/// `update` calls); equality with [`checksum`] over the concatenation
-/// is pinned by a unit test across lengths and chunkings.
-///
-/// [`finish`]: ChecksumStream::finish
-struct ChecksumStream {
-    h: u64,
-    pending: [u8; 8],
-    npending: usize,
-}
-
-impl ChecksumStream {
-    fn new(total_len: u64) -> ChecksumStream {
-        ChecksumStream {
-            h: CHECKSUM_INIT ^ total_len.wrapping_mul(CHECKSUM_PRIME),
-            pending: [0u8; 8],
-            npending: 0,
-        }
+    let mut h = CHECKSUM_INIT ^ (bytes.len() as u64).wrapping_mul(CHECKSUM_PRIME);
+    let chunks = bytes.chunks_exact(8);
+    let rem = chunks.remainder();
+    let mut tail = [0u8; 8];
+    tail[..rem.len()].copy_from_slice(rem);
+    let padded = (!rem.is_empty()).then_some(tail);
+    for word in chunks.map(|c| <[u8; 8]>::try_from(c).unwrap()).chain(padded) {
+        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(CHECKSUM_PRIME);
+        h ^= h >> 29;
     }
-
-    fn word(&mut self, w: u64) {
-        self.h = (self.h ^ w).wrapping_mul(CHECKSUM_PRIME);
-        self.h ^= self.h >> 29;
-    }
-
-    fn update(&mut self, mut bytes: &[u8]) {
-        if self.npending > 0 {
-            let take = (8 - self.npending).min(bytes.len());
-            self.pending[self.npending..self.npending + take].copy_from_slice(&bytes[..take]);
-            self.npending += take;
-            bytes = &bytes[take..];
-            if self.npending < 8 {
-                return;
-            }
-            self.word(u64::from_le_bytes(self.pending));
-            self.npending = 0;
-        }
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.word(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let rem = chunks.remainder();
-        self.pending[..rem.len()].copy_from_slice(rem);
-        self.npending = rem.len();
-    }
-
-    fn finish(mut self) -> u64 {
-        if self.npending > 0 {
-            // Zero-pad the trailing partial word, like the one-shot walk.
-            let mut buf = [0u8; 8];
-            buf[..self.npending].copy_from_slice(&self.pending[..self.npending]);
-            self.word(u64::from_le_bytes(buf));
-        }
-        let mut h = self.h;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ (h >> 33)
-    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 // ---------------------------------------------------------------------------
@@ -266,186 +220,14 @@ impl FfbBuilder {
     }
 }
 
-/// Bytes [`FfbWriter`] accumulates before flushing to the stream; also
-/// the chunk size of the checksum read-back pass.
-const WRITER_CHUNK: usize = 64 * 1024;
-
-fn io_err(what: &str, e: std::io::Error) -> String {
-    format!("ffb writer: {what}: {e}")
-}
-
-/// Streaming FFB container writer: declare the section ids up front,
-/// stream each payload through [`begin_section`] / [`write`] /
-/// [`end_section`] (or [`section`] for a one-slice section), then
-/// [`finish`]. Output is byte-identical to [`FfbBuilder::finish`] over
-/// the same sections — pinned by unit tests and `codec_props` — but the
-/// container is never assembled in memory: sections go straight to the
-/// stream through a 64 KiB chunk buffer, so `sweep --format bin` and
-/// streaming-epoch runs can flush finished cells/epochs as they close.
-///
-/// `W` must be `Read + Write + Seek` (a read-write file, or an
-/// `io::Cursor`): the container checksum covers the section *table*,
-/// whose lengths are known only after the payloads have streamed out,
-/// so `finish` back-patches the table and then re-reads the covered
-/// region once — in chunks — to compute the checksum. Memory stays at
-/// one chunk buffer regardless of artifact size.
-///
-/// [`begin_section`]: FfbWriter::begin_section
-/// [`write`]: FfbWriter::write
-/// [`end_section`]: FfbWriter::end_section
-/// [`section`]: FfbWriter::section
-/// [`finish`]: FfbWriter::finish
-pub struct FfbWriter<W: std::io::Read + std::io::Write + std::io::Seek> {
-    w: W,
-    /// Stream position of the container's first byte; the container
-    /// need not start at position 0.
-    base: u64,
-    ids: [u32; MAX_SECTIONS],
-    lens: [u64; MAX_SECTIONS],
-    count: usize,
-    next: usize,
-    in_section: bool,
-    buf: Vec<u8>,
-}
-
-impl<W: std::io::Read + std::io::Write + std::io::Seek> FfbWriter<W> {
-    /// Start a container of `kind` whose sections will stream in exactly
-    /// the declared order. The header and a zero-length section table go
-    /// out immediately; [`FfbWriter::finish`] patches them.
-    pub fn new(mut w: W, kind: u8, sections: &[u32]) -> Result<FfbWriter<W>, String> {
-        if sections.len() > MAX_SECTIONS {
-            return Err("ffb writer: too many sections".to_string());
-        }
-        let base = w.stream_position().map_err(|e| io_err("position", e))?;
-        let mut ids = [0u32; MAX_SECTIONS];
-        ids[..sections.len()].copy_from_slice(sections);
-        let mut buf = Vec::with_capacity(WRITER_CHUNK);
-        buf.extend_from_slice(FFB_MAGIC);
-        buf.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-        buf.extend_from_slice(&build_tag().to_le_bytes());
-        buf.extend_from_slice(&[0u8; 8]); // checksum placeholder
-        buf.push(kind);
-        buf.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        for &id in sections {
-            buf.extend_from_slice(&id.to_le_bytes());
-            buf.extend_from_slice(&0u64.to_le_bytes()); // length placeholder
-        }
-        Ok(FfbWriter {
-            w,
-            base,
-            ids,
-            lens: [0u64; MAX_SECTIONS],
-            count: sections.len(),
-            next: 0,
-            in_section: false,
-            buf,
-        })
-    }
-
-    /// Open the next section; `id` must match the declared order.
-    pub fn begin_section(&mut self, id: u32) -> Result<(), String> {
-        if self.in_section {
-            return Err("ffb writer: previous section still open".to_string());
-        }
-        if self.next >= self.count || self.ids[self.next] != id {
-            return Err(format!("ffb writer: section {id} out of declared order"));
-        }
-        self.in_section = true;
-        Ok(())
-    }
-
-    /// Append payload bytes to the open section.
-    pub fn write(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if !self.in_section {
-            return Err("ffb writer: write outside a section".to_string());
-        }
-        self.lens[self.next] += bytes.len() as u64;
-        if self.buf.len() + bytes.len() > WRITER_CHUNK {
-            self.flush_buf()?;
-        }
-        if bytes.len() >= WRITER_CHUNK {
-            self.w.write_all(bytes).map_err(|e| io_err("write", e))
-        } else {
-            self.buf.extend_from_slice(bytes);
-            Ok(())
-        }
-    }
-
-    /// Close the open section.
-    pub fn end_section(&mut self) -> Result<(), String> {
-        if !self.in_section {
-            return Err("ffb writer: no open section".to_string());
-        }
-        self.in_section = false;
-        self.next += 1;
-        Ok(())
-    }
-
-    /// A whole section from one slice.
-    pub fn section(&mut self, id: u32, payload: &[u8]) -> Result<(), String> {
-        self.begin_section(id)?;
-        self.write(payload)?;
-        self.end_section()
-    }
-
-    fn flush_buf(&mut self) -> Result<(), String> {
-        if !self.buf.is_empty() {
-            self.w.write_all(&self.buf).map_err(|e| io_err("write", e))?;
-            self.buf.clear();
-        }
-        Ok(())
-    }
-
-    /// Back-patch the section table and checksum, flush, and hand the
-    /// stream back positioned at the end of the container.
-    pub fn finish(mut self) -> Result<W, String> {
-        use std::io::SeekFrom;
-        if self.in_section || self.next != self.count {
-            return Err("ffb writer: finish with sections missing".to_string());
-        }
-        self.flush_buf()?;
-        let end = self.w.seek(SeekFrom::End(0)).map_err(|e| io_err("seek", e))?;
-        for i in 0..self.count {
-            let at = self.base + (HEADER_LEN + 12 * i + 4) as u64;
-            self.w.seek(SeekFrom::Start(at)).map_err(|e| io_err("seek", e))?;
-            self.w.write_all(&self.lens[i].to_le_bytes()).map_err(|e| io_err("patch table", e))?;
-        }
-        // The checksum covers the kind byte through the last payload
-        // byte — including the table just patched — and the mix is
-        // strictly sequential, so re-read that region in chunks.
-        let covered_from = self.base + KIND_AT as u64;
-        self.w.seek(SeekFrom::Start(covered_from)).map_err(|e| io_err("seek", e))?;
-        let mut cs = ChecksumStream::new(end - covered_from);
-        self.buf.clear();
-        self.buf.resize(WRITER_CHUNK, 0);
-        let mut left = end - covered_from;
-        while left > 0 {
-            let want = left.min(WRITER_CHUNK as u64) as usize;
-            let got = self.w.read(&mut self.buf[..want]).map_err(|e| io_err("read back", e))?;
-            if got == 0 {
-                return Err("ffb writer: short read during checksum".to_string());
-            }
-            cs.update(&self.buf[..got]);
-            left -= got as u64;
-        }
-        let at = self.base + CHECKSUM_AT as u64;
-        self.w.seek(SeekFrom::Start(at)).map_err(|e| io_err("seek", e))?;
-        self.w.write_all(&cs.finish().to_le_bytes()).map_err(|e| io_err("patch checksum", e))?;
-        self.w.seek(SeekFrom::Start(end)).map_err(|e| io_err("seek", e))?;
-        self.w.flush().map_err(|e| io_err("flush", e))?;
-        Ok(self.w)
-    }
-}
-
 /// A parsed (but not decoded) FFB container over a caller-owned buffer —
-/// a mapped file, a pooled disk read, or an in-place request body. One
-/// [`Ffb::parse`] validates the header, checksum, and section bounds;
-/// after that, section payloads, the interned string table
-/// ([`Ffb::strings_into`]), and typed columns ([`Dec::col_u64`]) come
-/// straight out of the buffer with no scratch `Vec` per section.
+/// a file read, a cache entry, or a request body. One [`Ffb::parse`]
+/// validates the header, checksum, and section bounds; after that,
+/// section payloads, the interned string table ([`Ffb::strings_into`]),
+/// and typed columns ([`Dec::col_u64`]) come straight out of the buffer.
 /// Parsing allocates nothing — the section table is a fixed array — so
-/// scratch readers built on it stay allocation-free. No alignment is
-/// assumed anywhere (see [`ColU64`]), so the buffer can start at any
+/// the [`Stage2Cols`] scratch reader stays allocation-free. No alignment
+/// is assumed anywhere (see [`ColU64`]), so the buffer can start at any
 /// offset.
 pub struct Ffb<'a> {
     pub kind: u8,
@@ -531,10 +313,7 @@ impl<'a> Ffb<'a> {
 
 /// A borrowed `u64` column over section bytes, validated once to be a
 /// whole number of words. Elements are read as little-endian per access,
-/// so the backing buffer — a mapped file, a request body — needs no
-/// alignment; when the bytes *happen* to be 8-aligned on a little-endian
-/// host, [`ColU64::as_aligned`] exposes them as `&[u64]` wholesale and
-/// bulk copies become `memcpy`.
+/// so the backing buffer needs no alignment.
 #[derive(Clone, Copy)]
 pub struct ColU64<'a>(&'a [u8]);
 
@@ -568,62 +347,6 @@ impl<'a> ColU64<'a> {
 
     pub fn iter(&self) -> impl Iterator<Item = u64> + 'a {
         self.0.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-    }
-
-    /// The words as a borrowed `&[u64]` when the backing bytes are
-    /// 8-aligned on a little-endian host; `None` otherwise, and callers
-    /// fall back to per-access reads. Safe reinterpretation: `align_to`
-    /// only yields a middle when the alignment holds, and every bit
-    /// pattern is a valid `u64`.
-    pub fn as_aligned(&self) -> Option<&'a [u64]> {
-        if cfg!(not(target_endian = "little")) {
-            return None;
-        }
-        // SAFETY: alignment is enforced by align_to itself; u64 has no
-        // invalid representations; the lifetime is the buffer's own.
-        let (head, mid, tail) = unsafe { self.0.align_to::<u64>() };
-        (head.is_empty() && tail.is_empty()).then_some(mid)
-    }
-}
-
-/// [`ColU64`] for `f64` columns (stored as raw bits).
-#[derive(Clone, Copy)]
-pub struct ColF64<'a>(ColU64<'a>);
-
-impl<'a> ColF64<'a> {
-    pub fn new(bytes: &'a [u8]) -> Result<ColF64<'a>, String> {
-        Ok(ColF64(ColU64::new(bytes)?))
-    }
-
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    pub fn get(&self, i: usize) -> Option<f64> {
-        self.0.get(i).map(f64::from_bits)
-    }
-
-    /// `col[i]`; panics out of range, like a slice index.
-    pub fn at(&self, i: usize) -> f64 {
-        f64::from_bits(self.0.at(i))
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
-        self.0.iter().map(f64::from_bits)
-    }
-
-    /// See [`ColU64::as_aligned`]; any bit pattern is a valid `f64`.
-    pub fn as_aligned(&self) -> Option<&'a [f64]> {
-        if cfg!(not(target_endian = "little")) {
-            return None;
-        }
-        // SAFETY: as for ColU64::as_aligned.
-        let (head, mid, tail) = unsafe { self.0 .0.align_to::<f64>() };
-        (head.is_empty() && tail.is_empty()).then_some(mid)
     }
 }
 
@@ -778,34 +501,6 @@ impl<'a> Dec<'a> {
         let total = n.checked_mul(8).ok_or("column size overflow")?;
         ColU64::new(self.take(total)?)
     }
-
-    /// Take `n` 8-byte elements as a borrowed `f64` column.
-    pub fn col_f64(&mut self, n: usize) -> Result<ColF64<'a>, String> {
-        let total = n.checked_mul(8).ok_or("column size overflow")?;
-        ColF64::new(self.take(total)?)
-    }
-}
-
-fn append_u64s(dst: &mut Vec<u64>, col: ColU64<'_>) {
-    // Mapped/pooled buffers carry no alignment promise, but in practice
-    // most are page- or Vec-aligned; take the memcpy when available.
-    match col.as_aligned() {
-        Some(words) => dst.extend_from_slice(words),
-        None => dst.extend(col.iter()),
-    }
-}
-
-fn extend_u64s(dst: &mut Vec<u64>, col: ColU64<'_>) {
-    dst.clear();
-    append_u64s(dst, col);
-}
-
-fn extend_f64s(dst: &mut Vec<f64>, col: ColF64<'_>) {
-    dst.clear();
-    match col.as_aligned() {
-        Some(vals) => dst.extend_from_slice(vals),
-        None => dst.extend(col.iter()),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -863,7 +558,7 @@ impl StrTableBuilder {
 /// at parse time, so per-record resolution is one `Vec` index. Reusable
 /// — [`Ffb::strings_into`] refills one in place, and refilling with
 /// already-interned strings allocates nothing, which is what keeps the
-/// scratch readers' steady state off the heap entirely.
+/// [`Stage2Cols`] reader's steady state off the heap entirely.
 #[derive(Default)]
 pub struct StrTable {
     syms: Vec<Sym>,
@@ -904,9 +599,9 @@ impl StrTable {
 // Artifact payloads (stage-cache entries)
 // ---------------------------------------------------------------------------
 
-/// Build the string-table and records payloads for a stage artifact.
-/// `None` for memory-only kinds (analysis).
-fn artifact_sections(artifact: &Artifact) -> Option<(StrTableBuilder, Enc)> {
+/// Encode a stage artifact as a complete FFB container. `None` for
+/// kinds the codec has no encoding for (analysis).
+pub fn encode_artifact(artifact: &Artifact) -> Option<Vec<u8>> {
     let mut st = StrTableBuilder::new();
     let mut e = Enc::default();
     match artifact {
@@ -915,37 +610,12 @@ fn artifact_sections(artifact: &Artifact) -> Option<(StrTableBuilder, Enc)> {
         Artifact::Stage2(s) => enc_stage2(&mut e, &mut st, s),
         Artifact::Stage3(s) => enc_stage3(&mut e, &mut st, s),
         Artifact::Stage4(s) => enc_stage4(&mut e, s),
-        Artifact::Analysis(_) => return None, // memory-only
+        Artifact::Analysis(_) => return None,
     }
-    Some((st, e))
-}
-
-/// Encode a stage artifact as a complete FFB container. `None` for
-/// memory-only kinds (analysis).
-pub fn encode_artifact(artifact: &Artifact) -> Option<Vec<u8>> {
-    let (st, e) = artifact_sections(artifact)?;
     let mut b = FfbBuilder::new(artifact.kind().byte());
     b.section(SEC_STRINGS, st.encode());
     b.section(SEC_RECORDS, e.0);
     Some(b.finish())
-}
-
-/// Stream a stage artifact to `w` as an FFB container, byte-identical
-/// to [`encode_artifact`] without ever assembling the container in
-/// memory (the store's disk-write path). `Ok(false)` — with the stream
-/// untouched — for memory-only kinds.
-pub fn write_artifact_to<W: std::io::Read + std::io::Write + std::io::Seek>(
-    w: W,
-    artifact: &Artifact,
-) -> Result<bool, String> {
-    let Some((st, e)) = artifact_sections(artifact) else {
-        return Ok(false);
-    };
-    let mut fw = FfbWriter::new(w, artifact.kind().byte(), &[SEC_STRINGS, SEC_RECORDS])?;
-    fw.section(SEC_STRINGS, &st.encode())?;
-    fw.section(SEC_RECORDS, &e.0)?;
-    fw.finish()?;
-    Ok(true)
 }
 
 /// Decode a stage-cache container. Stricter than [`Ffb::parse`]: the
@@ -1454,23 +1124,6 @@ pub fn encode_doc(doc: &Json) -> Vec<u8> {
     b.finish()
 }
 
-/// Stream a [`Json`] document to `w` as a [`KIND_DOC`] container,
-/// byte-identical to [`encode_doc`] without assembling the container
-/// (the `--format bin` export path).
-pub fn write_doc_to<W: std::io::Read + std::io::Write + std::io::Seek>(
-    w: W,
-    doc: &Json,
-) -> Result<(), String> {
-    let mut st = StrTableBuilder::new();
-    let mut e = Enc::default();
-    enc_json(&mut e, &mut st, doc);
-    let mut fw = FfbWriter::new(w, KIND_DOC, &[SEC_STRINGS, SEC_DOC])?;
-    fw.section(SEC_STRINGS, &st.encode())?;
-    fw.section(SEC_DOC, &e.0)?;
-    fw.finish()?;
-    Ok(())
-}
-
 /// Decode a [`KIND_DOC`] container back into a [`Json`] tree. Strings
 /// come back as [`Json::Sym`] over the file's interned table — content-
 /// equal to the original `Str` values and serialized identically.
@@ -1581,46 +1234,6 @@ fn dec_json(d: &mut Dec<'_>, st: &StrTable, depth: usize) -> Result<Json, String
 /// section. `Err` if any cell's assignment disagrees with the axes (a
 /// hand-built matrix; `run_sweep` can't produce one).
 pub fn encode_sweep(m: &SweepMatrix) -> Result<Vec<u8>, String> {
-    let (st, h) = sweep_header_sections(m)?;
-    let mut c = Enc::default();
-    emit_sweep_cells(m, |b| {
-        c.0.extend_from_slice(b);
-        Ok(())
-    })?;
-    let mut b = FfbBuilder::new(KIND_SWEEP);
-    b.section(SEC_STRINGS, st.encode());
-    b.section(SEC_SWEEP_HEADER, h.0);
-    b.section(SEC_SWEEP_CELLS, c.0);
-    Ok(b.finish())
-}
-
-/// Stream a sweep matrix to `w` as a [`KIND_SWEEP`] container,
-/// byte-identical to [`encode_sweep`]. Every string in the container
-/// comes from the *header* (cell assignments are validated to mirror
-/// the axis fields), so the string table closes before any cell is
-/// visited and the cells section streams column-wise through the
-/// writer's chunk buffer — the dominant section of a big grid never
-/// materializes, bounding `sweep --format bin` writer memory by the
-/// header plus one 64 KiB chunk.
-pub fn write_sweep_to<W: std::io::Read + std::io::Write + std::io::Seek>(
-    w: W,
-    m: &SweepMatrix,
-) -> Result<(), String> {
-    let (st, h) = sweep_header_sections(m)?;
-    let mut fw = FfbWriter::new(w, KIND_SWEEP, &[SEC_STRINGS, SEC_SWEEP_HEADER, SEC_SWEEP_CELLS])?;
-    fw.section(SEC_STRINGS, &st.encode())?;
-    fw.section(SEC_SWEEP_HEADER, &h.0)?;
-    fw.begin_section(SEC_SWEEP_CELLS)?;
-    emit_sweep_cells(m, |b| fw.write(b))?;
-    fw.end_section()?;
-    fw.finish()?;
-    Ok(())
-}
-
-/// Validate cell assignments against the axes and build the string
-/// table + header section shared by the one-shot and streaming sweep
-/// encoders.
-fn sweep_header_sections(m: &SweepMatrix) -> Result<(StrTableBuilder, Enc), String> {
     for c in &m.cells {
         if c.assignment.len() != m.axes.len()
             || c.assignment.iter().zip(&m.axes).any(|((k, _), a)| *k != a.field)
@@ -1650,96 +1263,34 @@ fn sweep_header_sections(m: &SweepMatrix) -> Result<(StrTableBuilder, Enc), Stri
             h.u64(v);
         }
     }
-    Ok((st, h))
-}
 
-/// Emit the cells section column-by-column through `put` — the byte
-/// stream both sweep encoders share.
-fn emit_sweep_cells(
-    m: &SweepMatrix,
-    mut put: impl FnMut(&[u8]) -> Result<(), String>,
-) -> Result<(), String> {
-    put(&(m.cells.len() as u64).to_le_bytes())?;
-    put(&(m.axes.len() as u32).to_le_bytes())?;
-    for cell in &m.cells {
-        put(&(cell.index as u64).to_le_bytes())?;
-    }
-    for axis in 0..m.axes.len() {
+    // Cells, one column per field; assignment values are axis-major.
+    let mut c = Enc::default();
+    c.u64(m.cells.len() as u64);
+    c.u32(m.axes.len() as u32);
+    let mut column = |value: &dyn Fn(&SweepCell) -> u64| {
         for cell in &m.cells {
-            put(&cell.assignment[axis].1.to_le_bytes())?;
+            c.u64(value(cell));
         }
-    }
-    for cell in &m.cells {
-        put(&cell.baseline_exec_ns.to_le_bytes())?;
-    }
-    for cell in &m.cells {
-        put(&cell.total_benefit_ns.to_le_bytes())?;
-    }
-    for cell in &m.cells {
-        put(&cell.benefit_pct.to_bits().to_le_bytes())?;
-    }
-    for cell in &m.cells {
-        put(&(cell.problem_count as u64).to_le_bytes())?;
-    }
-    for cell in &m.cells {
-        put(&(cell.sync_issues as u64).to_le_bytes())?;
-    }
-    for cell in &m.cells {
-        put(&(cell.transfer_issues as u64).to_le_bytes())?;
-    }
-    for cell in &m.cells {
-        put(&(cell.sequence_count as u64).to_le_bytes())?;
-    }
-    for cell in &m.cells {
-        put(&cell.collection_overhead_factor.to_bits().to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Header fields of a sweep container, decoded borrowed: strings stay
-/// interned symbols. The per-axis value vectors are the only
-/// allocations — headers are tiny; the cells section is the hot part
-/// and goes through [`SweepCellCols`].
-pub struct SweepHeaderRef {
-    pub app: Sym,
-    pub workload: Sym,
-    pub layout: AxisLayout,
-    /// Raw `(k, n)` shard tag; `None` for a complete sweep.
-    pub shard: Option<(u64, u64)>,
-    pub total_cells: u64,
-    pub axis_fields: Vec<Sym>,
-    /// `axis_values[a]` holds axis `a`'s declared values.
-    pub axis_values: Vec<Vec<u64>>,
-}
-
-/// Decode just the header section of a sweep container. `st` must hold
-/// the container's string table (see [`Ffb::strings_into`]).
-pub fn read_sweep_header(ffb: &Ffb<'_>, st: &StrTable) -> Result<SweepHeaderRef, String> {
-    ffb.expect_kind(KIND_SWEEP, "sweep")?;
-    let mut h = Dec::new(ffb.section(SEC_SWEEP_HEADER)?);
-    let app = st.sym(h.u32()?)?;
-    let workload = st.sym(h.u32()?)?;
-    let layout = match h.u8()? {
-        0 => AxisLayout::Cartesian,
-        1 => AxisLayout::Paired,
-        b => return Err(format!("bad layout byte {b:#04x}")),
     };
-    let shard = h.opt(|h| Ok((h.u64()?, h.u64()?)))?;
-    let total_cells = h.u64()?;
-    let n_axes = h.u32()? as usize;
-    let mut axis_fields = Vec::with_capacity(n_axes.min(h.remaining()));
-    let mut axis_values = Vec::with_capacity(n_axes.min(h.remaining()));
-    for _ in 0..n_axes {
-        axis_fields.push(st.sym(h.u32()?)?);
-        let n = h.col_len(8)?;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(h.u64()?);
-        }
-        axis_values.push(values);
+    column(&|cell| cell.index as u64);
+    for axis in 0..m.axes.len() {
+        column(&|cell| cell.assignment[axis].1);
     }
-    h.finish()?;
-    Ok(SweepHeaderRef { app, workload, layout, shard, total_cells, axis_fields, axis_values })
+    column(&|cell| cell.baseline_exec_ns);
+    column(&|cell| cell.total_benefit_ns);
+    column(&|cell| cell.benefit_pct.to_bits());
+    column(&|cell| cell.problem_count as u64);
+    column(&|cell| cell.sync_issues as u64);
+    column(&|cell| cell.transfer_issues as u64);
+    column(&|cell| cell.sequence_count as u64);
+    column(&|cell| cell.collection_overhead_factor.to_bits());
+
+    let mut b = FfbBuilder::new(KIND_SWEEP);
+    b.section(SEC_STRINGS, st.encode());
+    b.section(SEC_SWEEP_HEADER, h.0);
+    b.section(SEC_SWEEP_CELLS, c.0);
+    Ok(b.finish())
 }
 
 /// Decode a [`KIND_SWEEP`] container back into a [`SweepMatrix`]. The
@@ -1753,54 +1304,71 @@ pub fn decode_sweep(bytes: &[u8]) -> Result<SweepMatrix, String> {
 fn sweep_from(ffb: &Ffb<'_>) -> Result<SweepMatrix, String> {
     ffb.expect_kind(KIND_SWEEP, "sweep")?;
     let st = StrTable::parse(ffb.section(SEC_STRINGS)?)?;
-    let hdr = read_sweep_header(ffb, &st)?;
-    let app_name = hdr.app.resolve().to_string();
-    let workload = hdr.workload.resolve().to_string();
-    let layout = hdr.layout;
-    let shard = match hdr.shard {
-        None => None,
-        Some((k, n)) => {
-            let k = usize::try_from(k).map_err(|_| "shard k overflow")?;
-            let n = usize::try_from(n).map_err(|_| "shard n overflow")?;
-            Some(Shard::new(k, n)?)
-        }
+    let mut h = Dec::new(ffb.section(SEC_SWEEP_HEADER)?);
+    let app_name = st.get(h.u32()?)?.to_string();
+    let workload = st.get(h.u32()?)?.to_string();
+    let layout = match h.u8()? {
+        0 => AxisLayout::Cartesian,
+        1 => AxisLayout::Paired,
+        b => return Err(format!("bad layout byte {b:#04x}")),
     };
-    let total_cells = usize::try_from(hdr.total_cells).map_err(|_| "total_cells overflow")?;
-    let axes: Vec<Axis> = hdr
-        .axis_fields
-        .iter()
-        .zip(hdr.axis_values)
-        .map(|(f, values)| Axis { field: f.resolve().to_string(), values })
-        .collect();
-
-    let mut cols = SweepCellCols::new();
-    cols.read_view(ffb)?;
-    if cols.axes != axes.len() {
-        return Err(format!(
-            "cells carry {} axes but the header declares {}",
-            cols.axes,
-            axes.len()
-        ));
+    let shard = h.opt(|h| {
+        let k = usize::try_from(h.u64()?).map_err(|_| "shard k overflow")?;
+        let n = usize::try_from(h.u64()?).map_err(|_| "shard n overflow")?;
+        Shard::new(k, n)
+    })?;
+    let total_cells = usize::try_from(h.u64()?).map_err(|_| "total_cells overflow")?;
+    let n_axes = h.u32()? as usize;
+    let mut axes = Vec::with_capacity(n_axes.min(h.remaining()));
+    for _ in 0..n_axes {
+        let field = st.get(h.u32()?)?.to_string();
+        let n = h.col_len(8)?;
+        let values = (0..n).map(|_| h.u64()).collect::<Result<Vec<u64>, String>>()?;
+        axes.push(Axis { field, values });
     }
-    let n = cols.len();
+    h.finish()?;
+
+    let mut d = Dec::new(ffb.section(SEC_SWEEP_CELLS)?);
+    let n = d.col_len(8)?;
+    let cell_axes = d.u32()? as usize;
+    // 9 fixed columns + one per axis, 8 bytes per element each.
+    let cols = cell_axes.checked_add(9).ok_or("axis count overflow")?;
+    let total = n.checked_mul(8 * cols).ok_or("cells size overflow")?;
+    if total > d.remaining() {
+        return Err(format!("implausible cell count {n}"));
+    }
+    if cell_axes != axes.len() {
+        return Err(format!("cells carry {cell_axes} axes but the header declares {}", axes.len()));
+    }
+    let index = d.col_u64(n)?;
+    let axis_cols = (0..cell_axes).map(|_| d.col_u64(n)).collect::<Result<Vec<_>, String>>()?;
+    let baseline_exec_ns = d.col_u64(n)?;
+    let total_benefit_ns = d.col_u64(n)?;
+    let benefit_pct = d.col_u64(n)?;
+    let problem_count = d.col_u64(n)?;
+    let sync_issues = d.col_u64(n)?;
+    let transfer_issues = d.col_u64(n)?;
+    let sequence_count = d.col_u64(n)?;
+    let overhead = d.col_u64(n)?;
+    d.finish()?;
+
     let mut cells = Vec::with_capacity(n);
     for i in 0..n {
-        let assignment = axes
-            .iter()
-            .enumerate()
-            .map(|(a, ax)| (ax.field.clone(), cols.axis_values[a * n + i]))
-            .collect();
         cells.push(SweepCell {
-            index: usize::try_from(cols.index[i]).map_err(|_| "cell index overflow")?,
-            assignment,
-            baseline_exec_ns: cols.baseline_exec_ns[i],
-            total_benefit_ns: cols.total_benefit_ns[i],
-            benefit_pct: cols.benefit_pct[i],
-            problem_count: cols.problem_count[i] as usize,
-            sync_issues: cols.sync_issues[i] as usize,
-            transfer_issues: cols.transfer_issues[i] as usize,
-            sequence_count: cols.sequence_count[i] as usize,
-            collection_overhead_factor: cols.collection_overhead_factor[i],
+            index: usize::try_from(index.at(i)).map_err(|_| "cell index overflow")?,
+            assignment: axes
+                .iter()
+                .zip(&axis_cols)
+                .map(|(a, c)| (a.field.clone(), c.at(i)))
+                .collect(),
+            baseline_exec_ns: baseline_exec_ns.at(i),
+            total_benefit_ns: total_benefit_ns.at(i),
+            benefit_pct: f64::from_bits(benefit_pct.at(i)),
+            problem_count: problem_count.at(i) as usize,
+            sync_issues: sync_issues.at(i) as usize,
+            transfer_issues: transfer_issues.at(i) as usize,
+            sequence_count: sequence_count.at(i) as usize,
+            collection_overhead_factor: f64::from_bits(overhead.at(i)),
         });
     }
     let summary: SweepSummary = SweepMatrix::summarize(&cells);
@@ -1815,75 +1383,6 @@ fn sweep_from(ffb: &Ffb<'_>) -> Result<SweepMatrix, String> {
         summary,
         cache_stats: None,
     })
-}
-
-/// Reusable zero-allocation reader for the cells section of a sweep
-/// container — the `--merge` and serve-path ingestion hot loop. After a
-/// warmup read sizes the vectors, repeat reads allocate nothing.
-#[derive(Default)]
-pub struct SweepCellCols {
-    /// Axes per cell (assignment values are axis-major:
-    /// `axis_values[a * len + i]` is cell `i`'s value on axis `a`).
-    pub axes: usize,
-    pub index: Vec<u64>,
-    pub axis_values: Vec<u64>,
-    pub baseline_exec_ns: Vec<u64>,
-    pub total_benefit_ns: Vec<u64>,
-    pub benefit_pct: Vec<f64>,
-    pub problem_count: Vec<u64>,
-    pub sync_issues: Vec<u64>,
-    pub transfer_issues: Vec<u64>,
-    pub sequence_count: Vec<u64>,
-    pub collection_overhead_factor: Vec<f64>,
-}
-
-impl SweepCellCols {
-    pub fn new() -> Self {
-        SweepCellCols::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// One pass over a whole sweep FFB file into reused columns.
-    pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&Ffb::parse(file)?)
-    }
-
-    /// Same, over an already-validated container (the merge fold parses
-    /// each shard once and reads header + cells from it).
-    pub fn read_view(&mut self, ffb: &Ffb<'_>) -> Result<(), String> {
-        ffb.expect_kind(KIND_SWEEP, "sweep")?;
-        let mut d = Dec::new(ffb.section(SEC_SWEEP_CELLS)?);
-        let n = d.col_len(8)?;
-        let n_axes = d.u32()? as usize;
-        // 9 fixed columns + one per axis, 8 bytes per element each.
-        let cols = n_axes.checked_add(9).ok_or("axis count overflow")?;
-        let total = n.checked_mul(8 * cols).ok_or("cells size overflow")?;
-        if total > d.remaining() {
-            return Err(format!("implausible cell count {n}"));
-        }
-        self.axes = n_axes;
-        extend_u64s(&mut self.index, d.col_u64(n)?);
-        self.axis_values.clear();
-        for _ in 0..n_axes {
-            append_u64s(&mut self.axis_values, d.col_u64(n)?);
-        }
-        extend_u64s(&mut self.baseline_exec_ns, d.col_u64(n)?);
-        extend_u64s(&mut self.total_benefit_ns, d.col_u64(n)?);
-        extend_f64s(&mut self.benefit_pct, d.col_f64(n)?);
-        extend_u64s(&mut self.problem_count, d.col_u64(n)?);
-        extend_u64s(&mut self.sync_issues, d.col_u64(n)?);
-        extend_u64s(&mut self.transfer_issues, d.col_u64(n)?);
-        extend_u64s(&mut self.sequence_count, d.col_u64(n)?);
-        extend_f64s(&mut self.collection_overhead_factor, d.col_f64(n)?);
-        d.finish()
-    }
 }
 
 /// Decode any FFB container into a JSON document: [`KIND_DOC`] directly,
@@ -2174,6 +1673,39 @@ mod tests {
     }
 
     #[test]
+    fn container_bytes_are_pinned_across_builds() {
+        // Files written by earlier builds must keep parsing, so the
+        // layout and the checksum may not drift. Everything but the
+        // build tag (bytes 12..20, zeroed here) is pinned.
+        #[rustfmt::skip]
+        const PINNED: [u8; 151] = [
+            0x44, 0x49, 0x4f, 0x47, 0x46, 0x46, 0x42, 0x31, 0x02, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x5d, 0x8f, 0x2c,
+            0x7c, 0x2a, 0x42, 0x93, 0x10, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+            0x00, 0x2e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
+            0x00, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+            0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x61, 0x70, 0x70,
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x61, 0x6c, 0x73, 0x01,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x6e, 0x03, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x70, 0x63, 0x74, 0x07, 0x03, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x05, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+            0x00, 0x03, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x29, 0x40,
+        ];
+        let d = Json::obj([
+            ("app", Json::Str("als".to_string())),
+            ("n", Json::Int(3)),
+            ("pct", Json::Float(12.5)),
+        ]);
+        let mut bytes = encode_doc(&d);
+        assert_eq!(bytes.len(), 151);
+        assert_eq!(bytes[20..28], [0x14, 0x5d, 0x8f, 0x2c, 0x7c, 0x2a, 0x42, 0x93], "checksum");
+        bytes[12..20].fill(0);
+        assert_eq!(bytes, PINNED);
+    }
+
+    #[test]
     fn string_table_interns_once_per_file() {
         let mut b = StrTableBuilder::new();
         let a = b.add("codec-table-a");
@@ -2314,155 +1846,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_readers_are_zero_alloc_capable_and_consistent() {
-        // Sweep columns match the struct decoder, reusing one scratch.
-        let m = sample_matrix(None);
-        let sweep_bytes = encode_sweep(&m).unwrap();
-        let mut sc = SweepCellCols::new();
-        sc.read(&sweep_bytes).unwrap();
-        sc.read(&sweep_bytes).unwrap(); // reuse is idempotent
-        assert_eq!(sc.len(), m.cells.len());
-        assert_eq!(sc.axes, 2);
-        for (i, cell) in m.cells.iter().enumerate() {
-            assert_eq!(sc.index[i] as usize, cell.index);
-            assert_eq!(sc.axis_values[i], cell.assignment[0].1);
-            assert_eq!(sc.axis_values[sc.len() + i], cell.assignment[1].1);
-            assert_eq!(sc.total_benefit_ns[i], cell.total_benefit_ns);
-            assert_eq!(sc.benefit_pct[i], cell.benefit_pct);
-            assert_eq!(sc.collection_overhead_factor[i], cell.collection_overhead_factor);
-        }
-    }
-
-    #[test]
-    fn checksum_stream_matches_one_shot_for_any_chunking() {
-        // Pseudo-random payloads of awkward lengths, fed in awkward
-        // chunk sizes, must reproduce the one-shot walk exactly.
-        let mut payload = Vec::new();
-        let mut x = 0x243f_6a88_85a3_08d3u64;
-        for _ in 0..301 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            payload.push(x as u8);
-        }
-        for len in [0usize, 1, 7, 8, 9, 16, 63, 64, 65, 255, 300, 301] {
-            let bytes = &payload[..len];
-            let expect = checksum(bytes);
-            for chunk in [1usize, 2, 3, 7, 8, 11, 64, 301] {
-                let mut cs = ChecksumStream::new(len as u64);
-                for piece in bytes.chunks(chunk) {
-                    cs.update(piece);
-                }
-                assert_eq!(cs.finish(), expect, "len {len} chunk {chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn ffb_writer_is_byte_identical_to_builder() {
-        // Payloads straddle the chunk buffer: empty, small, > WRITER_CHUNK.
-        let big: Vec<u8> = (0..(WRITER_CHUNK + 13)).map(|i| (i * 31) as u8).collect();
-        let sections: [(u32, Vec<u8>); 3] =
-            [(SEC_STRINGS, vec![]), (SEC_RECORDS, vec![7u8; 100]), (SEC_DOC, big)];
-
-        let mut b = FfbBuilder::new(KIND_DOC);
-        for (id, payload) in &sections {
-            b.section(*id, payload.clone());
-        }
-        let expect = b.finish();
-
-        let ids: Vec<u32> = sections.iter().map(|(id, _)| *id).collect();
-        let mut fw = FfbWriter::new(std::io::Cursor::new(Vec::new()), KIND_DOC, &ids).unwrap();
-        for (id, payload) in &sections {
-            // Stream each payload in uneven pieces.
-            fw.begin_section(*id).unwrap();
-            for piece in payload.chunks(977) {
-                fw.write(piece).unwrap();
-            }
-            fw.end_section().unwrap();
-        }
-        assert_eq!(fw.finish().unwrap().into_inner(), expect);
-        assert_eq!(
-            Ffb::parse(&expect).unwrap().section(SEC_DOC).unwrap().len(),
-            sections[2].1.len()
-        );
-    }
-
-    #[test]
-    fn ffb_writer_supports_nonzero_stream_offsets() {
-        let mut b = FfbBuilder::new(KIND_DOC);
-        b.section(SEC_DOC, vec![5u8; 50]);
-        let expect = b.finish();
-
-        let mut cur = std::io::Cursor::new(b"prefix--".to_vec());
-        cur.set_position(8);
-        let mut fw = FfbWriter::new(cur, KIND_DOC, &[SEC_DOC]).unwrap();
-        fw.section(SEC_DOC, &[5u8; 50]).unwrap();
-        let out = fw.finish().unwrap().into_inner();
-        assert_eq!(&out[..8], b"prefix--");
-        assert_eq!(&out[8..], &expect[..]);
-    }
-
-    #[test]
-    fn ffb_writer_enforces_declared_section_order() {
-        let cur = std::io::Cursor::new(Vec::new());
-        let mut fw = FfbWriter::new(cur, KIND_DOC, &[SEC_STRINGS, SEC_DOC]).unwrap();
-        assert!(fw.write(b"x").is_err(), "write outside a section");
-        assert!(fw.begin_section(SEC_DOC).is_err(), "out of declared order");
-        fw.begin_section(SEC_STRINGS).unwrap();
-        assert!(fw.begin_section(SEC_DOC).is_err(), "previous section still open");
-        fw.end_section().unwrap();
-        assert!(fw.finish().is_err(), "a declared section is missing");
-    }
-
-    #[test]
-    fn streamed_writers_match_one_shot_encoders() {
-        let artifact = Artifact::Stage2(Arc::new(sample_stage2()));
-        let expect = encode_artifact(&artifact).unwrap();
-        let mut cur = std::io::Cursor::new(Vec::new());
-        assert!(write_artifact_to(&mut cur, &artifact).unwrap());
-        assert_eq!(cur.into_inner(), expect);
-
-        let mut cur = std::io::Cursor::new(Vec::new());
-        let analysis = Artifact::Analysis(Arc::new(crate::analysis::Analysis {
-            graph: crate::graph::ExecGraph {
-                nodes: Vec::new(),
-                exec_time_ns: 0,
-                baseline_exec_ns: 0,
-            },
-            benefit: crate::benefit::BenefitReport {
-                per_node: Vec::new(),
-                total_ns: 0,
-                predicted_exec_ns: 0,
-            },
-            problems: Vec::new(),
-            single_point: Vec::new(),
-            api_folds: Vec::new(),
-            sequences: Vec::new(),
-            by_api: Vec::new(),
-            baseline_exec_ns: 0,
-        }));
-        assert!(!write_artifact_to(&mut cur, &analysis).unwrap());
-        assert!(cur.into_inner().is_empty(), "memory-only kinds leave the stream untouched");
-
-        let d = doc();
-        let mut cur = std::io::Cursor::new(Vec::new());
-        write_doc_to(&mut cur, &d).unwrap();
-        assert_eq!(cur.into_inner(), encode_doc(&d));
-
-        for shard in [None, Some(Shard::new(1, 2).unwrap())] {
-            let m = sample_matrix(shard);
-            let mut cur = std::io::Cursor::new(Vec::new());
-            write_sweep_to(&mut cur, &m).unwrap();
-            assert_eq!(cur.into_inner(), encode_sweep(&m).unwrap());
-        }
-        let mut bad = sample_matrix(None);
-        bad.cells[1].assignment[0].0 = "cost.other_field".to_string();
-        let mut cur = std::io::Cursor::new(Vec::new());
-        assert!(write_sweep_to(&mut cur, &bad).is_err(), "streaming path validates too");
-    }
-
-    #[test]
     fn borrowed_stage2_reader_matches_owned_decode() {
         let mut s = sample_stage2();
         // A second call with an empty stack and no options exercises the
@@ -2563,20 +1946,11 @@ mod tests {
         assert_eq!(col.get(2), Some(3));
         assert_eq!(col.get(3), None);
         // A deliberately misaligned view still reads correctly via the
-        // per-access path; as_aligned refuses it.
+        // per-access path.
         let mut buf = vec![0u8; 1];
         buf.extend_from_slice(&vals);
         let mis = ColU64::new(&buf[1..]).unwrap();
-        assert!(mis.as_aligned().is_none());
         assert_eq!(mis.at(1), 2);
-        #[cfg(target_endian = "little")]
-        {
-            // Vec allocations are ≥8-aligned in practice; when aligned,
-            // reinterpretation must agree with the per-access reads.
-            if let Some(words) = col.as_aligned() {
-                assert_eq!(words, &[1, 2, 3]);
-            }
-        }
     }
 
     #[test]

@@ -912,6 +912,8 @@ mod tests {
             let rival = ArtifactStore::with_disk(&dir);
             match rival.try_claim(key, id.kind()) {
                 Some(Claim::Acquired(g)) => std::mem::forget(g),
+                // Memory-only kinds (the analysis) are never claimed.
+                None if id.kind().memory_only() => {}
                 other => panic!("rival claim on {id:?} not acquired: held={}", other.is_some()),
             }
         }

@@ -82,9 +82,8 @@ pub use analysis::{analyze, Analysis, AnalysisConfig, ProblemOp};
 pub use benefit::{expected_benefit, BenefitFold, BenefitOptions, BenefitReport, NodeBenefit};
 pub use codec::{
     decode_any_doc, decode_artifact, decode_doc, decode_sweep, encode_artifact, encode_doc,
-    encode_sweep, is_ffb, read_sweep_header, write_artifact_to, write_doc_to, write_sweep_to,
-    CallRow, ColF64, ColU64, Ffb, FfbWriter, FrameRow, Stage2Cols, StrTable, SweepCellCols,
-    SweepHeaderRef, KIND_DOC, KIND_SWEEP,
+    encode_sweep, is_ffb, CallRow, ColU64, Ffb, FrameRow, Stage2Cols, StrTable, KIND_DOC,
+    KIND_SWEEP,
 };
 pub use engine::{
     declared_fields, deps, epoch_key, plan_keys, run_collection, run_stages, stage_key, CollectOut,

@@ -157,6 +157,12 @@ impl ArtifactKind {
         }
     }
 
+    /// Whether artifacts of this kind stay out of the disk layer (no
+    /// entry, no probe, no claim): the one place that decides it.
+    pub(crate) fn memory_only(&self) -> bool {
+        matches!(self, ArtifactKind::Analysis)
+    }
+
     pub(crate) fn byte(&self) -> u8 {
         match self {
             ArtifactKind::Discovery => 0,
@@ -255,6 +261,12 @@ impl ArtifactStore {
         self.disk.as_deref()
     }
 
+    /// The disk layer for `kind`: `None` without one, and for
+    /// memory-only kinds.
+    fn disk_for(&self, kind: ArtifactKind) -> Option<&Path> {
+        self.disk.as_deref().filter(|_| !kind.memory_only())
+    }
+
     /// Look up an artifact. Checks memory first, then disk (promoting a
     /// disk hit into memory). A corrupt or version-mismatched disk entry
     /// reads as a miss.
@@ -263,7 +275,7 @@ impl ArtifactStore {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
             return Some(a.clone());
         }
-        if let Some(dir) = &self.disk {
+        if let Some(dir) = self.disk_for(kind) {
             if let Some(a) = read_entry(&entry_path(dir, key, kind), kind) {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 self.mem.lock().unwrap().insert(key, a.clone());
@@ -278,7 +290,7 @@ impl ArtifactStore {
     /// shard processes are safe) except for memory-only kinds.
     pub fn put(&self, key: StageKey, artifact: Artifact) {
         self.puts.fetch_add(1, Ordering::Relaxed);
-        if let Some(dir) = &self.disk {
+        if let Some(dir) = self.disk_for(artifact.kind()) {
             let path = entry_path(dir, key, artifact.kind());
             if let Err(e) = write_entry(&path, &artifact) {
                 crate::log_warn!("cache write failed for {}: {e}", path.display());
@@ -299,7 +311,8 @@ impl ArtifactStore {
     /// Announce an intent to compute `key` so concurrent workers (threads
     /// of this process or shard processes on the same cache directory)
     /// don't duplicate the effort. Returns `None` when the store has no
-    /// disk layer or the filesystem refuses — claims are strictly
+    /// disk layer, the kind is memory-only (no rival could ever deliver
+    /// it), or the filesystem refuses — claims are strictly
     /// best-effort and never affect correctness: the caller computes
     /// without one and last-write-wins semantics stay unchanged.
     ///
@@ -309,7 +322,7 @@ impl ArtifactStore {
     /// file's age against the store's claim TTL — a claim older than the
     /// TTL belonged to a crashed or hung holder and is broken on sight.
     pub fn try_claim(&self, key: StageKey, kind: ArtifactKind) -> Option<Claim> {
-        let dir = self.disk.as_deref()?;
+        let dir = self.disk_for(kind)?;
         let path = claim_path(dir, key, kind);
         if std::fs::create_dir_all(dir).is_err() {
             return None;
@@ -358,7 +371,7 @@ impl ArtifactStore {
     /// TTL elapses — whichever comes first. `None` means the peer never
     /// delivered; the caller should compute the artifact itself.
     pub fn wait_for_claimed(&self, key: StageKey, kind: ArtifactKind) -> Option<Artifact> {
-        let dir = self.disk.as_deref()?;
+        let dir = self.disk_for(kind)?;
         let entry = entry_path(dir, key, kind);
         let claim = claim_path(dir, key, kind);
         let poll = (self.claim_ttl / 50).clamp(Duration::from_millis(1), Duration::from_millis(25));
@@ -439,37 +452,24 @@ pub fn build_tag() -> u64 {
 }
 
 fn write_entry(path: &Path, artifact: &Artifact) -> std::io::Result<()> {
+    // Encode before touching the filesystem: a kind without an encoding
+    // leaves nothing behind.
+    let Some(bytes) = codec::encode_artifact(artifact) else {
+        return Ok(());
+    };
     let dir = path.parent().expect("entry path has a parent");
     std::fs::create_dir_all(dir)?;
-    // Stream to a unique temp file then rename: concurrent shard processes
-    // may race on the same key, and rename makes the last writer win with
-    // no torn reads. The temp file is opened read+write because the
-    // streaming writer re-reads what it wrote to back-patch the checksum.
+    // Write a unique temp file then rename: concurrent shard processes
+    // may race on the same key, and rename makes the last writer win
+    // with no torn reads.
     let tmp = dir.join(format!(
         ".tmp-{}-{}",
         std::process::id(),
         path.file_name().unwrap_or_default().to_string_lossy()
     ));
-    let written = {
-        let mut f = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        match codec::write_artifact_to(&mut f, artifact) {
-            Ok(written) => written,
-            Err(e) => {
-                drop(f);
-                let _ = std::fs::remove_file(&tmp);
-                return Err(std::io::Error::other(e));
-            }
-        }
-    };
-    if !written {
-        // Memory-only kind: nothing to persist.
+    if let Err(e) = std::fs::write(&tmp, &bytes) {
         let _ = std::fs::remove_file(&tmp);
-        return Ok(());
+        return Err(e);
     }
     std::fs::rename(&tmp, path)
 }
@@ -760,6 +760,9 @@ mod tests {
         let store = ArtifactStore::with_disk(&dir);
         store.put(StageKey(1), Artifact::Analysis(Arc::new(empty_analysis())));
         assert_eq!(scan_cache(&dir).unwrap().entries, 0, "no disk entry for analysis");
+        assert!(store.try_claim(StageKey(1), ArtifactKind::Analysis).is_none(), "never claimed");
+        let files = std::fs::read_dir(&dir).map(|rd| rd.count()).unwrap_or(0);
+        assert_eq!(files, 0, "no temp, entry or claim file in the cache directory");
         assert!(store.get(StageKey(1), ArtifactKind::Analysis).is_some(), "memory hit works");
         let _ = std::fs::remove_dir_all(&dir);
     }

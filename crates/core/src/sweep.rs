@@ -29,7 +29,6 @@ use std::path::PathBuf;
 use cuda_driver::{CudaResult, GpuApp};
 use gpu_sim::Ns;
 
-use crate::codec;
 use crate::json::Json;
 use crate::par::{effective_jobs, try_par_map};
 use crate::pipeline::{run_ffm_with_store, FfmConfig, FfmReport};
@@ -529,15 +528,13 @@ pub fn merge_sweep_docs(docs: &[Json]) -> Result<Json, String> {
 /// The header keys every shard must agree on, in validation order.
 const MERGE_HEADER_KEYS: [&str; 5] = ["app", "workload", "layout", "axes", "total_cells"];
 
-/// Incremental shard merge: feed shard documents one at a time —
-/// parsed JSON via [`SweepMergeFold::add_doc`], binary sweep containers
-/// via [`SweepMergeFold::add_ffb`] (which reads header and cells
-/// straight out of the mapped/pooled file bytes through
-/// [`codec::Ffb`], never materializing an owned document) — then
-/// [`SweepMergeFold::finish`]. Produces the document an unsharded run
-/// would have, byte-identically once rendered, regardless of how each
-/// shard arrived. Peak memory is the merged cell set plus one shard's
-/// columns, not every shard document at once.
+/// Incremental shard merge: feed parsed shard documents one at a time
+/// through [`SweepMergeFold::add_doc`] (a binary shard is decoded to its
+/// document first), then [`SweepMergeFold::finish`]. Produces the
+/// document an unsharded run would have, byte-identically once
+/// rendered, regardless of how each shard arrived. Peak memory is the
+/// merged cell set plus one shard document, not every shard at once.
+#[derive(Default)]
 pub struct SweepMergeFold {
     docs_seen: usize,
     /// Doc-0 values for [`MERGE_HEADER_KEYS`], in that order.
@@ -546,78 +543,14 @@ pub struct SweepMergeFold {
     shard_n: Option<i128>,
     seen_k: Vec<i128>,
     cells: Vec<(usize, Json)>,
-    /// Scratch reused across `add_ffb` calls.
-    cols: codec::SweepCellCols,
-    strings: codec::StrTable,
-}
-
-impl Default for SweepMergeFold {
-    fn default() -> Self {
-        SweepMergeFold::new()
-    }
 }
 
 impl SweepMergeFold {
     pub fn new() -> SweepMergeFold {
-        SweepMergeFold {
-            docs_seen: 0,
-            header: None,
-            total: 0,
-            shard_n: None,
-            seen_k: Vec::new(),
-            cells: Vec::new(),
-            cols: codec::SweepCellCols::new(),
-            strings: codec::StrTable::default(),
-        }
+        SweepMergeFold::default()
     }
 
-    /// Record doc 0's header or check a later doc's against it.
-    fn take_header(&mut self, header: [Json; 5]) -> Result<(), String> {
-        let i = self.docs_seen;
-        if let Some(first) = &self.header {
-            for ((key, mine), value) in MERGE_HEADER_KEYS.iter().zip(&header).zip(first) {
-                if mine != value {
-                    return Err(format!("shard document {i} disagrees with document 0 on {key:?}"));
-                }
-            }
-        } else {
-            let total = match &header[4] {
-                Json::Int(t) if *t >= 0 => *t as usize,
-                _ => return Err("total_cells is not a non-negative integer".to_string()),
-            };
-            self.total = total;
-            self.cells.reserve(total);
-            self.header = Some(header);
-        }
-        Ok(())
-    }
-
-    /// Validate this doc's shard tag against the set seen so far.
-    fn take_shard(&mut self, shard: Option<(i128, i128)>) -> Result<(), String> {
-        let i = self.docs_seen;
-        let Some((k, n)) = shard else {
-            return Err(format!(
-                "document {i} is not a shard artifact (\"shard\" is null); \
-                 merging already-complete sweeps is not meaningful"
-            ));
-        };
-        match self.shard_n {
-            None => self.shard_n = Some(n),
-            Some(expect) if n != expect => {
-                return Err(format!(
-                    "document {i} is a shard of {n}, but earlier documents are shards of {expect}"
-                ));
-            }
-            _ => {}
-        }
-        if self.seen_k.contains(&k) {
-            return Err(format!("shard {k}/{n} appears more than once"));
-        }
-        self.seen_k.push(k);
-        Ok(())
-    }
-
-    /// Fold in one parsed JSON shard document.
+    /// Fold in one parsed shard document.
     pub fn add_doc(&mut self, d: &Json) -> Result<(), String> {
         let i = self.docs_seen;
         if let Some(first) = &self.header {
@@ -634,118 +567,54 @@ impl SweepMergeFold {
                 };
                 header.push(v.clone());
             }
-            let header: [Json; 5] = header.try_into().expect("five header keys");
-            self.take_header(header)?;
+            // The grid size comes from the file: it is checked against
+            // the cells actually present in `finish`, never trusted as
+            // an allocation size.
+            self.total = header[4]
+                .as_i128()
+                .and_then(|t| usize::try_from(t).ok())
+                .ok_or("total_cells is not a non-negative integer")?;
+            self.header = Some(header.try_into().expect("five header keys"));
         }
 
         let shard = d.get("shard").ok_or(format!("shard document {i} is missing \"shard\""))?;
         if matches!(shard, Json::Null) {
-            self.take_shard(None)?;
-        } else {
-            let k = shard.get("k").and_then(Json::as_i128);
-            let n = shard.get("n").and_then(Json::as_i128);
-            let (Some(k), Some(n)) = (k, n) else {
-                return Err(format!("document {i} has a malformed \"shard\" object"));
-            };
-            self.take_shard(Some((k, n)))?;
+            return Err(format!(
+                "document {i} is not a shard artifact (\"shard\" is null); \
+                 merging already-complete sweeps is not meaningful"
+            ));
         }
+        let k = shard.get("k").and_then(Json::as_i128);
+        let n = shard.get("n").and_then(Json::as_i128);
+        let (Some(k), Some(n)) = (k, n) else {
+            return Err(format!("document {i} has a malformed \"shard\" object"));
+        };
+        match self.shard_n {
+            None => self.shard_n = Some(n),
+            Some(expect) if n != expect => {
+                return Err(format!(
+                    "document {i} is a shard of {n}, but earlier documents are shards of {expect}"
+                ));
+            }
+            _ => {}
+        }
+        if self.seen_k.contains(&k) {
+            return Err(format!("shard {k}/{n} appears more than once"));
+        }
+        self.seen_k.push(k);
 
         let arr = d
             .get("cells")
             .and_then(Json::as_arr)
             .ok_or(format!("document {i} has no \"cells\" array"))?;
+        self.cells.reserve(arr.len());
         for cell in arr {
             let idx = cell
                 .get("cell")
                 .and_then(Json::as_i128)
-                .filter(|&c| c >= 0)
+                .and_then(|c| usize::try_from(c).ok())
                 .ok_or(format!("document {i} has a cell without a \"cell\" index"))?;
-            self.cells.push((idx as usize, cell.clone()));
-        }
-        self.docs_seen += 1;
-        Ok(())
-    }
-
-    /// Fold in one binary shard ([`codec::KIND_SWEEP`]) straight from
-    /// its file bytes. Header strings intern to symbols and cells decode
-    /// into reused columns, so nothing of the source buffer is copied
-    /// beyond the merged cell JSON itself.
-    pub fn add_ffb(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let i = self.docs_seen;
-        let ffb = codec::Ffb::parse(bytes)?;
-        ffb.strings_into(&mut self.strings)?;
-        let hdr = codec::read_sweep_header(&ffb, &self.strings)?;
-        self.cols.read_view(&ffb)?;
-        if self.cols.axes != hdr.axis_fields.len() {
-            return Err(format!(
-                "document {i} cells carry {} axes but the header declares {}",
-                self.cols.axes,
-                hdr.axis_fields.len()
-            ));
-        }
-
-        // Header pieces in the exact shapes `sweep_to_json` emits, so
-        // binary and JSON shards agree on equality and render.
-        let axes_json = Json::Arr(
-            hdr.axis_fields
-                .iter()
-                .zip(&hdr.axis_values)
-                .map(|(f, values)| {
-                    Json::obj([
-                        ("field", Json::Sym(*f)),
-                        (
-                            "values",
-                            Json::Arr(values.iter().map(|&v| Json::Int(v as i128)).collect()),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let layout = match hdr.layout {
-            AxisLayout::Cartesian => "cartesian",
-            AxisLayout::Paired => "paired",
-        };
-        self.take_header([
-            Json::Sym(hdr.app),
-            Json::Sym(hdr.workload),
-            Json::Str(layout.to_string()),
-            axes_json,
-            Json::Int(hdr.total_cells as i128),
-        ])?;
-        self.take_shard(hdr.shard.map(|(k, n)| (k as i128, n as i128)))?;
-
-        let n = self.cols.len();
-        for ci in 0..n {
-            let assignment = Json::Obj(
-                hdr.axis_fields
-                    .iter()
-                    .enumerate()
-                    .map(|(a, f)| {
-                        (
-                            f.resolve().to_string(),
-                            Json::Int(self.cols.axis_values[a * n + ci] as i128),
-                        )
-                    })
-                    .collect(),
-            );
-            let cell = Json::obj([
-                ("cell", Json::Int(self.cols.index[ci] as i128)),
-                ("assignment", assignment),
-                ("baseline_exec_ns", Json::Int(self.cols.baseline_exec_ns[ci] as i128)),
-                ("total_benefit_ns", Json::Int(self.cols.total_benefit_ns[ci] as i128)),
-                ("benefit_pct", Json::Float(self.cols.benefit_pct[ci])),
-                ("problem_count", Json::Int(self.cols.problem_count[ci] as i128)),
-                ("sync_issues", Json::Int(self.cols.sync_issues[ci] as i128)),
-                ("transfer_issues", Json::Int(self.cols.transfer_issues[ci] as i128)),
-                ("sequence_count", Json::Int(self.cols.sequence_count[ci] as i128)),
-                (
-                    "collection_overhead_factor",
-                    Json::Float(self.cols.collection_overhead_factor[ci]),
-                ),
-            ]);
-            let idx = usize::try_from(self.cols.index[ci])
-                .map_err(|_| format!("document {i} has a cell index overflow"))?;
-            self.cells.push((idx, cell));
+            self.cells.push((idx, cell.clone()));
         }
         self.docs_seen += 1;
         Ok(())
@@ -960,6 +829,7 @@ pub fn set_field(cfg: &mut FfmConfig, field: &str, value: u64) -> Result<(), Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
 
     #[test]
     fn every_listed_field_is_settable() {
@@ -1150,6 +1020,18 @@ mod tests {
         let overlap = shard_doc(shard_tag(2, 2), &[1, 1]);
         assert!(merge_sweep_docs(&[a, overlap]).unwrap_err().contains("coverage"));
         assert!(merge_sweep_docs(&[]).is_err());
+        // Hostile grid sizes are errors, not allocations.
+        for total in [1_099_511_627_776i128, 1_000_000_000_000_000_000, i128::MAX] {
+            // Valid shards of a 4-cell grid in every field but this one.
+            let hostile = [(1, [0, 2]), (2, [1, 3])].map(|(k, cells)| {
+                let mut d = shard_doc(shard_tag(k, 2), &cells);
+                if let Json::Obj(fields) = &mut d {
+                    fields[4].1 = Json::Int(total);
+                }
+                d
+            });
+            assert!(merge_sweep_docs(&hostile).is_err(), "total_cells {total}");
+        }
     }
 
     #[test]
@@ -1186,23 +1068,24 @@ mod tests {
         let a = mk(1, &[0, 2]);
         let b = mk(2, &[1, 3]);
         let expect = merge_sweep_docs(&[sweep_to_json(&a), sweep_to_json(&b)]).unwrap();
+        let decoded = |m: &SweepMatrix| {
+            codec::decode_any_doc(&codec::encode_sweep(m).unwrap()).expect("sweep decodes")
+        };
 
-        // Binary-only fold: header and cells come straight off the
-        // container bytes, yet the merged document is identical.
-        let fa = codec::encode_sweep(&a).unwrap();
-        let fb = codec::encode_sweep(&b).unwrap();
+        // Binary-only fold: each container decodes to its document, and
+        // the merged document is identical.
         let mut fold = SweepMergeFold::new();
-        fold.add_ffb(&fa).unwrap();
-        fold.add_ffb(&fb).unwrap();
+        fold.add_doc(&decoded(&a)).unwrap();
+        fold.add_doc(&decoded(&b)).unwrap();
         assert_eq!(fold.finish().unwrap(), expect);
 
         // Mixed binary + JSON shards, either order, render-identically.
         let mut fold = SweepMergeFold::new();
         fold.add_doc(&sweep_to_json(&b)).unwrap();
-        fold.add_ffb(&fa).unwrap();
+        fold.add_doc(&decoded(&a)).unwrap();
         assert_eq!(fold.finish().unwrap(), expect);
         let mut fold = SweepMergeFold::new();
-        fold.add_ffb(&fa).unwrap();
+        fold.add_doc(&decoded(&a)).unwrap();
         fold.add_doc(&sweep_to_json(&b)).unwrap();
         let mut r1 = Vec::new();
         fold.finish().unwrap().write_pretty(&mut r1).unwrap();
@@ -1215,9 +1098,8 @@ mod tests {
         let mut full = mk(1, &[0, 1, 2, 3]);
         full.shard = None;
         full.summary = SweepMatrix::summarize(&full.cells);
-        let ffull = codec::encode_sweep(&full).unwrap();
         let mut fold = SweepMergeFold::new();
-        assert!(fold.add_ffb(&ffull).unwrap_err().contains("not a shard artifact"));
+        assert!(fold.add_doc(&decoded(&full)).unwrap_err().contains("not a shard artifact"));
     }
 
     #[test]

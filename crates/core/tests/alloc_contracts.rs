@@ -1,8 +1,8 @@
 //! Zero-allocation contracts of the hot loops, checked under a counting
 //! global allocator:
 //!
-//! - steady-state [`Stage2Cols`] and [`SweepCellCols`] reads allocate
-//!   nothing once a first read has sized their columns;
+//! - steady-state [`Stage2Cols`] reads allocate nothing once a first
+//!   read has sized their columns;
 //! - the windowed [`IncrementalAnalysis::fold`] loop and reused
 //!   [`GroupScratch`] grouping passes allocate nothing once sized (and
 //!   the windowed fold still agrees with the whole-graph entry points);
@@ -24,11 +24,10 @@ use std::time::Instant;
 
 use cuda_driver::ApiFn;
 use ffm_core::{
-    decode_artifact, encode_artifact, encode_sweep, expected_benefit, find_sequences, fold_on_api,
-    single_point_groups, telemetry, AnalysisConfig, Artifact, ArtifactKind, Axis, AxisLayout,
-    ExecGraph, GroupScratch, IncrementalAnalysis, Json, NType, Node, OpInstance, Problem,
-    ProblemGroup, SpanEvent, Stage2Cols, Stage2Result, Stage4Result, SweepCell, SweepCellCols,
-    SweepMatrix, TracedCall, TransferRec,
+    decode_artifact, encode_artifact, expected_benefit, find_sequences, fold_on_api,
+    single_point_groups, telemetry, AnalysisConfig, Artifact, ArtifactKind, ExecGraph,
+    GroupScratch, IncrementalAnalysis, Json, NType, Node, OpInstance, Problem, ProblemGroup,
+    SpanEvent, Stage2Cols, Stage2Result, Stage4Result, TracedCall, TransferRec,
 };
 use gpu_sim::{Direction, Frame, SourceLoc, StackTrace, WaitReason};
 
@@ -153,40 +152,6 @@ fn synthetic_stage2(n: usize) -> Stage2Result {
     Stage2Result { exec_time_ns: n as u64 * 6_000, calls }
 }
 
-fn synthetic_sweep(n: usize) -> SweepMatrix {
-    let mut rng = Rng(0x5eed);
-    let fields = ["cost.free_base_ns", "driver.unified_memset_penalty"];
-    let cells = (0..n)
-        .map(|i| {
-            let baseline = 8_000_000 + rng.below(4_000_000);
-            let benefit = rng.below(4_000_000);
-            SweepCell {
-                index: i,
-                assignment: fields.iter().map(|f| (f.to_string(), i as u64)).collect(),
-                baseline_exec_ns: baseline,
-                total_benefit_ns: benefit,
-                benefit_pct: benefit as f64 * 100.0 / baseline as f64,
-                problem_count: rng.below(40) as usize,
-                sync_issues: rng.below(30) as usize,
-                transfer_issues: rng.below(10) as usize,
-                sequence_count: rng.below(5) as usize,
-                collection_overhead_factor: 1.0 + rng.below(300) as f64 / 100.0,
-            }
-        })
-        .collect();
-    SweepMatrix {
-        app_name: "synthetic".to_string(),
-        workload: "alloc_contracts".to_string(),
-        axes: fields.iter().map(|f| Axis::new(*f, (0..n as u64).collect())).collect(),
-        layout: AxisLayout::Paired,
-        total_cells: n,
-        shard: None,
-        cells,
-        summary: Default::default(),
-        cache_stats: None,
-    }
-}
-
 /// After one warmup read sizes the scratch (and interns the strings),
 /// repeat reads must not touch the heap.
 fn assert_steady_state_read(name: &str, file: &[u8], mut read: impl FnMut(&[u8])) {
@@ -202,11 +167,6 @@ fn steady_state_column_reads_allocate_nothing() {
     let mut cols = Stage2Cols::new();
     assert_steady_state_read("Stage2Cols", &stage2, |b| cols.read(b).expect("stage 2 reads"));
     assert_eq!(cols.len(), 8_000);
-
-    let sweep = encode_sweep(&synthetic_sweep(300)).expect("sweep encodes");
-    let mut cells = SweepCellCols::new();
-    assert_steady_state_read("SweepCellCols", &sweep, |b| cells.read(b).expect("sweep reads"));
-    assert_eq!(cells.len(), 300);
 }
 
 fn stage4_to_json(s: &Stage4Result) -> Json {

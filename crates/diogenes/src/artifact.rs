@@ -7,8 +7,8 @@
 //! move artifacts between them freely and a json→bin→json round trip
 //! reproduces the original file exactly.
 
-use ffm_core::{decode_any_doc, is_ffb, write_doc_to, write_sweep_to, Json, SweepMatrix};
-use std::io::BufWriter;
+use ffm_core::{decode_any_doc, encode_doc, encode_sweep, is_ffb, Json, SweepMatrix};
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -91,39 +91,7 @@ fn write_atomic(
             .map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
         let mut w = BufWriter::new(file);
         fill(&mut w)?;
-        use std::io::Write as _;
         w.flush().map_err(|e| format!("cannot write {path}: {e}"))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("cannot move {} into {path}: {e}", tmp.display()))
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
-/// Like [`write_atomic`], but hands `fill` the raw temp `File` opened
-/// read+write: the streaming FFB writer ([`ffm_core::FfbWriter`])
-/// back-patches its section table and checksum, which needs `Seek` and
-/// `Read` over what it already wrote — a `BufWriter` cannot provide
-/// either. The writer does its own 64 KiB chunking, so buffering is not
-/// lost.
-fn write_atomic_raw(
-    path: &str,
-    fill: impl FnOnce(&mut std::fs::File) -> Result<(), String>,
-) -> Result<(), String> {
-    ensure_parent(path)?;
-    let tmp = tmp_sibling(path);
-    let result = (|| {
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-        fill(&mut file)?;
-        drop(file);
         std::fs::rename(&tmp, path)
             .map_err(|e| format!("cannot move {} into {path}: {e}", tmp.display()))
     })();
@@ -143,10 +111,14 @@ pub fn write_json_doc(path: &str, doc: &Json) -> Result<(), String> {
 pub fn write_doc(path: &str, doc: &Json, format: OutFormat) -> Result<(), String> {
     match format {
         OutFormat::Json => write_json_doc(path, doc),
-        OutFormat::Bin => write_atomic_raw(path, |f| {
-            write_doc_to(f, doc).map_err(|e| format!("cannot write {path}: {e}"))
-        }),
+        OutFormat::Bin => write_bytes(path, &encode_doc(doc)),
     }
+}
+
+/// Write an encoded container to `path` with one `write_all`,
+/// atomically.
+fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), String> {
+    write_atomic(path, |w| w.write_all(bytes).map_err(|e| format!("cannot write {path}: {e}")))
 }
 
 /// Write a sweep matrix to `path`. The binary form uses the columnar
@@ -160,22 +132,18 @@ pub fn write_sweep(
 ) -> Result<(), String> {
     match format {
         OutFormat::Json => write_json_doc(path, doc),
-        OutFormat::Bin => write_atomic_raw(path, |f| {
-            // Streams cells section by section: writer memory is bounded
-            // by one chunk, not the whole matrix.
-            write_sweep_to(f, matrix).map_err(|e| format!("cannot write sweep {path}: {e}"))
-        }),
+        OutFormat::Bin => {
+            let bytes =
+                encode_sweep(matrix).map_err(|e| format!("cannot write sweep {path}: {e}"))?;
+            write_bytes(path, &bytes)
+        }
     }
 }
 
 /// Load a document from `path`, sniffing the format from the file bytes
 /// (FFB magic → binary decode, anything else → JSON parse).
 pub fn load_doc(path: &str) -> Result<Json, String> {
-    // Zero-copy ingestion: the file is mmapped when the platform allows,
-    // with a pooled-buffer read fallback; either way decode borrows
-    // straight out of the buffer.
-    let bytes = ffm_core::iobuf::read_file(Path::new(path))
-        .map_err(|e| format!("cannot read {path}: {e}"))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if is_ffb(&bytes) {
         decode_any_doc(&bytes).map_err(|e| format!("{path}: {e}"))
     } else {
@@ -343,6 +311,12 @@ mod tests {
         let disguised = dir.join("disguised.json").to_str().unwrap().to_string();
         std::fs::write(&disguised, ffm_core::encode_doc(&doc())).unwrap();
         assert_eq!(load_doc(&disguised).unwrap(), doc());
+        // Missing and empty files are errors, not panics.
+        let missing = dir.join("missing.ffb").to_str().unwrap().to_string();
+        assert!(load_doc(&missing).unwrap_err().contains("cannot read"));
+        let empty = dir.join("empty.ffb").to_str().unwrap().to_string();
+        std::fs::write(&empty, b"").unwrap();
+        assert!(load_doc(&empty).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,20 +5,13 @@
 //! diogenes <als|cuibm|amg|gaussian|pipelined> [--scale test|paper]
 //!          [--view overview|sequence|fold]
 //!          [--fold <apiName>] [--seq N] [--sub FROM TO] [--autoseq]
-//!          [--autofix] [--json <path>] [--jobs N] [--stream-window N]
+//!          [--autofix] [--json <path>] [--jobs N]
 //! ```
 //!
 //! `--jobs N` sets the worker-thread count for concurrent stage
 //! execution (`0` or absent = the `DIOGENES_JOBS` environment variable,
 //! else the core count; `1` = classic sequential order). The report is
 //! bit-identical at every setting.
-//!
-//! `--stream-window N` routes stage 5 through the streaming incremental
-//! pipeline, folding N stage 2 calls per analysis epoch instead of
-//! analyzing the whole trace at once. The report is bit-identical to
-//! the batch pipeline's at every window size; the flag exists to
-//! exercise (and time) the incremental path the `serve` daemon uses for
-//! `POST /run?stream=1` jobs.
 //!
 //! `--profile` turns the tool's self-measurement layer on
 //! (`ffm_core::telemetry`) and writes `results/TELEMETRY_<app>.json`:
@@ -65,7 +58,7 @@ fn usage() -> ! {
         "usage: diogenes <als|cuibm|amg|gaussian|pipelined> [--scale test|paper] \
          [--view overview|sequence|fold|compare] [--fold <apiName>] [--seq N] \
          [--sub FROM TO] [--autoseq] [--autofix] [--json <path>] [--format json|bin] \
-         [--jobs N] [--stream-window N] [--profile]\n\
+         [--jobs N] [--profile]\n\
          \x20      diogenes sweep <app> [--scale test|paper] [--axis field=v1,v2,...]... \
          [--paired] [--jobs N] [--out <path>] [--format json|bin] [--profile] \
          [--list-fields] [--shard K/N] [--no-cache] [--cache-dir <dir>]\n\
@@ -464,7 +457,6 @@ fn main() {
     let mut autoseq = false;
     let mut autofix = false;
     let mut jobs_flag: Option<usize> = None;
-    let mut stream_window = 0usize;
     let mut profile = false;
     let mut format = OutFormat::Json;
 
@@ -474,14 +466,6 @@ fn main() {
             "--scale" => {
                 i += 1;
                 scale_paper = args.get(i).map(|s| s == "paper").unwrap_or_else(|| usage());
-            }
-            "--stream-window" => {
-                i += 1;
-                stream_window = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&w: &usize| w > 0)
-                    .unwrap_or_else(|| usage());
             }
             "--format" => {
                 i += 1;
@@ -568,19 +552,14 @@ fn main() {
         return;
     }
     let (jobs, jobs_origin) = resolve_jobs(jobs_flag);
-    let stream_note = if stream_window > 0 {
-        format!(" [streaming, window {stream_window}]")
-    } else {
-        String::new()
-    };
     eprintln!(
         "diogenes: running 5-stage feed-forward pipeline on {} ({}) \
-         [{jobs} jobs, {jobs_origin}]{stream_note}...",
+         [{jobs} jobs, {jobs_origin}]...",
         app.name(),
         app.workload()
     );
     telemetry::set_enabled(profile);
-    let cfg = DiogenesConfig::new().with_jobs(jobs).with_stream_window(stream_window);
+    let cfg = DiogenesConfig::new().with_jobs(jobs);
     let result = match run_diogenes(app.as_ref(), cfg) {
         Ok(r) => r,
         Err(e) => {

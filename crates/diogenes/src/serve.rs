@@ -1122,13 +1122,6 @@ fn render_metrics(shared: &Shared) -> String {
     p.sample("diogenes_ingest_buffer_reuse_total", &[], ingest.buffer_reuse);
     p.family("diogenes_ingest_buffer_allocs_total", "counter", "Ingest buffers newly allocated.");
     p.sample("diogenes_ingest_buffer_allocs_total", &[], ingest.buffer_allocs);
-    p.family(
-        "diogenes_ingest_reads_total",
-        "counter",
-        "Artifact file ingests, by path (mmap vs pooled read fallback).",
-    );
-    p.sample("diogenes_ingest_reads_total", &[("path", "mmap")], ingest.mapped_reads);
-    p.sample("diogenes_ingest_reads_total", &[("path", "read")], ingest.fallback_reads);
 
     // -- Gathered telemetry: stage latency summaries + counters ------------
     let totals = telemetry::gather_metrics();

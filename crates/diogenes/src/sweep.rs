@@ -17,11 +17,10 @@
 //! `results/cache/` by default; `--no-cache` disables, `--cache-dir`
 //! redirects) — caching changes speed, never bytes.
 
-use crate::artifact::OutFormat;
+use crate::artifact::{load_doc, OutFormat};
 use cuda_driver::GpuApp;
 use ffm_core::{
-    decode_any_doc, is_ffb, run_sweep, sweep_to_json, Axis, Ffb, FfmConfig, Json, Shard,
-    SweepMatrix, SweepMergeFold, SweepSpec, KIND_SWEEP,
+    run_sweep, sweep_to_json, Axis, FfmConfig, Json, Shard, SweepMatrix, SweepMergeFold, SweepSpec,
 };
 
 /// Parse one `--axis` argument of the form `field=v1,v2,...`.
@@ -143,33 +142,15 @@ pub fn find_shard_files(app_name: &str, dir: &str) -> Vec<String> {
 
 /// Read, validate, and merge shard artifacts — JSON or FFB, freely mixed
 /// (format sniffed from the bytes) — into the unsharded sweep document.
-/// Folds in one pass; the caller serializes the result exactly once.
+/// Each shard is loaded as a document and folded before the next is
+/// read; the caller serializes the result exactly once.
 pub fn merge_shard_files(paths: &[String]) -> Result<Json, String> {
     if paths.is_empty() {
         return Err("no shard files to merge (run with --shard k/n first)".to_string());
     }
     let mut fold = SweepMergeFold::new();
     for p in paths {
-        // Each shard is mapped (or read into a pooled buffer) and folded
-        // in place: binary sweep shards go header+cells straight off the
-        // buffer via `Ffb`, so no owned document is ever built for
-        // them. The buffer is unmapped/recycled before the next shard.
-        let bytes = ffm_core::iobuf::read_file(std::path::Path::new(p))
-            .map_err(|e| format!("cannot read {p}: {e}"))?;
-        if is_ffb(&bytes) {
-            let ffb = Ffb::parse(&bytes).map_err(|e| format!("{p}: {e}"))?;
-            if ffb.kind == KIND_SWEEP {
-                fold.add_ffb(&bytes).map_err(|e| format!("{p}: {e}"))?;
-            } else {
-                // A shard converted to a generic document container.
-                let doc = decode_any_doc(&bytes).map_err(|e| format!("{p}: {e}"))?;
-                fold.add_doc(&doc).map_err(|e| format!("{p}: {e}"))?;
-            }
-        } else {
-            let text = std::str::from_utf8(&bytes).map_err(|_| format!("{p}: not UTF-8"))?;
-            let doc = Json::parse(text).map_err(|e| format!("{p}: {e}"))?;
-            fold.add_doc(&doc).map_err(|e| format!("{p}: {e}"))?;
-        }
+        fold.add_doc(&load_doc(p)?).map_err(|e| format!("{p}: {e}"))?;
     }
     fold.finish()
 }

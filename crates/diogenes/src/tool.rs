@@ -2,7 +2,7 @@
 //! application and hold everything the CLI / exporter needs.
 
 use cuda_driver::{CudaResult, GpuApp};
-use ffm_core::{run_ffm, run_ffm_streaming, FfmConfig, FfmReport};
+use ffm_core::{run_ffm, FfmConfig, FfmReport};
 
 use crate::seqfam::{merge_sequences, SequenceFamily};
 
@@ -12,28 +12,17 @@ pub struct DiogenesConfig {
     pub ffm: FfmConfig,
     /// Maximum rows in the overview display.
     pub overview_rows: usize,
-    /// Stage 2 calls folded per analysis epoch (`--stream-window`).
-    /// `0` (the default) runs the batch pipeline; any positive window
-    /// routes through the streaming driver, whose final report is
-    /// byte-identical to the batch answer.
-    pub stream_window: usize,
 }
 
 impl DiogenesConfig {
     pub fn new() -> Self {
-        Self { ffm: FfmConfig::default(), overview_rows: 8, stream_window: 0 }
+        Self { ffm: FfmConfig::default(), overview_rows: 8 }
     }
 
     /// Builder-style override for the pipeline's worker-thread count
     /// (`0` = auto via `DIOGENES_JOBS` / core count, `1` = sequential).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.ffm.jobs = jobs;
-        self
-    }
-
-    /// Builder-style streaming window (`0` = batch pipeline).
-    pub fn with_stream_window(mut self, window: usize) -> Self {
-        self.stream_window = window;
         self
     }
 }
@@ -56,11 +45,7 @@ impl DiogenesResult {
 /// Run Diogenes: the discovery probe, the four data-collection runs and
 /// the analysis, then group per-iteration sequences into families.
 pub fn run_diogenes(app: &dyn GpuApp, config: DiogenesConfig) -> CudaResult<DiogenesResult> {
-    let report = if config.stream_window > 0 {
-        run_ffm_streaming(app, &config.ffm, config.stream_window)?
-    } else {
-        run_ffm(app, &config.ffm)?
-    };
+    let report = run_ffm(app, &config.ffm)?;
     let families = merge_sequences(&report.analysis);
     Ok(DiogenesResult { report, families, config })
 }
