@@ -17,6 +17,7 @@
 //! double-buffered streaming pipeline (pinned staging, `cudaStreamWaitEvent`
 //! ordering) on which the tool must report near-zero recoverable time.
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod als;

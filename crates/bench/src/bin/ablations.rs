@@ -17,7 +17,8 @@ use std::rc::Rc;
 use cuda_driver::{ApiFn, Cuda, DriverConfig, GpuApp, HookEvent, InternalFn};
 use diogenes_apps::{AlsConfig, CumfAls};
 use ffm_core::{
-    carry_forward_benefit, expected_benefit, run_ffm, AnalysisConfig, BenefitOptions, FfmConfig,
+    carry_forward_benefit, effective_jobs, expected_benefit, par_map, run_ffm, AnalysisConfig,
+    BenefitOptions, FfmConfig,
 };
 use gpu_sim::CostModel;
 use instrument::{FunctionProbe, ProbeSpec};
@@ -35,11 +36,12 @@ fn main() {
     };
     // Ablation 4 needs a second full pipeline on a fully-async driver;
     // it is independent of the default run, so overlap the two.
-    let (report, honest) = ffm_core::join(
-        ffm_core::effective_jobs(0),
-        || run_ffm(&als(), &FfmConfig::default()).expect("pipeline"),
-        move || run_ffm(&als(), &honest_cfg).expect("pipeline"),
-    );
+    let [report, honest]: [_; 2] =
+        par_map(vec![FfmConfig::default(), honest_cfg], effective_jobs(0), |cfg| {
+            run_ffm(&als(), &cfg).expect("pipeline")
+        })
+        .try_into()
+        .expect("two configs in, two reports out");
     let a = &report.analysis;
 
     // ---- 1. carry-forward vs plain Fig. 5 --------------------------------

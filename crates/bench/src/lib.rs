@@ -5,6 +5,7 @@
 //! `overhead`, `cupti_gaps`, `ablations`), plus the environment stamp
 //! `layerbench` records with every run.
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 use std::fmt::Write as _;
@@ -113,14 +114,13 @@ pub fn git_rev() -> Option<String> {
 }
 
 /// The environment block stamped into every `layerbench` run so runs
-/// are comparable across machines and PRs: worker budget, live pool
-/// size, core count, cost-model name, git revision.
+/// are comparable across machines and PRs: worker budget, core count,
+/// cost-model name, git revision.
 pub fn bench_meta(jobs: usize, cost_model: &str) -> ffm_core::Json {
     use ffm_core::Json;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     Json::obj([
         ("jobs", Json::Int(jobs as i128)),
-        ("pool_workers", Json::Int(ffm_core::Pool::global().workers() as i128)),
         ("cores", Json::Int(cores as i128)),
         ("cost_model", Json::Str(cost_model.to_string())),
         (
@@ -163,13 +163,7 @@ mod tests {
     #[test]
     fn bench_meta_has_all_comparison_fields() {
         let s = bench_meta(4, "pascal_like").to_string_compact();
-        for key in [
-            "\"jobs\":4",
-            "\"pool_workers\"",
-            "\"cores\"",
-            "\"cost_model\":\"pascal_like\"",
-            "\"git_rev\"",
-        ] {
+        for key in ["\"jobs\":4", "\"cores\"", "\"cost_model\":\"pascal_like\"", "\"git_rev\""] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
     }

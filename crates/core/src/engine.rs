@@ -30,12 +30,12 @@
 //! - **Dep keys propagate invalidation.** Changing a field re-keys the
 //!   stages that read it *and* everything downstream of them.
 //!
-//! [`run_stages`] schedules ready stages onto the shared [`crate::par`]
-//! pool (at most [`MAX_STAGE_WIDTH`] concurrent — the DAG is never wider)
-//! and consults an optional [`ArtifactStore`] before executing each
-//! stage, recording per-stage hit/miss counters in telemetry. With
-//! `jobs <= 1` everything runs inline on the caller's thread in the
-//! classic sequential order.
+//! [`run_stages`] runs ready stages on [`crate::par`] fan-out lanes (at
+//! most [`MAX_STAGE_WIDTH`] concurrent — the DAG is never wider) and
+//! consults an optional [`ArtifactStore`] before executing each stage,
+//! recording per-stage hit/miss counters in telemetry. With `jobs <= 1`,
+//! or inside a running fan-out such as a sweep cell, everything runs
+//! inline on the caller's thread in the classic sequential order.
 
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -49,7 +49,7 @@ use crate::records::{Stage1Result, Stage2Result, Stage3Result, Stage4Result};
 use crate::stages::{
     merge_stage3, run_stage1, run_stage2, run_stage3_hash, run_stage3_sync, run_stage4,
 };
-use crate::store::{Artifact, ArtifactKind, ArtifactStore, Claim, KeyHasher, StageKey};
+use crate::store::{Artifact, ArtifactKind, ArtifactStore, KeyHasher, StageKey};
 use crate::sweep::get_field;
 use crate::telemetry;
 use instrument::Discovery;
@@ -396,15 +396,10 @@ fn execute(
     Ok(artifact)
 }
 
-/// Consult the store, execute on a miss, record telemetry counters.
-///
-/// On a miss against a disk-backed store, a best-effort cross-process
-/// claim (`store.try_claim`) deduplicates the compute: the winner stakes
-/// a `.claim` file and executes; losers wait for the winner's entry to
-/// land instead of recomputing. Claims never gate correctness — a waiter
-/// whose peer crashes (stale claim) or times out falls through to
-/// compute the artifact itself, and `put` keeps its last-write-wins
-/// semantics, so the worst case is exactly the old duplicated effort.
+/// Consult the store, execute on a miss and `put` the result, record
+/// telemetry counters. Workers that miss the same key at once (threads
+/// or shard processes) each compute it; the store's atomic rename makes
+/// the last write win, and every write carries the same bytes.
 fn obtain(
     id: StageId,
     key: StageKey,
@@ -414,37 +409,17 @@ fn obtain(
     store: Option<&ArtifactStore>,
     dep_artifacts: &[Artifact],
 ) -> CudaResult<Artifact> {
-    let mut claim = None;
     if let Some(store) = store {
         if let Some(artifact) = store.get(key, id.kind()) {
             telemetry::counter_add(hit_counter(id), 1);
             return Ok(artifact);
         }
         telemetry::counter_add(miss_counter(id), 1);
-        match store.try_claim(key, id.kind()) {
-            Some(Claim::Acquired(guard)) => claim = Some(guard),
-            Some(Claim::Held) => {
-                crate::log_debug!("waiting on rival claim stage={} key={}", id.name(), key.hex());
-                telemetry::counter_add("cache.claim_waits", 1);
-                if let Some(artifact) = store.wait_for_claimed(key, id.kind()) {
-                    telemetry::counter_add("cache.claim_wait_hits", 1);
-                    return Ok(artifact);
-                }
-                // The holder died or ran out the TTL without delivering.
-                crate::log_debug!(
-                    "rival claim expired undelivered stage={} key={}; computing locally",
-                    id.name(),
-                    key.hex()
-                );
-            }
-            None => {}
-        }
     }
     let artifact = execute(id, app, cfg, jobs, dep_artifacts)?;
     if let Some(store) = store {
         store.put(key, artifact.clone());
     }
-    drop(claim);
     Ok(artifact)
 }
 
@@ -500,10 +475,12 @@ impl SchedState {
 /// Execute the DAG and return one artifact slot per stage (`None` for
 /// stages excluded from this run). `jobs <= 1` runs inline on the
 /// caller's thread in classic order; otherwise up to
-/// `min(jobs, MAX_STAGE_WIDTH)` workers drain ready stages from the
-/// shared pool. Error semantics match the classic sequential path: when
-/// several independent stages fail, the error of the earliest stage in
-/// classic order is returned.
+/// `min(jobs, MAX_STAGE_WIDTH)` [`par_map`] lanes drain ready stages (a
+/// nested fan-out runs its lanes one after another on one thread, and
+/// the first lane then drains every stage in classic order). Error
+/// semantics match the classic sequential path: when several
+/// independent stages fail, the error of the earliest stage in classic
+/// order is returned.
 ///
 /// `include_stage5` is the streaming split: the collection-only run
 /// ([`run_collection`]) pre-skips the analysis stage, and the streaming
@@ -896,33 +873,5 @@ mod tests {
         }
         let other = plan_keys(&Tiny2, &cfg)[StageId::Stage5.index()];
         assert_ne!(epoch_key(s5, 64, 0), epoch_key(other, 64, 0));
-    }
-
-    #[test]
-    fn foreign_claims_cannot_wedge_the_pipeline() {
-        // A crashed shard process left claim files on every stage key
-        // (fresh mtimes, so a TTL-honoring store would wait on each).
-        // With a zero TTL the engine breaks every claim, computes, and
-        // produces the same output as an uncontended run.
-        let dir =
-            std::env::temp_dir().join(format!("diogenes-engine-claim-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = FfmConfig { jobs: 1, ..FfmConfig::default() };
-        for (id, key) in StageId::ALL.iter().zip(plan_keys(&Tiny, &cfg)) {
-            let rival = ArtifactStore::with_disk(&dir);
-            match rival.try_claim(key, id.kind()) {
-                Some(Claim::Acquired(g)) => std::mem::forget(g),
-                // Memory-only kinds (the analysis) are never claimed.
-                None if id.kind().memory_only() => {}
-                other => panic!("rival claim on {id:?} not acquired: held={}", other.is_some()),
-            }
-        }
-        let store = ArtifactStore::with_disk(&dir).with_claim_ttl(std::time::Duration::ZERO);
-        let plain = run_stages(&Tiny, &cfg, 1, None).expect("plain");
-        let out = run_stages(&Tiny, &cfg, 1, Some(&store)).expect("claimed run");
-        assert_eq!(out.stage1.exec_time_ns, plain.stage1.exec_time_ns);
-        assert_eq!(out.analysis.problems.len(), plain.analysis.problems.len());
-        assert_eq!(store.stats().puts, STAGE_COUNT as u64, "every stage computed locally");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -55,6 +55,7 @@
 //!     .any(|p| p.problem == Problem::UnnecessarySync && p.benefit_ns > 0));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod analysis;
@@ -100,7 +101,7 @@ pub use grouping::{
 pub use intern::{intern, intern_static, Sym};
 pub use json::Json;
 pub use metrics::{exposition_well_formed, sanitize_metric_name, PromText, SUMMARY_QUANTILES};
-pub use par::{effective_jobs, join, par_map, try_par_map, Pool, JOBS_ENV};
+pub use par::{effective_jobs, par_map, try_par_map, JOBS_ENV};
 pub use pipeline::{
     overhead_factor, run_ffm, run_ffm_streaming, run_ffm_streaming_with_store, run_ffm_with_store,
     EpochSnapshot, FfmConfig, FfmReport, StageStats, DEFAULT_STREAM_WINDOW,
@@ -111,8 +112,8 @@ pub use records::{
     Stage4Result, TracedCall, TransferRec,
 };
 pub use store::{
-    build_tag, clear_cache, scan_cache, Artifact, ArtifactKind, ArtifactStore, CacheReport,
-    KeyHasher, StageKey, StoreStats, SCHEMA_VERSION,
+    build_tag, clear_cache, scan_cache, write_atomic, Artifact, ArtifactKind, ArtifactStore,
+    CacheReport, KeyHasher, StageKey, StoreStats, SCHEMA_VERSION,
 };
 pub use sweep::{
     get_field, merge_sweep_docs, run_fleet, run_sweep, run_sweep_with_store, set_field,

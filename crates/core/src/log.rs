@@ -24,7 +24,7 @@
 //! installed on the emitting thread ([`crate::telemetry::trace_scope`]),
 //! which is how one `grep req=<id>` reconstructs a request's path
 //! through the `diogenes serve` connection handler, job queue, stage
-//! engine, and worker pool.
+//! engine, and fan-out helper threads.
 
 use std::sync::OnceLock;
 use std::time::SystemTime;

@@ -1,5 +1,4 @@
-//! Bounded, order-preserving parallelism primitives over one persistent
-//! worker pool.
+//! Bounded, order-preserving fork-join on scoped threads.
 //!
 //! The whole measurement pipeline is *embarrassingly re-runnable*: every
 //! FFM stage and every application in an experiment fleet builds its own
@@ -9,27 +8,32 @@
 //! (tables, JSON exports, report renderers) sees exactly the bytes a
 //! sequential run would produce.
 //!
-//! ## The pool
+//! ## Fan-out
 //!
-//! Earlier revisions spawned fresh `std::thread::scope` threads for
-//! every fan-out, which meant a configuration sweep paid thread setup
-//! per cell × per stage × per sequence-scoring pass. All fan-out now
-//! shares one process-wide [`Pool`]: helper threads are spawned once,
-//! lazily, and parked between batches. Nested fan-out (a pool task that
-//! itself calls [`par_map`]) is safe and cannot deadlock because every
-//! submitter executes its own batch's work too — helpers only *add*
-//! concurrency, they are never required for progress.
+//! [`par_map`] runs inside one `std::thread::scope`: the caller and up
+//! to `jobs - 1` helper threads (named `ffm-pool-{k}`) take item indices
+//! from one shared counter, and every helper is joined before the call
+//! returns, so no thread outlives the fan-out that started it.
 //!
-//! `jobs <= 1` never touches the pool: the work runs inline on the
-//! caller's thread, no worker threads are spawned anywhere, and the
-//! result is byte-for-byte the sequential pipeline's.
+//! A fan-out started on a thread that is already running fan-out tasks
+//! (a sweep cell's stage DAG, say) maps inline on that thread. That keeps
+//! the thread count bounded by the outermost `jobs` and spares every
+//! nested fan-out a spawn it could rarely use while the outer fan-out
+//! keeps `jobs` threads busy. The price is the tail: once the outer
+//! fan-out runs out of items, its idle threads do not join the nested
+//! maps still running (the last cell of a 9-cell sweep at `jobs = 2`
+//! runs its stage DAG on one thread).
+//!
+//! `jobs <= 1` runs the work inline on the caller's thread, no worker
+//! threads are spawned anywhere, and the result is byte-for-byte the
+//! sequential pipeline's.
 //!
 //! Built on `std` only — the workspace builds with no external crates.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::Mutex;
 
 use crate::telemetry;
 
@@ -37,8 +41,8 @@ use crate::telemetry;
 /// `par_map` in the repo (`0` or unset = one worker per available core).
 pub const JOBS_ENV: &str = "DIOGENES_JOBS";
 
-/// Upper bound on pool helper threads, a guard against absurd `--jobs`
-/// requests (the pool grows lazily up to the largest request seen).
+/// Upper bound on helper threads per fan-out, a guard against absurd
+/// `--jobs` requests.
 const MAX_POOL_HELPERS: usize = 256;
 
 /// Interpret a raw [`JOBS_ENV`] value.
@@ -88,387 +92,98 @@ pub fn effective_jobs(requested: usize) -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-// ---------------------------------------------------------------------------
-// The batch: one fan-out submitted to the pool.
-// ---------------------------------------------------------------------------
-
-/// Type-erased pointer to a submitter's task closure.
-///
-/// # Safety
-///
-/// The pointee lives on the submitting thread's stack. [`Pool::submit`]
-/// transmutes its lifetime away, which is sound because
-/// [`ActiveBatch::finish`] blocks until every claimed index has
-/// completed, and no worker dereferences the pointer except for a
-/// claimed index `< count` — so every dereference happens while the
-/// submitter is still inside `submit`/`finish` and the borrow is live.
-struct TaskPtr(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointer is only dereferenced under the protocol described
-// on `TaskPtr`; the pointee itself is `Sync`.
-unsafe impl Send for TaskPtr {}
-unsafe impl Sync for TaskPtr {}
-
-struct Batch {
-    task: TaskPtr,
-    /// Number of indexed tasks; indices `0..count` are claimed exactly
-    /// once via `next`.
-    count: usize,
-    next: AtomicUsize,
-    /// Helper-thread slots remaining (bounds per-batch concurrency to
-    /// the submitter plus `jobs - 1` helpers).
-    helper_slots: AtomicUsize,
-    /// Completion counter + condvar the submitter sleeps on.
-    completed: Mutex<usize>,
-    done_cv: Condvar,
-    /// First panic payload from any task, re-raised on the submitter.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Request-correlation id captured from the submitting thread, so
-    /// helper threads attribute their spans and log lines to the same
-    /// request ([`telemetry::trace_scope`]).
-    trace: Option<telemetry::TraceId>,
+/// Threads a fan-out of `items` items runs on at `jobs`: the caller plus
+/// at most [`MAX_POOL_HELPERS`] helpers, never more than one per item,
+/// and always at least the caller.
+fn worker_count(items: usize, jobs: usize) -> usize {
+    jobs.min(items).clamp(1, MAX_POOL_HELPERS + 1)
 }
 
-impl Batch {
-    /// Whether a worker scanning the queue could still find work here.
-    fn has_claimable(&self) -> bool {
-        self.next.load(Ordering::Relaxed) < self.count
-            && self.helper_slots.load(Ordering::Relaxed) > 0
-    }
+thread_local! {
+    /// Whether this thread is running fan-out tasks right now.
+    static IN_FAN_OUT: Cell<bool> = const { Cell::new(false) };
+}
 
-    /// Try to reserve a helper slot (workers only; the submitter always
-    /// participates without a slot).
-    fn try_join(&self) -> bool {
-        self.helper_slots
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| s.checked_sub(1))
-            .is_ok()
-    }
+/// Marks the current thread as a fan-out thread until dropped, then
+/// restores the previous mark.
+struct FanOutMark(bool);
 
-    /// Claim and run indices until none remain. Runs on the submitter
-    /// (`helper = false`) and on any helper that joined the batch
-    /// (`helper = true`); the distinction feeds the stolen-vs-self-run
-    /// task counters.
-    fn run_claimed(&self, helper: bool) {
-        // Helpers inherit the submitter's request id for the duration of
-        // this batch; the guard restores the helper's previous (usually
-        // absent) id when the batch is exhausted. On the submitter this
-        // reinstalls the id it already has — harmless.
-        let _trace = telemetry::trace_scope(self.trace);
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.count {
-                return;
-            }
-            telemetry::counter_add(
-                if helper { "pool.tasks_helper" } else { "pool.tasks_submitter" },
-                1,
-            );
-            // SAFETY: `i < count`, so the submitter is still blocked in
-            // `finish` and the closure borrow is live (see `TaskPtr`).
-            let task = unsafe { &*self.task.0 };
-            let outcome = {
-                let _task_span = telemetry::span("pool.task");
-                catch_unwind(AssertUnwindSafe(|| task(i)))
-            };
-            if let Err(payload) = outcome {
-                let mut slot = self.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            let mut completed = self.completed.lock().unwrap();
-            *completed += 1;
-            if *completed == self.count {
-                self.done_cv.notify_all();
-            }
-        }
-    }
-
-    fn wait_done(&self) {
-        let mut completed = self.completed.lock().unwrap();
-        while *completed < self.count {
-            completed = self.done_cv.wait(completed).unwrap();
-        }
+impl FanOutMark {
+    fn set() -> FanOutMark {
+        FanOutMark(IN_FAN_OUT.replace(true))
     }
 }
 
-// ---------------------------------------------------------------------------
-// The pool.
-// ---------------------------------------------------------------------------
-
-struct PoolQueue {
-    /// Batches with potentially unclaimed work. Submitters push and
-    /// remove their own entries; workers only read.
-    batches: Vec<Arc<Batch>>,
-    /// Helper threads spawned so far.
-    workers: usize,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    queue: Mutex<PoolQueue>,
-    work_cv: Condvar,
-}
-
-/// A persistent pool of helper threads shared by every fan-out in the
-/// process: the sweep fleet, the per-application fleet, the pipeline's
-/// stage DAG, and sequence scoring all draw from the same bounded set
-/// of workers instead of respawning scoped threads per stage.
-///
-/// Helpers are spawned lazily, grow to the largest concurrency ever
-/// requested (capped), and park between batches. The pool preserves the
-/// `par_map` contract: results in input order, batches bit-identical to
-/// a sequential run, and `jobs <= 1` bypassing the pool entirely.
-pub struct Pool {
-    shared: Arc<PoolShared>,
-}
-
-/// A submitted, not-yet-finished batch. Must be `finish`ed before the
-/// task closure it borrows goes out of scope; the only way to obtain one
-/// keeps it inside `Pool`'s own methods plus [`Pool::join`]'s frame.
-struct ActiveBatch<'p> {
-    pool: &'p Pool,
-    batch: Arc<Batch>,
-}
-
-impl ActiveBatch<'_> {
-    /// Participate in the batch until all work is claimed, block until
-    /// every claimed task has completed, then re-raise the first task
-    /// panic, if any.
-    fn finish(self) {
-        let batch = Arc::clone(&self.batch);
-        drop(self); // run_claimed + wait_done + deregister (Drop impl)
-        let payload = batch.panic.lock().unwrap().take();
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-    }
-}
-
-impl Drop for ActiveBatch<'_> {
-    /// The cleanup lives in `drop` (not only in [`ActiveBatch::finish`])
-    /// so that a panic on the submitting thread between `submit` and
-    /// `finish` still blocks until helpers are out of the task closure —
-    /// otherwise unwinding would free a borrow a helper may be reading.
+impl Drop for FanOutMark {
     fn drop(&mut self) {
-        self.batch.run_claimed(false);
-        self.batch.wait_done();
-        let mut q = self.pool.shared.queue.lock().unwrap();
-        q.batches.retain(|b| !Arc::ptr_eq(b, &self.batch));
+        IN_FAN_OUT.set(self.0);
     }
 }
 
-impl Pool {
-    /// A fresh pool with no helper threads yet (they spawn on demand).
-    pub fn new() -> Pool {
-        Pool {
-            shared: Arc::new(PoolShared {
-                queue: Mutex::new(PoolQueue { batches: Vec::new(), workers: 0, shutdown: false }),
-                work_cv: Condvar::new(),
-            }),
-        }
-    }
-
-    /// The process-wide pool used by [`par_map`] / [`join`] and thus by
-    /// every sweep, fleet and pipeline fan-out in the repo. Created on
-    /// first parallel use; never touched by `jobs <= 1` call paths.
-    pub fn global() -> &'static Pool {
-        static GLOBAL: OnceLock<Pool> = OnceLock::new();
-        GLOBAL.get_or_init(Pool::new)
-    }
-
-    /// Helper threads currently alive in this pool.
-    pub fn workers(&self) -> usize {
-        self.shared.queue.lock().unwrap().workers
-    }
-
-    /// Batches currently registered with the pool — fan-outs whose work
-    /// may still be in flight. This is the live gauge behind the
-    /// `pool.queue_depth` telemetry metric, exposed directly so
-    /// `diogenes serve` can report it from `/stats` without telemetry
-    /// being enabled.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().unwrap().batches.len()
-    }
-
-    fn ensure_workers(&self, want: usize) {
-        let want = want.min(MAX_POOL_HELPERS);
-        let mut q = self.shared.queue.lock().unwrap();
-        while q.workers < want {
-            q.workers += 1;
-            let shared = Arc::clone(&self.shared);
-            std::thread::Builder::new()
-                .name(format!("ffm-pool-{}", q.workers))
-                .spawn(move || worker_loop(shared))
-                .expect("spawn pool worker");
-        }
-    }
-
-    /// Register a batch of `count` indexed tasks that up to `helpers`
-    /// pool threads may help execute. The caller must `finish` the
-    /// returned handle before `task` leaves scope.
-    fn submit<'p>(
-        &'p self,
-        count: usize,
-        helpers: usize,
-        task: &(dyn Fn(usize) + Sync),
-    ) -> ActiveBatch<'p> {
-        let helpers = helpers.min(count);
-        self.ensure_workers(helpers);
-        // SAFETY: lifetime erasure per the `TaskPtr` protocol — `finish`
-        // (mandatory, same frame) outlives every dereference.
-        let task: &'static (dyn Fn(usize) + Sync) =
-            unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(task) };
-        let batch = Arc::new(Batch {
-            task: TaskPtr(task as *const _),
-            count,
-            next: AtomicUsize::new(0),
-            helper_slots: AtomicUsize::new(helpers),
-            completed: Mutex::new(0),
-            done_cv: Condvar::new(),
-            panic: Mutex::new(None),
-            trace: telemetry::current_trace(),
-        });
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            q.batches.push(Arc::clone(&batch));
-            telemetry::counter_add("pool.batches_submitted", 1);
-            telemetry::record("pool.batch_size", count as u64);
-            telemetry::record("pool.queue_depth", q.batches.len() as u64);
-            self.work_cv_notify();
-        }
-        ActiveBatch { pool: self, batch }
-    }
-
-    fn work_cv_notify(&self) {
-        self.shared.work_cv.notify_all();
-    }
-
-    /// Apply `f` to every item, running up to `jobs` applications at
-    /// once (the caller plus `jobs - 1` pool helpers), returning results
-    /// **in input order**. `jobs <= 1` degenerates to a plain sequential
-    /// map on the caller's thread without touching the pool.
-    pub fn map<T, U, F>(&self, items: Vec<T>, jobs: usize, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        let jobs = jobs.max(1).min(items.len());
-        if jobs <= 1 {
-            return items.into_iter().map(f).collect();
-        }
-        // Items are parked in Option slots; workers claim the next index
-        // atomically and write the result into the same index, so input
-        // order survives arbitrary completion order.
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let out: Vec<Mutex<Option<U>>> = (0..slots.len()).map(|_| Mutex::new(None)).collect();
-        let task = |i: usize| {
-            let item = slots[i].lock().unwrap().take().expect("slot claimed once");
-            *out[i].lock().unwrap() = Some(f(item));
-        };
-        self.submit(slots.len(), jobs - 1, &task).finish();
-        out.into_iter().map(|m| m.into_inner().unwrap().expect("every index completed")).collect()
-    }
-
-    /// Run two independent closures concurrently and return both
-    /// results. `fa` runs on the caller; `fb` is offered to the pool and
-    /// reclaimed by the caller if no helper picked it up. With
-    /// `jobs <= 1` both run sequentially (left first) on the caller's
-    /// thread and the pool is not touched.
-    pub fn join<A, B, FA, FB>(&self, jobs: usize, fa: FA, fb: FB) -> (A, B)
-    where
-        A: Send,
-        B: Send,
-        FA: FnOnce() -> A + Send,
-        FB: FnOnce() -> B + Send,
-    {
-        if jobs <= 1 {
-            let a = fa();
-            let b = fb();
-            return (a, b);
-        }
-        let fb_cell: Mutex<Option<FB>> = Mutex::new(Some(fb));
-        let out_b: Mutex<Option<B>> = Mutex::new(None);
-        let task = |_i: usize| {
-            let fb = fb_cell.lock().unwrap().take().expect("fb runs once");
-            *out_b.lock().unwrap() = Some(fb());
-        };
-        let active = self.submit(1, 1, &task);
-        let a = fa();
-        active.finish();
-        let b = out_b.into_inner().unwrap().expect("fb completed");
-        (a, b)
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::new()
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        let mut q = self.shared.queue.lock().unwrap();
-        q.shutdown = true;
-        self.shared.work_cv.notify_all();
-    }
-}
-
-fn worker_loop(shared: Arc<PoolShared>) {
-    loop {
-        let batch = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if q.shutdown {
-                    return;
-                }
-                // Scan for a batch with unclaimed work and a free helper
-                // slot; claim the slot before leaving the lock.
-                let joined =
-                    q.batches.iter().find(|b| b.has_claimable() && b.try_join()).map(Arc::clone);
-                match joined {
-                    Some(b) => break b,
-                    None => {
-                        let parked = telemetry::collecting().then(Instant::now);
-                        q = shared.work_cv.wait(q).unwrap();
-                        if let Some(t0) = parked {
-                            telemetry::counter_add(
-                                "pool.worker_idle_ns",
-                                t0.elapsed().as_nanos() as u64,
-                            );
-                        }
-                    }
-                }
-            }
-        };
-        let running = telemetry::collecting().then(Instant::now);
-        batch.run_claimed(true);
-        if let Some(t0) = running {
-            telemetry::counter_add("pool.worker_busy_ns", t0.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The thin free-function layer the rest of the repo calls.
-// ---------------------------------------------------------------------------
-
-/// Apply `f` to every item, running up to `jobs` applications at once on
-/// the process-wide [`Pool`], and return the results **in input order**.
+/// Apply `f` to every item, running up to `jobs` applications at once,
+/// and return the results **in input order**.
 ///
-/// `jobs <= 1` (after clamping to the item count) degenerates to a plain
-/// sequential map on the caller's thread — no threads are spawned and
-/// the pool is not touched, so `jobs = 1` is byte-for-byte the
-/// sequential pipeline. Panics in `f` propagate to the caller.
+/// `jobs <= 1` (after clamping to the item count), and any call made
+/// from inside a running fan-out, is a plain sequential map on the
+/// caller's thread — no threads are spawned, so `jobs = 1` is
+/// byte-for-byte the sequential pipeline. Helpers run under the caller's
+/// request id ([`telemetry::trace_scope`]). Only a fan-out that spreads
+/// over threads wraps its tasks in `pool.task` spans and counts them in
+/// `pool.tasks_submitter`/`pool.tasks_helper`; a sequential map records
+/// neither. A panic in `f` re-raises on the caller once every helper has
+/// been joined.
 pub fn par_map<T, U, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    Pool::global().map(items, jobs, f)
+    let workers = worker_count(items.len(), jobs);
+    if workers <= 1 || IN_FAN_OUT.get() {
+        return items.into_iter().map(f).collect();
+    }
+    // Workers take the next index from one counter and write the result
+    // into the same index, so input order survives any completion order.
+    // No task runs while a slot lock is held, so no lock is ever poisoned.
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let out: Vec<Mutex<Option<U>>> = slots.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let drain = |counter: &'static str| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { return };
+        telemetry::counter_add(counter, 1);
+        let item = slot.lock().expect("slot lock").take().expect("each index is taken once");
+        let result = {
+            let _task = telemetry::span("pool.task");
+            f(item)
+        };
+        *out[i].lock().expect("slot lock") = Some(result);
+    };
+    let trace = telemetry::current_trace();
+    let _mark = FanOutMark::set();
+    let panic = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|k| {
+                std::thread::Builder::new()
+                    .name(format!("ffm-pool-{k}"))
+                    .spawn_scoped(s, || {
+                        let _trace = telemetry::trace_scope(trace);
+                        let _mark = FanOutMark::set();
+                        drain("pool.tasks_helper");
+                    })
+                    .expect("spawn fan-out helper")
+            })
+            .collect();
+        let own = catch_unwind(AssertUnwindSafe(|| drain("pool.tasks_submitter"))).err();
+        let joined: Vec<_> = helpers.into_iter().filter_map(|h| h.join().err()).collect();
+        own.into_iter().chain(joined).next()
+    });
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
+    out.into_iter()
+        .map(|m| m.into_inner().expect("slot lock").expect("every index completed"))
+        .collect()
 }
 
 /// Fallible [`par_map`]: the full fleet still runs to completion, then
@@ -485,26 +200,9 @@ where
     par_map(items, jobs, f).into_iter().collect()
 }
 
-/// Run two independent closures concurrently on the process-wide
-/// [`Pool`] and return both results.
-///
-/// Used for stage-level overlap in the pipeline, where the dependency
-/// graph is a small static fork, not a homogeneous fleet. With
-/// `jobs <= 1` both run sequentially (left first) on the caller's thread.
-pub fn join<A, B, FA, FB>(jobs: usize, fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    Pool::global().join(jobs, fa, fb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn preserves_input_order() {
@@ -549,14 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_sides() {
-        for jobs in [1, 4] {
-            let (a, b) = join(jobs, || 2 + 2, || "ok".to_string());
-            assert_eq!((a, b.as_str()), (4, "ok"), "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn effective_jobs_precedence() {
         assert_eq!(effective_jobs(3), 3);
         assert!(effective_jobs(0) >= 1);
@@ -577,45 +267,29 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_reads_zero_when_idle() {
-        let pool = Pool::new();
-        assert_eq!(pool.queue_depth(), 0);
-        pool.map((0..16).collect::<Vec<_>>(), 4, |x| x + 1);
-        // Batches deregister when their submitter finishes.
-        assert_eq!(pool.queue_depth(), 0);
+    fn worker_count_clamps_to_items_and_the_helper_cap() {
+        assert_eq!(worker_count(10, 1_000_000), 10, "never more workers than items");
+        assert_eq!(worker_count(100_000, 1_000_000), MAX_POOL_HELPERS + 1, "caller + cap");
+        assert_eq!(worker_count(10, 0), 1, "jobs 0 still runs on the caller");
     }
 
     #[test]
-    fn sequential_path_spawns_no_pool_workers() {
-        let pool = Pool::new();
-        let out = pool.map((0..32).collect::<Vec<_>>(), 1, |x| x + 1);
-        assert_eq!(out.len(), 32);
-        let (a, b) = pool.join(1, || 1, || 2);
-        assert_eq!((a, b), (1, 2));
-        assert_eq!(pool.workers(), 0, "jobs=1 must not create helper threads");
-    }
-
-    #[test]
-    fn pool_workers_are_reused_across_batches() {
-        let pool = Pool::new();
-        for round in 0..5 {
-            let out = pool.map((0..40).collect::<Vec<_>>(), 4, |x| x * x);
-            assert_eq!(out, (0..40).map(|x| x * x).collect::<Vec<_>>(), "round {round}");
-        }
-        assert!(
-            pool.workers() <= 3,
-            "pool must reuse its {} helpers, not respawn per batch",
-            pool.workers()
-        );
+    fn nested_fan_out_runs_on_the_tasks_own_thread() {
+        let out = par_map((0..4).collect::<Vec<_>>(), 4, |_| {
+            let task_thread = std::thread::current().id();
+            par_map((0..8).collect::<Vec<_>>(), 4, |_| std::thread::current().id())
+                .into_iter()
+                .all(|id| id == task_thread)
+        });
+        assert_eq!(out, vec![true; 4], "every inner item runs on its task's thread");
     }
 
     #[test]
     fn nested_fan_out_shares_the_pool_without_deadlock() {
-        let pool = Pool::new();
-        let out = pool.map((0..6u64).collect::<Vec<_>>(), 3, |x| {
-            // Inner fan-out from inside a pool task: the global-pool
-            // free functions nest the same way in the sweep layer.
-            let inner = Pool::global().map((0..5u64).collect::<Vec<_>>(), 2, move |y| x * 10 + y);
+        let out = par_map((0..6u64).collect::<Vec<_>>(), 3, |x| {
+            // Inner fan-out from inside a fan-out task, the way a sweep
+            // cell's stage DAG nests inside the sweep fleet.
+            let inner = par_map((0..5u64).collect::<Vec<_>>(), 2, move |y| x * 10 + y);
             inner.into_iter().sum::<u64>()
         });
         let expect: Vec<u64> = (0..6u64).map(|x| (0..5u64).map(|y| x * 10 + y).sum()).collect();
@@ -624,22 +298,23 @@ mod tests {
 
     #[test]
     fn deeply_nested_self_pool_fan_out_makes_progress() {
-        // Nested submission to the *same* pool: the submitter always
-        // participates, so progress never requires a free helper.
-        let pool = Arc::new(Pool::new());
-        let p2 = Arc::clone(&pool);
-        let out = pool.map(vec![1u64, 2, 3], 2, move |x| {
-            p2.map(vec![10u64, 20], 2, move |y| x + y).into_iter().sum::<u64>()
+        // Two levels below the outer fan-out: each level maps inline on
+        // the thread that reached it.
+        let out = par_map(vec![1u64, 2, 3], 2, |x| {
+            par_map(vec![10u64, 20], 2, move |y| {
+                par_map(vec![100u64, 200], 2, move |z| x + y + z).into_iter().sum::<u64>()
+            })
+            .into_iter()
+            .sum::<u64>()
         });
-        assert_eq!(out, vec![32, 34, 36]);
+        assert_eq!(out, vec![664, 668, 672]);
     }
 
     #[test]
     fn helpers_inherit_the_submitters_trace_id() {
-        let pool = Pool::new();
         let _scope = telemetry::trace_scope(Some(telemetry::TraceId(77)));
         let traces =
-            pool.map((0..32).collect::<Vec<_>>(), 4, |_| telemetry::current_trace().map(|t| t.0));
+            par_map((0..32).collect::<Vec<_>>(), 4, |_| telemetry::current_trace().map(|t| t.0));
         assert!(
             traces.iter().all(|&t| t == Some(77)),
             "every task (submitter- or helper-run) sees the request id: {traces:?}"
@@ -656,6 +331,10 @@ mod tests {
                 x
             })
         });
-        assert!(caught.is_err(), "task panic must re-raise on the caller");
+        let payload = caught.expect_err("task panic must re-raise on the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("boom 3"));
+        // The fan-out mark was restored while unwinding: a later fan-out
+        // on this thread runs in parallel again.
+        assert!(!IN_FAN_OUT.get());
     }
 }

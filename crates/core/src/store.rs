@@ -15,6 +15,11 @@
 //! - an optional on-disk layer under `results/cache/`, so separate
 //!   processes (e.g. `--shard k/n` workers) and repeated runs share work.
 //!
+//! Writers of one entry never coordinate beyond [`write_atomic`]'s
+//! rename: threads or processes that miss the same key each compute it
+//! and rename a complete file into place, so the worst case is duplicated
+//! work, never a torn entry.
+//!
 //! Disk entries are FFB containers (see [`crate::codec`]): every file
 //! carries a magic, the codec [`SCHEMA_VERSION`], a build tag derived
 //! from the running binary, and a payload checksum, so an old or
@@ -22,11 +27,11 @@
 //! entries read as misses and `clear_cache` can purge them.
 
 use std::collections::HashMap;
-use std::io::{Read as _, Write as _};
+use std::fs::File;
+use std::io::{BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 use gpu_sim::Digest;
 use instrument::Discovery;
@@ -38,12 +43,11 @@ use crate::records::{Stage1Result, Stage2Result, Stage3Result, Stage4Result};
 pub use crate::codec::SCHEMA_VERSION;
 
 /// Extension for on-disk artifacts; cache hygiene only ever touches
-/// `*.art` (and `*.claim`) files.
+/// `*.art` files.
 const EXT: &str = "art";
 
-/// Extension for claim files (`<entry>.claim` next to the entry they
-/// guard); see [`ArtifactStore::try_claim`].
-const CLAIM_EXT: &str = "claim";
+/// File-name prefix of [`write_atomic`]'s temp files.
+const TMP_PREFIX: &str = ".tmp-";
 
 // ---------------------------------------------------------------------------
 // Keys
@@ -158,7 +162,7 @@ impl ArtifactKind {
     }
 
     /// Whether artifacts of this kind stay out of the disk layer (no
-    /// entry, no probe, no claim): the one place that decides it.
+    /// entry, no probe): the one place that decides it.
     pub(crate) fn memory_only(&self) -> bool {
         matches!(self, ArtifactKind::Analysis)
     }
@@ -221,7 +225,6 @@ impl StoreStats {
 pub struct ArtifactStore {
     mem: Mutex<HashMap<StageKey, Artifact>>,
     disk: Option<PathBuf>,
-    claim_ttl: Duration,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -234,7 +237,6 @@ impl ArtifactStore {
         ArtifactStore {
             mem: Mutex::new(HashMap::new()),
             disk: None,
-            claim_ttl: DEFAULT_CLAIM_TTL,
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -248,13 +250,6 @@ impl ArtifactStore {
         let mut s = ArtifactStore::in_memory();
         s.disk = Some(dir.into());
         s
-    }
-
-    /// Override how long a peer's claim file is honored before being
-    /// treated as abandoned (a crashed or wedged holder).
-    pub fn with_claim_ttl(mut self, ttl: Duration) -> Self {
-        self.claim_ttl = ttl;
-        self
     }
 
     pub fn disk_dir(&self) -> Option<&Path> {
@@ -287,13 +282,17 @@ impl ArtifactStore {
     }
 
     /// Insert an artifact. Writes through to disk (atomically, so racing
-    /// shard processes are safe) except for memory-only kinds.
+    /// writers of one key are safe) except for memory-only kinds.
     pub fn put(&self, key: StageKey, artifact: Artifact) {
         self.puts.fetch_add(1, Ordering::Relaxed);
         if let Some(dir) = self.disk_for(artifact.kind()) {
-            let path = entry_path(dir, key, artifact.kind());
-            if let Err(e) = write_entry(&path, &artifact) {
-                crate::log_warn!("cache write failed for {}: {e}", path.display());
+            // Encode before touching the filesystem: a kind without an
+            // encoding leaves nothing behind.
+            if let Some(bytes) = codec::encode_artifact(&artifact) {
+                let path = entry_path(dir, key, artifact.kind());
+                if let Err(e) = write_atomic(&path, |w| w.write_all(&bytes)) {
+                    crate::log_warn!("cache write failed: {e}");
+                }
             }
         }
         self.mem.lock().unwrap().insert(key, artifact);
@@ -307,129 +306,6 @@ impl ArtifactStore {
             puts: self.puts.load(Ordering::Relaxed),
         }
     }
-
-    /// Announce an intent to compute `key` so concurrent workers (threads
-    /// of this process or shard processes on the same cache directory)
-    /// don't duplicate the effort. Returns `None` when the store has no
-    /// disk layer, the kind is memory-only (no rival could ever deliver
-    /// it), or the filesystem refuses — claims are strictly
-    /// best-effort and never affect correctness: the caller computes
-    /// without one and last-write-wins semantics stay unchanged.
-    ///
-    /// A claim is a `<entry>.claim` file created with `O_EXCL`, so exactly
-    /// one worker wins the race. The payload (pid + build tag) is for
-    /// humans debugging a wedged cache; liveness is judged purely by the
-    /// file's age against the store's claim TTL — a claim older than the
-    /// TTL belonged to a crashed or hung holder and is broken on sight.
-    pub fn try_claim(&self, key: StageKey, kind: ArtifactKind) -> Option<Claim> {
-        let dir = self.disk_for(kind)?;
-        let path = claim_path(dir, key, kind);
-        if std::fs::create_dir_all(dir).is_err() {
-            return None;
-        }
-        for attempt in 0..2 {
-            match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut f) => {
-                    let _ = writeln!(f, "pid={}\nbuild={:016x}", std::process::id(), build_tag());
-                    return Some(Claim::Acquired(ClaimGuard { path }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if attempt == 0 && claim_age(&path).is_none_or(|age| age > self.claim_ttl) {
-                        // Stale (or vanished mid-race): break it and retry
-                        // the exclusive create once.
-                        crate::log_debug!("breaking stale claim {}", path.display());
-                        let _ = std::fs::remove_file(&path);
-                        continue;
-                    }
-                    return Some(Claim::Held);
-                }
-                Err(_) => return None,
-            }
-        }
-        Some(Claim::Held)
-    }
-
-    /// Claim files currently present in the disk layer — computations
-    /// some worker (this process or a rival on the same cache directory)
-    /// has staked but not yet delivered. Always `0` for memory-only
-    /// stores. Purely observational: the count can go stale the moment
-    /// it is read, which is fine for the `/stats` reporting it feeds.
-    pub fn live_claims(&self) -> usize {
-        let Some(dir) = &self.disk else { return 0 };
-        std::fs::read_dir(dir)
-            .map(|rd| {
-                rd.flatten()
-                    .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some(CLAIM_EXT))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Wait for a peer's claimed computation of `key` to land. Polls the
-    /// disk entry until it appears (promoted into memory and returned as
-    /// a disk hit), the claim file disappears or goes stale, or the claim
-    /// TTL elapses — whichever comes first. `None` means the peer never
-    /// delivered; the caller should compute the artifact itself.
-    pub fn wait_for_claimed(&self, key: StageKey, kind: ArtifactKind) -> Option<Artifact> {
-        let dir = self.disk_for(kind)?;
-        let entry = entry_path(dir, key, kind);
-        let claim = claim_path(dir, key, kind);
-        let poll = (self.claim_ttl / 50).clamp(Duration::from_millis(1), Duration::from_millis(25));
-        let deadline = std::time::Instant::now() + self.claim_ttl;
-        loop {
-            if let Some(a) = read_entry(&entry, kind) {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.mem.lock().unwrap().insert(key, a.clone());
-                return Some(a);
-            }
-            let gone = match claim_age(&claim) {
-                None => true,                      // released without delivering
-                Some(age) => age > self.claim_ttl, // holder crashed or hung
-            };
-            if gone || std::time::Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(poll);
-        }
-    }
-}
-
-/// How long a claim file is honored by default before being treated as
-/// abandoned. Generous relative to any single stage's compute time so a
-/// slow-but-alive holder is never preempted, yet bounded so a crashed
-/// shard can't wedge the cache directory forever.
-pub const DEFAULT_CLAIM_TTL: Duration = Duration::from_secs(30);
-
-/// Outcome of [`ArtifactStore::try_claim`].
-pub enum Claim {
-    /// This worker owns the claim; compute and `put`, then drop the guard.
-    Acquired(ClaimGuard),
-    /// Another live worker is already computing this artifact.
-    Held,
-}
-
-/// RAII release of a claim file: dropping the guard (success or panic)
-/// deletes the claim so waiters stop polling immediately instead of
-/// running out the TTL.
-pub struct ClaimGuard {
-    path: PathBuf,
-}
-
-impl Drop for ClaimGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-fn claim_path(dir: &Path, key: StageKey, kind: ArtifactKind) -> PathBuf {
-    dir.join(format!("{}-{}.{CLAIM_EXT}", kind.tag(), key.hex()))
-}
-
-/// Age of a claim file, `None` if it does not exist (or mtime is
-/// unreadable, which we treat the same way: nothing to honor).
-fn claim_age(path: &Path) -> Option<Duration> {
-    let modified = std::fs::metadata(path).ok()?.modified().ok()?;
-    Some(modified.elapsed().unwrap_or(Duration::ZERO))
 }
 
 fn entry_path(dir: &Path, key: StageKey, kind: ArtifactKind) -> PathBuf {
@@ -451,27 +327,48 @@ pub fn build_tag() -> u64 {
     })
 }
 
-fn write_entry(path: &Path, artifact: &Artifact) -> std::io::Result<()> {
-    // Encode before touching the filesystem: a kind without an encoding
-    // leaves nothing behind.
-    let Some(bytes) = codec::encode_artifact(artifact) else {
-        return Ok(());
-    };
-    let dir = path.parent().expect("entry path has a parent");
-    std::fs::create_dir_all(dir)?;
-    // Write a unique temp file then rename: concurrent shard processes
-    // may race on the same key, and rename makes the last writer win
-    // with no torn reads.
-    let tmp = dir.join(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        path.file_name().unwrap_or_default().to_string_lossy()
-    ));
-    if let Err(e) = std::fs::write(&tmp, &bytes) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
+/// Sibling temp-file path for an atomic write to `path`. The pid keeps
+/// rival processes apart, the sequence number concurrent writers in this
+/// one (two sweep cells or serve executors can miss the same key). The
+/// name ends in `path`'s own, so a cache entry's temp file still ends in
+/// `.art`; [`cache_files`] tells it apart by [`TMP_PREFIX`].
+fn tmp_sibling(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    path.with_file_name(format!("{TMP_PREFIX}{}-{seq}-{name}", std::process::id()))
+}
+
+/// Write `path` atomically: `fill` writes a sibling temp file, which is
+/// then renamed into place, creating the parent directory if needed.
+/// Readers see the old file or the new one, never a torn one; writers of
+/// one path, threads or processes, each rename a complete file and the
+/// last one wins. A failed write removes its temp file; a crash
+/// mid-write leaves at worst an orphaned `.tmp-*` file, which
+/// [`clear_cache`] sweeps from a cache directory.
+pub fn write_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
-    std::fs::rename(&tmp, path)
+    let tmp = tmp_sibling(path);
+    let result = (|| {
+        let file =
+            File::create(&tmp).map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
+        let mut w = BufWriter::new(file);
+        fill(&mut w)
+            .and_then(|()| w.flush())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        std::fs::rename(&tmp, path)
+            .map_err(|e| format!("cannot move {} into {}: {e}", tmp.display(), path.display()))
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 /// Read one disk entry. Absence is an ordinary miss; anything else wrong
@@ -541,26 +438,35 @@ pub struct CacheReport {
     pub stale_bytes: u64,
 }
 
-fn cache_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
+/// The `*.art` files in a cache directory, split into entries (sorted)
+/// and the temp files of writes that never reached their rename.
+fn cache_files(dir: &Path) -> std::io::Result<(Vec<PathBuf>, Vec<PathBuf>)> {
+    let (mut entries, mut temps) = (Vec::new(), Vec::new());
     if !dir.exists() {
-        return Ok(files);
+        return Ok((entries, temps));
     }
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
-        if path.is_file() && path.extension().and_then(|e| e.to_str()) == Some(EXT) {
-            files.push(path);
+        if !path.is_file() || path.extension().and_then(|e| e.to_str()) != Some(EXT) {
+            continue;
+        }
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if name.starts_with(TMP_PREFIX) {
+            temps.push(path);
+        } else {
+            entries.push(path);
         }
     }
-    files.sort();
-    Ok(files)
+    entries.sort();
+    Ok((entries, temps))
 }
 
 /// Inventory a cache directory without modifying it. A missing directory
-/// reads as empty. Only `*.art` files are considered.
+/// reads as empty. Only `*.art` entries are considered; temp files are
+/// not entries.
 pub fn scan_cache(dir: &Path) -> std::io::Result<CacheReport> {
     let mut report = CacheReport::default();
-    for path in cache_files(dir)? {
+    for path in cache_files(dir)?.0 {
         let len = std::fs::metadata(&path)?.len();
         let current = entry_header_is_current(&path);
         report.entries += 1;
@@ -574,20 +480,17 @@ pub fn scan_cache(dir: &Path) -> std::io::Result<CacheReport> {
 }
 
 /// Delete cache entries; returns what was removed. With `stale_only`,
-/// keeps entries the current binary can still read. Claim files left by
-/// crashed workers are swept in either mode (the TTL already makes them
-/// harmless; this is disk hygiene) — they are not counted as entries.
+/// keeps entries the current binary can still read. Temp files left by
+/// writers killed before their rename are removed in either mode (the
+/// store never reads them; this is disk hygiene) — they are not counted
+/// as entries.
 pub fn clear_cache(dir: &Path, stale_only: bool) -> std::io::Result<CacheReport> {
     let mut removed = CacheReport::default();
-    if dir.exists() {
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            if path.is_file() && path.extension().and_then(|e| e.to_str()) == Some(CLAIM_EXT) {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
+    let (entries, temps) = cache_files(dir)?;
+    for path in temps {
+        let _ = std::fs::remove_file(&path);
     }
-    for path in cache_files(dir)? {
+    for path in entries {
         let len = std::fs::metadata(&path)?.len();
         let current = entry_header_is_current(&path);
         if stale_only && current {
@@ -760,9 +663,8 @@ mod tests {
         let store = ArtifactStore::with_disk(&dir);
         store.put(StageKey(1), Artifact::Analysis(Arc::new(empty_analysis())));
         assert_eq!(scan_cache(&dir).unwrap().entries, 0, "no disk entry for analysis");
-        assert!(store.try_claim(StageKey(1), ArtifactKind::Analysis).is_none(), "never claimed");
         let files = std::fs::read_dir(&dir).map(|rd| rd.count()).unwrap_or(0);
-        assert_eq!(files, 0, "no temp, entry or claim file in the cache directory");
+        assert_eq!(files, 0, "no temp or entry file in the cache directory");
         assert!(store.get(StageKey(1), ArtifactKind::Analysis).is_some(), "memory hit works");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -856,139 +758,68 @@ mod tests {
         assert!(std::ptr::eq(a.resolve(), b.resolve()));
     }
 
-    #[test]
-    fn claim_is_exclusive_and_released_on_drop() {
-        let dir = temp_dir("claim-excl");
-        let store = ArtifactStore::with_disk(&dir);
-        let key = StageKey(0xc1a1);
-        let guard = match store.try_claim(key, ArtifactKind::Stage1) {
-            Some(Claim::Acquired(g)) => g,
-            _ => panic!("first claim should acquire"),
-        };
-        // The claim file exists and carries the pid + build tag payload.
-        let path = claim_path(&dir, key, ArtifactKind::Stage1);
-        let payload = std::fs::read_to_string(&path).unwrap();
-        assert!(payload.contains(&format!("pid={}", std::process::id())), "{payload}");
-        assert!(payload.contains(&format!("build={:016x}", build_tag())), "{payload}");
-        // A second claimant (same or another process) sees it held.
-        assert!(matches!(store.try_claim(key, ArtifactKind::Stage1), Some(Claim::Held)));
-        // Releasing the guard frees the key for the next claimant.
-        drop(guard);
-        assert!(!path.exists(), "drop removes the claim file");
-        assert!(matches!(store.try_claim(key, ArtifactKind::Stage1), Some(Claim::Acquired(_))));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn temp_files(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(TMP_PREFIX))
+            .collect()
     }
 
     #[test]
-    fn memory_only_store_never_claims() {
-        let store = ArtifactStore::in_memory();
-        assert!(store.try_claim(StageKey(1), ArtifactKind::Stage1).is_none());
-        assert!(store.wait_for_claimed(StageKey(1), ArtifactKind::Stage1).is_none());
-        assert_eq!(store.live_claims(), 0);
+    fn temp_paths_for_one_entry_differ() {
+        let path = entry_path(Path::new("cache"), StageKey(3), ArtifactKind::Stage2);
+        let (a, b) = (tmp_sibling(&path), tmp_sibling(&path));
+        assert_ne!(a, b, "two writers of one entry must not share a temp file");
+        assert_eq!(a.parent(), path.parent(), "temp files are siblings, so rename is atomic");
     }
 
     #[test]
-    fn live_claims_counts_staked_and_released_claims() {
-        let dir = temp_dir("claim-count");
-        let store = ArtifactStore::with_disk(&dir);
-        assert_eq!(store.live_claims(), 0, "missing dir reads as no claims");
-        let g1 = match store.try_claim(StageKey(1), ArtifactKind::Stage1) {
-            Some(Claim::Acquired(g)) => g,
-            _ => panic!("claim 1 should acquire"),
-        };
-        let g2 = match store.try_claim(StageKey(2), ArtifactKind::Stage2) {
-            Some(Claim::Acquired(g)) => g,
-            _ => panic!("claim 2 should acquire"),
-        };
-        assert_eq!(store.live_claims(), 2);
-        drop(g1);
-        assert_eq!(store.live_claims(), 1);
-        drop(g2);
-        assert_eq!(store.live_claims(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_claim_is_broken() {
-        let dir = temp_dir("claim-stale");
-        // TTL zero: any existing claim is immediately abandoned.
-        let store = ArtifactStore::with_disk(&dir).with_claim_ttl(Duration::ZERO);
-        let key = StageKey(0x57a1e);
-        let holder = ArtifactStore::with_disk(&dir);
-        let _abandoned = match holder.try_claim(key, ArtifactKind::Stage2) {
-            Some(Claim::Acquired(g)) => g,
-            _ => panic!("holder should acquire"),
-        };
-        // The zero-TTL store treats the live claim as stale, breaks it,
-        // and acquires its own.
-        assert!(matches!(store.try_claim(key, ArtifactKind::Stage2), Some(Claim::Acquired(_))));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn waiter_picks_up_the_holders_entry() {
-        let dir = temp_dir("claim-wait");
-        let store = ArtifactStore::with_disk(&dir).with_claim_ttl(Duration::from_secs(5));
-        let key = StageKey(0xacd7);
-        let holder = ArtifactStore::with_disk(&dir);
-        let guard = match holder.try_claim(key, ArtifactKind::Stage2) {
-            Some(Claim::Acquired(g)) => g,
-            _ => panic!("holder should acquire"),
-        };
-        assert!(matches!(store.try_claim(key, ArtifactKind::Stage2), Some(Claim::Held)));
-        // The holder delivers from another thread while the waiter polls.
-        let deliver = std::thread::spawn({
-            let dir = dir.clone();
-            move || {
-                std::thread::sleep(Duration::from_millis(20));
-                let holder = ArtifactStore::with_disk(&dir);
-                holder.put(key, Artifact::Stage2(Arc::new(sample_stage2())));
-                drop(guard);
+    fn concurrent_puts_of_one_key_leave_one_valid_entry() {
+        let dir = temp_dir("race");
+        let key = StageKey(0x7ace);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let store = ArtifactStore::with_disk(&dir);
+                    for _ in 0..25 {
+                        store.put(key, Artifact::Stage2(Arc::new(sample_stage2())));
+                    }
+                });
             }
         });
-        let got = store.wait_for_claimed(key, ArtifactKind::Stage2);
-        deliver.join().unwrap();
-        match got {
-            Some(Artifact::Stage2(s)) => assert_eq!(s.exec_time_ns, sample_stage2().exec_time_ns),
-            other => panic!("expected the delivered stage2, got {:?}", other.map(|a| a.kind())),
+        let fresh = ArtifactStore::with_disk(&dir);
+        match fresh.get(key, ArtifactKind::Stage2) {
+            Some(Artifact::Stage2(s)) => {
+                assert_eq!(
+                    (s.exec_time_ns, s.calls.len(), s.calls[0].sig),
+                    (123_456, 1, 0xdead_beef)
+                )
+            }
+            other => panic!("expected a valid stage2 entry, got {:?}", other.map(|a| a.kind())),
         }
-        assert_eq!(store.stats().disk_hits, 1, "delivery counts as a disk hit");
+        assert_eq!(fresh.stats().disk_hits, 1);
+        assert!(temp_files(&dir).is_empty(), "temp files left behind: {:?}", temp_files(&dir));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn waiter_gives_up_when_the_holder_vanishes() {
-        let dir = temp_dir("claim-vanish");
-        let store = ArtifactStore::with_disk(&dir).with_claim_ttl(Duration::from_secs(5));
-        let key = StageKey(0xdead);
-        let holder = ArtifactStore::with_disk(&dir);
-        let guard = match holder.try_claim(key, ArtifactKind::Stage1) {
-            Some(Claim::Acquired(g)) => g,
-            _ => panic!("holder should acquire"),
-        };
-        // Claim released without an entry (holder failed): the waiter
-        // returns promptly so the caller computes it itself.
-        drop(guard);
-        let t0 = std::time::Instant::now();
-        assert!(store.wait_for_claimed(key, ArtifactKind::Stage1).is_none());
-        assert!(t0.elapsed() < Duration::from_secs(2), "no TTL-length stall");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn clear_cache_sweeps_claim_files() {
-        let dir = temp_dir("claim-sweep");
+    fn leftover_temp_writes_are_not_entries_and_are_cleared() {
+        let dir = temp_dir("leftover");
         let store = ArtifactStore::with_disk(&dir);
-        let key = StageKey(0x5eed);
-        let guard = match store.try_claim(key, ArtifactKind::Stage1) {
-            Some(Claim::Acquired(g)) => g,
-            _ => panic!("claim should acquire"),
-        };
-        std::mem::forget(guard); // simulate a crashed holder
-        let path = claim_path(&dir, key, ArtifactKind::Stage1);
-        assert!(path.exists());
-        clear_cache(&dir, true).unwrap();
-        assert!(!path.exists(), "hygiene removes orphaned claims");
+        let key = StageKey(0x1eff);
+        store.put(key, Artifact::Stage4(Arc::new(Stage4Result::default())));
+        // A writer killed between create and rename leaves a complete,
+        // current temp file whose name still ends in `.art`.
+        let entry = entry_path(&dir, key, ArtifactKind::Stage4);
+        let leftover = tmp_sibling(&entry);
+        std::fs::copy(&entry, &leftover).unwrap();
+        assert_eq!(scan_cache(&dir).unwrap().entries, 1, "a temp file is not an entry");
+        let removed = clear_cache(&dir, true).unwrap();
+        assert_eq!(removed, CacheReport::default(), "no entry was stale");
+        assert!(!leftover.exists(), "--clear-stale removes leftover temp files");
+        assert!(entry.exists(), "the current entry survives");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

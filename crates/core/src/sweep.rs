@@ -7,9 +7,9 @@
 //! space declaratively — each axis is a config field path
 //! (`"cost.free_base_ns"`, `"driver.unified_memset_penalty"`, …) plus
 //! the values to try — and [`run_sweep`] expands it into a fleet of
-//! [`run_ffm`] jobs executed on the shared worker pool, so the fleet,
-//! the per-run stage DAG, and sequence scoring all draw from one
-//! bounded set of threads.
+//! [`run_ffm`] jobs fanned out through [`crate::par::par_map`]; each
+//! cell's stage DAG runs inline on its cell's thread, so the whole sweep
+//! stays within one bounded set of threads.
 //!
 //! Determinism contract: every cell is a complete isolated virtual-time
 //! simulation, so the produced [`SweepMatrix`] — and its JSON rendering
@@ -367,7 +367,7 @@ where
 }
 
 /// Execute a sweep: expand the spec, run every cell's full FFM pipeline
-/// on the shared pool, and tabulate the matrix.
+/// as one fan-out, and tabulate the matrix.
 ///
 /// Creates the artifact store named by [`SweepSpec::cache`] and
 /// delegates to [`run_sweep_with_store`]. Spec errors (unknown field
@@ -417,8 +417,8 @@ pub fn run_sweep_with_store(
             format!("#{i} {}", axes.join(","))
         });
         // Each cell's pipeline inherits the sweep's resolved worker
-        // budget; nested fan-out shares the same pool, and `jobs = 1`
-        // keeps everything on this thread.
+        // budget; its stage DAG, started inside this fan-out, runs
+        // inline on the cell's thread.
         let cfg = FfmConfig { jobs, ..p.cfg };
         let t0 = telemetry::collecting().then(std::time::Instant::now);
         let report = run_ffm_with_store(app, &cfg, store)?;

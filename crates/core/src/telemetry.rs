@@ -4,8 +4,8 @@
 //! collection overhead (§6, Fig. 8) so users can trust the benefit
 //! estimates. [`crate::pipeline::StageStats::overhead_factor`] reproduces
 //! that at stage granularity, but nothing below the stage level was
-//! visible once `run_ffm` became a concurrent stage DAG on a shared
-//! worker pool. This module is the layer that explains where *pipeline*
+//! visible once `run_ffm` became a concurrent stage DAG on fan-out
+//! threads. This module is the layer that explains where *pipeline*
 //! time goes: hierarchical spans, a metrics registry of counters and
 //! value histograms, and exporters that render the tool's own execution
 //! as a Chrome trace (one track per `ffm-pool-N` worker) plus a summary

@@ -12,6 +12,7 @@
 //! crate, so the measurement gap is structural: they *cannot* see what
 //! CUPTI does not report, exactly like their real counterparts.
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod activity;

@@ -7,10 +7,9 @@
 //! move artifacts between them freely and a json→bin→json round trip
 //! reproduces the original file exactly.
 
-use ffm_core::{decode_any_doc, encode_doc, encode_sweep, is_ffb, Json, SweepMatrix};
-use std::io::{BufWriter, Write as _};
+use ffm_core::{decode_any_doc, encode_doc, encode_sweep, is_ffb, write_atomic, Json, SweepMatrix};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Output format for CLI artifacts (`--format json|bin`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,61 +49,12 @@ impl OutFormat {
     }
 }
 
-fn ensure_parent(path: &str) -> Result<(), String> {
-    if let Some(dir) = Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
-    Ok(())
-}
-
-/// Sibling temp-file path for an atomic write to `path`. The pid guards
-/// against a rival process, the sequence number against concurrent
-/// writers in this one (serve executors write telemetry side by side).
-fn tmp_sibling(path: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let p = Path::new(path);
-    let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("artifact");
-    let tmp_name =
-        format!(".tmp-{}-{}-{name}", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed));
-    match p.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir.join(tmp_name),
-        _ => PathBuf::from(tmp_name),
-    }
-}
-
-/// Run `fill` against a temp file next to `path`, then rename into
-/// place. A crash mid-write leaves at worst an orphaned `.tmp-*` file —
-/// never a truncated artifact that a later `load_doc`/`--merge` would
-/// read as corrupt. The rename is atomic on the same filesystem, which a
-/// sibling path guarantees.
-fn write_atomic(
-    path: &str,
-    fill: impl FnOnce(&mut BufWriter<std::fs::File>) -> Result<(), String>,
-) -> Result<(), String> {
-    ensure_parent(path)?;
-    let tmp = tmp_sibling(path);
-    let result = (|| {
-        let file = std::fs::File::create(&tmp)
-            .map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-        let mut w = BufWriter::new(file);
-        fill(&mut w)?;
-        w.flush().map_err(|e| format!("cannot write {path}: {e}"))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("cannot move {} into {path}: {e}", tmp.display()))
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
 /// Stream a document to `path` as pretty JSON through a `BufWriter`
-/// (never materializes the full text in memory), atomically.
+/// (never materializes the full text in memory), atomically
+/// ([`write_atomic`]: a crash mid-write never leaves a truncated
+/// artifact for `load_doc`/`--merge` to read).
 pub fn write_json_doc(path: &str, doc: &Json) -> Result<(), String> {
-    write_atomic(path, |w| doc.write_pretty(w).map_err(|e| format!("cannot write {path}: {e}")))
+    write_atomic(Path::new(path), |w| doc.write_pretty(w))
 }
 
 /// Write a document to `path` in the chosen format.
@@ -118,7 +68,7 @@ pub fn write_doc(path: &str, doc: &Json, format: OutFormat) -> Result<(), String
 /// Write an encoded container to `path` with one `write_all`,
 /// atomically.
 fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), String> {
-    write_atomic(path, |w| w.write_all(bytes).map_err(|e| format!("cannot write {path}: {e}")))
+    write_atomic(Path::new(path), |w| w.write_all(bytes))
 }
 
 /// Write a sweep matrix to `path`. The binary form uses the columnar

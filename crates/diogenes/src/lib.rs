@@ -19,6 +19,7 @@
 //! assert!(result.report.analysis.total_benefit_ns() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod artifact;

@@ -15,7 +15,7 @@
 //!
 //! `--profile` turns the tool's self-measurement layer on
 //! (`ffm_core::telemetry`) and writes `results/TELEMETRY_<app>.json`:
-//! per-stage spans, pool worker-utilization metrics, and a Chrome trace
+//! per-stage spans, per-worker busy time, and a Chrome trace
 //! of the tool's own execution (`traceEvents`, openable in Perfetto).
 //! Reports stay byte-identical with profiling on or off. Diagnostics
 //! verbosity is controlled by `DIOGENES_LOG=error|warn|info|debug`
@@ -29,6 +29,8 @@
 //! Runs the full five-stage feed-forward pipeline against the chosen
 //! application (no interaction needed between stages) and renders the
 //! requested terminal view, optionally exporting the JSON document.
+
+#![forbid(unsafe_code)]
 
 use cuda_driver::ApiFn;
 use diogenes::{
@@ -66,7 +68,7 @@ fn usage() -> ! {
          [--format json|bin]\n\
          \x20      diogenes convert <in> <out>   (.ffb out = binary, else JSON)\n\
          \x20      diogenes cache [--dir <dir>] [--clear-stale] [--clear-all]\n\
-         \x20      diogenes serve [--addr HOST:PORT] [--jobs N] [--executors N] \
+         \x20      diogenes serve [--addr HOST:PORT] [--executors N] \
          [--cache-dir <dir>] [--no-cache] [--max-queue N] [--max-done N] \
          [--flight-recorder-bytes N]\n\
          \x20      diogenes trace-check <trace.json>   (validate a Chrome trace dump)"
@@ -155,10 +157,6 @@ fn serve_main(args: &[String]) -> ! {
             "--addr" => {
                 i += 1;
                 cfg.addr = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            "--jobs" => {
-                i += 1;
-                cfg.jobs = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
             "--executors" => {
                 i += 1;

@@ -3,9 +3,12 @@
 //! A long-running, std-only HTTP/1.1 server (see [`crate::http`]) that
 //! turns the one-shot CLI into a service: clients POST run or sweep
 //! submissions, the daemon enqueues them on an internal job queue
-//! drained by a small set of executor threads (each of which fans out on
-//! the process-wide `ffm_core::par` pool exactly as the CLI does), and
-//! results are fetched by content-derived job id.
+//! drained by a small set of executor threads, and results are fetched
+//! by content-derived job id. Each executor runs one job at a time, all
+//! of it on its own thread (at `jobs = 1`, so it starts no fan-out
+//! helper): every artifact a job builds stays in the daemon's store, and
+//! building it on short-lived helper threads measurably fragments the
+//! daemon's heap. The executors are the daemon's parallelism.
 //!
 //! ## Identity and dedupe
 //!
@@ -17,8 +20,9 @@
 //! job layer, stage artifacts flow through the shared
 //! [`ffm_core::ArtifactStore`], so even *different* submissions that
 //! overlap upstream (same app, overlapping config) reuse stage outputs,
-//! and a rival daemon pointed at the same cache directory dedupes
-//! cross-process via the store's claim protocol.
+//! and a rival daemon pointed at the same cache directory reads what
+//! this one wrote. Executors that miss the same stage at once each
+//! compute it; the store's atomic rename keeps their writes whole.
 //!
 //! ## Byte identity
 //!
@@ -69,8 +73,8 @@ use ffm_core::telemetry::TraceId;
 use ffm_core::{
     analysis_to_json, decode_any_doc, encode_doc, is_ffb, log_debug, log_info, log_warn,
     report_to_json, run_ffm_streaming_with_store, run_ffm_with_store, run_sweep_with_store,
-    sweep_to_json, telemetry, ArtifactStore, Axis, CacheMode, FfmConfig, Json, KeyHasher, Pool,
-    PromText, DEFAULT_STREAM_WINDOW,
+    sweep_to_json, telemetry, ArtifactStore, Axis, CacheMode, FfmConfig, Json, KeyHasher, PromText,
+    StoreStats, DEFAULT_STREAM_WINDOW,
 };
 
 use crate::http::{
@@ -102,11 +106,11 @@ pub fn build_app(name: &str, paper: bool) -> Option<Box<dyn GpuApp>> {
 pub struct ServeConfig {
     /// Bind address; port `0` asks the OS for an ephemeral port.
     pub addr: String,
-    /// Default worker count for job execution (`0` = auto); a submission
-    /// may override it per job, which never changes result bytes.
+    /// Ignored: every job runs on its executor's thread at `jobs = 1`,
+    /// and reports are byte-identical at every worker count anyway.
     pub jobs: usize,
     /// Executor threads draining the job queue. Each executes one job at
-    /// a time, fanning out internally on the shared pool.
+    /// a time on its own thread.
     pub executors: usize,
     /// Stage-artifact cache directory; `None` = memory-only store.
     pub cache_dir: Option<PathBuf>,
@@ -138,15 +142,14 @@ impl Default for ServeConfig {
     }
 }
 
-/// What a job computes. `jobs` rides along as an execution knob but is
-/// never part of the job id. `stream`/`window` *are* identity for run
+/// What a job computes. `stream`/`window` are identity for run
 /// jobs: a streaming job additionally publishes per-epoch snapshots
 /// whose shape depends on the window, so it must not dedupe against a
 /// batch job (or a differently-windowed stream) for the same app.
 #[derive(Debug, Clone)]
 enum JobSpec {
-    Run { app: String, paper: bool, jobs: usize, stream: bool, window: usize },
-    Sweep { app: String, paper: bool, axes: Vec<Axis>, paired: bool, jobs: usize },
+    Run { app: String, paper: bool, stream: bool, window: usize },
+    Sweep { app: String, paper: bool, axes: Vec<Axis>, paired: bool },
 }
 
 impl JobSpec {
@@ -270,7 +273,6 @@ struct Shared {
     state: Mutex<ServeState>,
     work_cv: Condvar,
     store: ArtifactStore,
-    default_jobs: usize,
     executors: usize,
     max_queue: usize,
     max_done: usize,
@@ -331,7 +333,6 @@ impl Server {
                 }),
                 work_cv: Condvar::new(),
                 store,
-                default_jobs: cfg.jobs,
                 executors,
                 max_queue: cfg.max_queue.max(1),
                 max_done: cfg.max_done.max(1),
@@ -434,8 +435,7 @@ fn executor_loop(shared: &Shared) {
         };
         shared.in_flight.fetch_add(1, Ordering::Relaxed);
         let outcome = {
-            // All spans and log lines under this job — pool helpers
-            // included, via `par`'s trace inheritance — carry the job's
+            // All spans and log lines under this job carry the job's
             // correlation id, so `/trace?job=<id>` finds them.
             let _trace = telemetry::trace_scope(Some(trace));
             let _span = {
@@ -500,7 +500,6 @@ fn evict_done(st: &mut ServeState, shared: &Shared) {
             .expect("non-empty by the cap check");
         st.jobs.remove(&victim);
         shared.evicted.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter_add("serve.jobs_evicted", 1);
         log_debug!("evicted completed job id={victim} (table over --max-done)");
     }
 }
@@ -511,16 +510,16 @@ fn evict_done(st: &mut ServeState, shared: &Shared) {
 /// clients can read them (`?epoch=k`) before the result exists.
 fn execute_job(spec: &JobSpec, shared: &Shared, id: &str) -> Result<Vec<u8>, String> {
     let doc = match spec {
-        JobSpec::Run { app, paper, jobs, stream: false, .. } => {
+        JobSpec::Run { app, paper, stream: false, .. } => {
             let app = build_app(app, *paper).ok_or_else(|| format!("unknown app {app:?}"))?;
-            let cfg = FfmConfig::default().with_jobs(resolve(*jobs, shared.default_jobs));
+            let cfg = FfmConfig::default().with_jobs(1);
             let report = run_ffm_with_store(app.as_ref(), &cfg, Some(&shared.store))
                 .map_err(|e| format!("pipeline failed: {e}"))?;
             report_to_json(&report)
         }
-        JobSpec::Run { app, paper, jobs, stream: true, window } => {
+        JobSpec::Run { app, paper, stream: true, window } => {
             let app = build_app(app, *paper).ok_or_else(|| format!("unknown app {app:?}"))?;
-            let cfg = FfmConfig::default().with_jobs(resolve(*jobs, shared.default_jobs));
+            let cfg = FfmConfig::default().with_jobs(1);
             let report = run_ffm_streaming_with_store(
                 app.as_ref(),
                 &cfg,
@@ -547,13 +546,9 @@ fn execute_job(spec: &JobSpec, shared: &Shared, id: &str) -> Result<Vec<u8>, Str
             .map_err(|e| format!("pipeline failed: {e}"))?;
             report_to_json(&report)
         }
-        JobSpec::Sweep { app, paper, axes, paired, jobs } => {
+        JobSpec::Sweep { app, paper, axes, paired } => {
             let app = build_app(app, *paper).ok_or_else(|| format!("unknown app {app:?}"))?;
-            let mut spec = crate::sweep::build_spec(
-                axes.clone(),
-                *paired,
-                resolve(*jobs, shared.default_jobs),
-            );
+            let mut spec = crate::sweep::build_spec(axes.clone(), *paired, 1);
             // The store is threaded in directly; the spec-level cache
             // mode is unused on this path.
             spec.cache = CacheMode::Off;
@@ -564,14 +559,6 @@ fn execute_job(spec: &JobSpec, shared: &Shared, id: &str) -> Result<Vec<u8>, Str
     let mut bytes = Vec::new();
     doc.write_pretty(&mut bytes).map_err(|e| format!("render: {e}"))?;
     Ok(bytes)
-}
-
-fn resolve(job_jobs: usize, daemon_jobs: usize) -> usize {
-    if job_jobs != 0 {
-        job_jobs
-    } else {
-        daemon_jobs
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -650,7 +637,9 @@ fn respond(
     self_addr: std::net::SocketAddr,
 ) -> (u16, Vec<u8>, &'static str) {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/metrics") => (200, render_metrics(shared).into_bytes(), CT_PROM),
+        ("GET", "/metrics") => {
+            (200, render_metrics(shared, &counters(shared)).into_bytes(), CT_PROM)
+        }
         ("GET", path) if path.starts_with("/report/") => {
             fetch(req, shared, &path["/report/".len()..], "run")
         }
@@ -661,7 +650,9 @@ fn respond(
             let (status, body) = match (method, path) {
                 ("POST", "/run") => submit(req, shared, false),
                 ("POST", "/sweep") => submit(req, shared, true),
-                ("GET", "/stats") => (200, stats_doc(shared).to_string_pretty().into_bytes()),
+                ("GET", "/stats") => {
+                    (200, stats_doc(&counters(shared)).to_string_pretty().into_bytes())
+                }
                 ("GET", "/trace") => trace_dump(req),
                 ("POST", "/shutdown") => shutdown(shared, self_addr),
                 ("GET", _) => (404, error_body(&format!("no such resource {:?}", req.path))),
@@ -700,11 +691,12 @@ fn parse_spec(doc: &Json, sweep: bool, stream: bool) -> Result<JobSpec, String> 
     if build_app(&app, paper).is_none() {
         return Err(format!("unknown app {app:?} (expected als|cuibm|amg|gaussian|pipelined)"));
     }
-    let jobs = match doc.get("jobs") {
-        None => 0,
-        Some(j) => usize::try_from(j.as_i128().ok_or("\"jobs\" must be an integer")?)
-            .map_err(|_| "\"jobs\" must be non-negative".to_string())?,
-    };
+    // "jobs" is accepted for parity with the CLI and otherwise ignored:
+    // a job runs on its executor's thread.
+    if let Some(j) = doc.get("jobs") {
+        usize::try_from(j.as_i128().ok_or("\"jobs\" must be an integer")?)
+            .map_err(|_| "\"jobs\" must be non-negative".to_string())?;
+    }
     if !sweep {
         // Window size only matters when streaming; a body-level
         // "stream_window" overrides the default.
@@ -715,13 +707,7 @@ fn parse_spec(doc: &Json, sweep: bool, stream: bool) -> Result<JobSpec, String> 
                 .filter(|&w| w > 0)
                 .ok_or("\"stream_window\" must be a positive integer")?,
         };
-        return Ok(JobSpec::Run {
-            app,
-            paper,
-            jobs,
-            stream,
-            window: if stream { window } else { 0 },
-        });
+        return Ok(JobSpec::Run { app, paper, stream, window: if stream { window } else { 0 } });
     }
     if stream {
         return Err("streaming (?stream=1) applies to /run submissions only".to_string());
@@ -757,7 +743,7 @@ fn parse_spec(doc: &Json, sweep: bool, stream: bool) -> Result<JobSpec, String> 
         Some(Json::Bool(b)) => *b,
         Some(_) => return Err("\"paired\" must be a boolean".to_string()),
     };
-    Ok(JobSpec::Sweep { app, paper, axes, paired, jobs })
+    Ok(JobSpec::Sweep { app, paper, axes, paired })
 }
 
 fn submit(req: &Request, shared: &Shared, sweep: bool) -> (u16, Vec<u8>) {
@@ -795,7 +781,6 @@ fn submit(req: &Request, shared: &Shared, sweep: bool) -> (u16, Vec<u8>) {
             // refuse it once the queue is at the bound. Clients retry.
             if st.queue.len() >= shared.max_queue {
                 shared.rejected.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("serve.jobs_rejected", 1);
                 drop(st);
                 log_warn!("queue full ({} jobs); rejecting submission id={id}", shared.max_queue);
                 return (
@@ -948,62 +933,84 @@ fn shutdown(shared: &Shared, self_addr: std::net::SocketAddr) -> (u16, Vec<u8>) 
     (200, body.to_string_pretty().into_bytes())
 }
 
-fn stats_doc(shared: &Shared) -> Json {
+/// One read of every job and cache counter that `/stats` and `/metrics`
+/// both report, so the two surfaces always agree.
+struct Counters {
+    queue_depth: u64,
+    /// Jobs in the table, indexed by [`JobStatus`] discriminant.
+    by_state: [u64; 4],
+    /// Streaming jobs still queued or running: id, status and published
+    /// epoch count, sorted by id.
+    live: Vec<(String, &'static str, usize)>,
+    /// `/stats` `jobs.<name>` and `/metrics` `diogenes_jobs_<name>_total`.
+    lifecycle: [(&'static str, u64); 6],
+    in_flight: u64,
+    stream_epochs: u64,
+    cache: StoreStats,
+}
+
+fn counters(shared: &Shared) -> Counters {
     let st = shared.state.lock().unwrap();
-    let queue_depth = st.queue.len();
-    let jobs_total = st.jobs.len();
-    // Streaming jobs still in flight, with their published epoch
-    // counts — what a dashboard polls to watch analyses converge.
-    let mut live: Vec<(String, &'static str, usize)> = st
-        .jobs
-        .iter()
-        .filter(|(_, j)| {
-            matches!(j.spec, JobSpec::Run { stream: true, .. })
-                && matches!(j.status, JobStatus::Queued | JobStatus::Running)
-        })
-        .map(|(id, j)| (id.clone(), j.status.as_str(), j.epochs.len()))
-        .collect();
+    let queue_depth = st.queue.len() as u64;
+    let mut by_state = [0u64; 4];
+    let mut live = Vec::new();
+    for (id, job) in &st.jobs {
+        by_state[job.status as usize] += 1;
+        if matches!(job.spec, JobSpec::Run { stream: true, .. })
+            && matches!(job.status, JobStatus::Queued | JobStatus::Running)
+        {
+            live.push((id.clone(), job.status.as_str(), job.epochs.len()));
+        }
+    }
     drop(st);
     live.sort();
-    let live: Vec<Json> = live
-        .into_iter()
-        .map(|(id, status, epochs)| {
-            Json::obj([
-                ("id", Json::Str(id)),
-                ("status", Json::Static(status)),
-                ("epochs", Json::Int(epochs as i128)),
-            ])
-        })
-        .collect();
-    let cache = shared.store.stats();
+    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    Counters {
+        queue_depth,
+        by_state,
+        live,
+        lifecycle: [
+            ("submitted", load(&shared.submissions)),
+            ("deduped", load(&shared.dedup_hits)),
+            ("computed", load(&shared.computed)),
+            ("failed", load(&shared.failed)),
+            ("rejected", load(&shared.rejected)),
+            ("evicted", load(&shared.evicted)),
+        ],
+        in_flight: load(&shared.in_flight),
+        stream_epochs: load(&shared.stream_epochs),
+        cache: shared.store.stats(),
+    }
+}
+
+fn stats_doc(c: &Counters) -> Json {
+    // Streaming jobs still in flight, with their published epoch
+    // counts — what a dashboard polls to watch analyses converge.
+    let live = c.live.iter().map(|(id, status, epochs)| {
+        Json::obj([
+            ("id", Json::Str(id.clone())),
+            ("status", Json::Static(status)),
+            ("epochs", Json::Int(*epochs as i128)),
+        ])
+    });
+    let int = |v: u64| Json::Int(v as i128);
+    let jobs = c.lifecycle.iter().map(|&(name, v)| (name, int(v))).chain([
+        ("in_flight", int(c.in_flight)),
+        ("stream_epochs", int(c.stream_epochs)),
+        ("known", int(c.by_state.iter().sum())),
+    ]);
     Json::obj([
-        ("queue_depth", Json::Int(queue_depth as i128)),
-        ("live", Json::Arr(live)),
-        ("pool_queue_depth", Json::Int(Pool::global().queue_depth() as i128)),
-        ("pool_workers", Json::Int(Pool::global().workers() as i128)),
-        (
-            "jobs",
-            Json::obj([
-                ("submitted", Json::Int(shared.submissions.load(Ordering::Relaxed) as i128)),
-                ("deduped", Json::Int(shared.dedup_hits.load(Ordering::Relaxed) as i128)),
-                ("computed", Json::Int(shared.computed.load(Ordering::Relaxed) as i128)),
-                ("failed", Json::Int(shared.failed.load(Ordering::Relaxed) as i128)),
-                ("rejected", Json::Int(shared.rejected.load(Ordering::Relaxed) as i128)),
-                ("evicted", Json::Int(shared.evicted.load(Ordering::Relaxed) as i128)),
-                ("in_flight", Json::Int(shared.in_flight.load(Ordering::Relaxed) as i128)),
-                ("stream_epochs", Json::Int(shared.stream_epochs.load(Ordering::Relaxed) as i128)),
-                ("known", Json::Int(jobs_total as i128)),
-            ]),
-        ),
+        ("queue_depth", int(c.queue_depth)),
+        ("live", Json::Arr(live.collect())),
+        ("jobs", Json::obj(jobs)),
         (
             "cache",
             Json::obj([
-                ("mem_hits", Json::Int(cache.mem_hits as i128)),
-                ("disk_hits", Json::Int(cache.disk_hits as i128)),
-                ("misses", Json::Int(cache.misses as i128)),
-                ("puts", Json::Int(cache.puts as i128)),
-                ("hit_rate", Json::Float(cache.hit_rate())),
-                ("live_claims", Json::Int(shared.store.live_claims() as i128)),
+                ("mem_hits", int(c.cache.mem_hits)),
+                ("disk_hits", int(c.cache.disk_hits)),
+                ("misses", int(c.cache.misses)),
+                ("puts", int(c.cache.puts)),
+                ("hit_rate", Json::Float(c.cache.hit_rate())),
             ]),
         ),
     ])
@@ -1012,7 +1019,7 @@ fn stats_doc(shared: &Shared) -> Json {
 /// Render the `/metrics` Prometheus text exposition. Counters are
 /// cumulative over the daemon's life (the gathered telemetry totals are
 /// monotone by construction — see `telemetry::gather_metrics`).
-fn render_metrics(shared: &Shared) -> String {
+fn render_metrics(shared: &Shared, c: &Counters) -> String {
     let mut p = PromText::new();
 
     p.family("diogenes_uptime_seconds", "gauge", "Seconds since the daemon started.");
@@ -1042,47 +1049,26 @@ fn render_metrics(shared: &Shared) -> String {
     p.sample("diogenes_http_bytes_served_total", &[], shared.bytes_served.load(Ordering::Relaxed));
 
     // -- Jobs --------------------------------------------------------------
-    let lifecycle: [(&str, &AtomicU64); 6] = [
-        ("diogenes_jobs_submitted_total", &shared.submissions),
-        ("diogenes_jobs_deduped_total", &shared.dedup_hits),
-        ("diogenes_jobs_computed_total", &shared.computed),
-        ("diogenes_jobs_failed_total", &shared.failed),
-        ("diogenes_jobs_rejected_total", &shared.rejected),
-        ("diogenes_jobs_evicted_total", &shared.evicted),
-    ];
-    for (name, v) in lifecycle {
-        p.family(name, "counter", "Job lifecycle counter.");
-        p.sample(name, &[], v.load(Ordering::Relaxed));
+    for (name, v) in c.lifecycle {
+        let name = format!("diogenes_jobs_{name}_total");
+        p.family(&name, "counter", "Job lifecycle counter.");
+        p.sample(&name, &[], v);
     }
-    let (queue_depth, by_state, live_streams) = {
-        let st = shared.state.lock().unwrap();
-        let mut by_state = [0u64; 4];
-        let mut live_streams = 0u64;
-        for job in st.jobs.values() {
-            by_state[job.status as usize] += 1;
-            if matches!(job.spec, JobSpec::Run { stream: true, .. })
-                && matches!(job.status, JobStatus::Queued | JobStatus::Running)
-            {
-                live_streams += 1;
-            }
-        }
-        (st.queue.len() as u64, by_state, live_streams)
-    };
     p.family("diogenes_jobs", "gauge", "Jobs currently in the table, by state.");
     for (status, n) in [JobStatus::Queued, JobStatus::Running, JobStatus::Done, JobStatus::Failed]
         .iter()
-        .zip(by_state)
+        .zip(c.by_state)
     {
         p.sample("diogenes_jobs", &[("state", status.as_str())], n);
     }
     p.family("diogenes_queue_depth", "gauge", "Jobs waiting for an executor.");
-    p.sample("diogenes_queue_depth", &[], queue_depth);
+    p.sample("diogenes_queue_depth", &[], c.queue_depth);
     p.family("diogenes_queue_limit", "gauge", "Backpressure bound (--max-queue).");
     p.sample("diogenes_queue_limit", &[], shared.max_queue as u64);
     p.family("diogenes_executors", "gauge", "Executor threads.");
     p.sample("diogenes_executors", &[], shared.executors as u64);
     p.family("diogenes_executors_busy", "gauge", "Executors currently running a job.");
-    p.sample("diogenes_executors_busy", &[], shared.in_flight.load(Ordering::Relaxed));
+    p.sample("diogenes_executors_busy", &[], c.in_flight);
 
     // -- Streaming ---------------------------------------------------------
     p.family(
@@ -1090,18 +1076,12 @@ fn render_metrics(shared: &Shared) -> String {
         "counter",
         "Per-epoch analysis snapshots published by streaming jobs.",
     );
-    p.sample("diogenes_stream_epochs_total", &[], shared.stream_epochs.load(Ordering::Relaxed));
+    p.sample("diogenes_stream_epochs_total", &[], c.stream_epochs);
     p.family("diogenes_stream_jobs_live", "gauge", "Streaming jobs queued or running.");
-    p.sample("diogenes_stream_jobs_live", &[], live_streams);
-
-    // -- Worker pool -------------------------------------------------------
-    p.family("diogenes_pool_workers", "gauge", "Workers in the shared compute pool.");
-    p.sample("diogenes_pool_workers", &[], Pool::global().workers() as u64);
-    p.family("diogenes_pool_queue_depth", "gauge", "Tasks queued on the shared pool.");
-    p.sample("diogenes_pool_queue_depth", &[], Pool::global().queue_depth() as u64);
+    p.sample("diogenes_stream_jobs_live", &[], c.live.len() as u64);
 
     // -- Artifact store ----------------------------------------------------
-    let cache = shared.store.stats();
+    let cache = c.cache;
     p.family("diogenes_cache_hits_total", "counter", "Stage-artifact cache hits, by layer.");
     p.sample("diogenes_cache_hits_total", &[("layer", "mem")], cache.mem_hits);
     p.sample("diogenes_cache_hits_total", &[("layer", "disk")], cache.disk_hits);
@@ -1109,8 +1089,6 @@ fn render_metrics(shared: &Shared) -> String {
     p.sample("diogenes_cache_misses_total", &[], cache.misses);
     p.family("diogenes_cache_puts_total", "counter", "Stage artifacts stored.");
     p.sample("diogenes_cache_puts_total", &[], cache.puts);
-    p.family("diogenes_cache_live_claims", "gauge", "Disk claims currently held.");
-    p.sample("diogenes_cache_live_claims", &[], shared.store.live_claims() as u64);
 
     // -- Ingest buffers ----------------------------------------------------
     let ingest = ffm_core::iobuf::stats();
@@ -1143,7 +1121,7 @@ fn render_metrics(shared: &Shared) -> String {
     p.family(
         "diogenes_counter_total",
         "counter",
-        "Internal telemetry counters (cache hits per stage, pool batches, ...).",
+        "Internal telemetry counters (cache hits per stage, pool tasks, ...).",
     );
     for (name, v) in &totals.counters {
         p.sample("diogenes_counter_total", &[("name", name)], *v);
@@ -1201,42 +1179,45 @@ mod tests {
         assert!(build_app("nonesuch", false).is_none());
     }
 
-    fn run_spec(app: &str, paper: bool, jobs: usize) -> JobSpec {
-        JobSpec::Run { app: app.into(), paper, jobs, stream: false, window: 0 }
+    fn run_spec(app: &str, paper: bool) -> JobSpec {
+        JobSpec::Run { app: app.into(), paper, stream: false, window: 0 }
     }
 
-    fn stream_spec(app: &str, jobs: usize, window: usize) -> JobSpec {
-        JobSpec::Run { app: app.into(), paper: false, jobs, stream: true, window }
+    fn stream_spec(app: &str, window: usize) -> JobSpec {
+        JobSpec::Run { app: app.into(), paper: false, stream: true, window }
+    }
+
+    /// The id of a submission body, as `submit` computes it.
+    fn submitted_id(body: &str, sweep: bool, stream: bool) -> String {
+        parse_spec(&Json::parse(body).unwrap(), sweep, stream).unwrap().id()
     }
 
     #[test]
     fn job_ids_are_content_derived_and_jobs_blind() {
-        let a = run_spec("als", false, 1);
-        let b = run_spec("als", false, 8);
-        assert_eq!(a.id(), b.id(), "worker count never fragments job identity");
-        let c = run_spec("als", true, 1);
+        let a = run_spec("als", false);
+        let b = submitted_id(r#"{"app": "als", "jobs": 8}"#, false, false);
+        assert_eq!(a.id(), b, "worker count never fragments job identity");
+        let c = run_spec("als", true);
         assert_ne!(a.id(), c.id(), "scale is part of identity");
-        let d = run_spec("amg", false, 1);
+        let d = run_spec("amg", false);
         assert_ne!(a.id(), d.id(), "app is part of identity");
-        let s = JobSpec::Sweep {
-            app: "als".into(),
-            paper: false,
-            axes: Vec::new(),
-            paired: false,
-            jobs: 1,
-        };
+        let s = JobSpec::Sweep { app: "als".into(), paper: false, axes: Vec::new(), paired: false };
         assert_ne!(a.id(), s.id(), "run and sweep ids are domain-separated");
     }
 
     #[test]
     fn streaming_is_part_of_job_identity_but_jobs_still_is_not() {
-        let batch = run_spec("als", false, 1);
-        let stream = stream_spec("als", 1, 256);
+        let batch = run_spec("als", false);
+        let stream = stream_spec("als", 256);
         assert_ne!(batch.id(), stream.id(), "streamed jobs publish epochs: distinct identity");
-        let other_window = stream_spec("als", 1, 64);
+        let other_window = stream_spec("als", 64);
         assert_ne!(stream.id(), other_window.id(), "window shapes the epochs");
-        let more_jobs = stream_spec("als", 8, 256);
-        assert_eq!(stream.id(), more_jobs.id(), "worker count still never fragments identity");
+        let body = r#"{"app": "als", "stream_window": 256, "jobs": 8}"#;
+        assert_eq!(
+            stream.id(),
+            submitted_id(body, false, true),
+            "worker count still never fragments identity"
+        );
     }
 
     #[test]
@@ -1246,21 +1227,18 @@ mod tests {
             paper: false,
             axes: vec![Axis::new("cost.free_base_ns", vec![1, 2])],
             paired: false,
-            jobs: 0,
         };
         let other_values = JobSpec::Sweep {
             app: "als".into(),
             paper: false,
             axes: vec![Axis::new("cost.free_base_ns", vec![1, 3])],
             paired: false,
-            jobs: 0,
         };
         let paired = JobSpec::Sweep {
             app: "als".into(),
             paper: false,
             axes: vec![Axis::new("cost.free_base_ns", vec![1, 2])],
             paired: true,
-            jobs: 0,
         };
         assert_ne!(base.id(), other_values.id());
         assert_ne!(base.id(), paired.id());
@@ -1270,10 +1248,9 @@ mod tests {
     fn submissions_parse_and_validate() {
         let doc = Json::parse(r#"{"app": "als"}"#).unwrap();
         match parse_spec(&doc, false, false).unwrap() {
-            JobSpec::Run { app, paper, jobs, stream, window } => {
+            JobSpec::Run { app, paper, stream, window } => {
                 assert_eq!(app, "als");
                 assert!(!paper);
-                assert_eq!(jobs, 0);
                 assert!(!stream);
                 assert_eq!(window, 0, "batch runs carry no window");
             }
@@ -1287,10 +1264,9 @@ mod tests {
         )
         .unwrap();
         match parse_spec(&doc, true, false).unwrap() {
-            JobSpec::Sweep { app, paper, axes, paired, jobs } => {
+            JobSpec::Sweep { app, paper, axes, paired } => {
                 assert_eq!(app, "amg");
                 assert!(paper);
-                assert_eq!(jobs, 3);
                 assert!(!paired);
                 assert_eq!(axes.len(), 1);
                 assert_eq!(axes[0].field, "cost.free_base_ns");
@@ -1450,7 +1426,7 @@ mod tests {
         assert_eq!(job_trace("00000000000000ffdeadbeefdeadbeef"), TraceId(0xff));
         assert_eq!(job_trace("0000000000000000deadbeefdeadbeef"), TraceId(1), "0 means untraced");
         assert_eq!(job_trace("short"), TraceId(1), "malformed ids fall back");
-        let spec = run_spec("als", false, 0);
+        let spec = run_spec("als", false);
         assert_ne!(job_trace(&spec.id()).0, 0);
     }
 
@@ -1461,7 +1437,7 @@ mod tests {
         assert_eq!(s, 200);
         server.shared.routes[0].count.fetch_add(1, Ordering::Relaxed);
         server.shared.routes[0].hist.lock().unwrap().record(12_345);
-        let text = render_metrics(&server.shared);
+        let text = render_metrics(&server.shared, &counters(&server.shared));
         let samples = ffm_core::exposition_well_formed(&text)
             .unwrap_or_else(|e| panic!("exposition rejected: {e}\n{text}"));
         assert!(samples > 20, "expected a substantive exposition, got {samples} samples");
@@ -1573,14 +1549,43 @@ mod tests {
         let (s, _) = submit(&post("/run?stream=1", r#"{"app": "als"}"#), shared, false);
         let (s2, _) = submit(&post("/run", r#"{"app": "amg"}"#), shared, false);
         assert_eq!((s, s2), (200, 200));
-        let doc = stats_doc(shared);
+        let snapshot = counters(shared);
+        let doc = stats_doc(&snapshot);
         let live = doc.get("live").and_then(Json::as_arr).unwrap();
         assert_eq!(live.len(), 1, "batch jobs are not live streams");
         assert_eq!(live[0].get("status").and_then(Json::as_str), Some("queued"));
         assert_eq!(live[0].get("epochs").and_then(Json::as_i128), Some(0));
-        let text = render_metrics(shared);
+        let text = render_metrics(shared, &snapshot);
         assert!(text.contains("diogenes_stream_jobs_live 1"), "{text}");
         assert!(text.contains("diogenes_stream_epochs_total 0"), "{text}");
         ffm_core::exposition_well_formed(&text).unwrap();
+    }
+
+    #[test]
+    fn stats_and_metrics_report_one_snapshot_of_the_job_counters() {
+        let server = idle_server(1, 64);
+        let shared = &server.shared;
+        for body in [r#"{"app": "als"}"#, r#"{"app": "als"}"#, r#"{"app": "amg"}"#] {
+            submit(&post("/run", body), shared, false);
+        }
+        shared.computed.fetch_add(3, Ordering::Relaxed);
+        shared.failed.fetch_add(4, Ordering::Relaxed);
+        shared.evicted.fetch_add(5, Ordering::Relaxed);
+        let snapshot = counters(shared);
+        let doc = stats_doc(&snapshot);
+        let text = render_metrics(shared, &snapshot);
+        let jobs = doc.get("jobs").unwrap();
+        for name in ["submitted", "deduped", "computed", "failed", "rejected", "evicted"] {
+            let stat = jobs.get(name).and_then(Json::as_i128).unwrap();
+            let head = format!("diogenes_jobs_{name}_total ");
+            let sample = text
+                .lines()
+                .find_map(|l| l.strip_prefix(head.as_str()))
+                .unwrap_or_else(|| panic!("no {head:?} sample in\n{text}"));
+            assert_eq!(sample, stat.to_string(), "/stats jobs.{name} vs /metrics");
+        }
+        assert_eq!(jobs.get("deduped").and_then(Json::as_i128), Some(1));
+        assert_eq!(jobs.get("rejected").and_then(Json::as_i128), Some(1), "max-queue 1");
+        assert_eq!(jobs.get("evicted").and_then(Json::as_i128), Some(5));
     }
 }

@@ -1,7 +1,8 @@
 //! Acceptance probe: `jobs = 1` must not spawn a single worker thread
 //! anywhere in the pipeline — not in the stage DAG, not in the sweep
-//! fleet, not in sequence scoring. This test lives alone in its own
-//! integration-test binary so no sibling test can spawn threads into
+//! fleet, not in sequence scoring — and a parallel run must leave no
+//! worker thread behind once it returns. This test lives alone in its
+//! own integration-test binary so no sibling test can spawn threads into
 //! the process and muddy the count.
 
 use diogenes_apps::{AlsConfig, CumfAls};
@@ -56,4 +57,15 @@ fn jobs_1_spawns_no_worker_threads() {
     let pool_threads: Vec<String> =
         thread_names().into_iter().filter(|n| n.starts_with("ffm-pool")).collect();
     assert!(pool_threads.is_empty(), "pool workers exist under jobs=1: {pool_threads:?}");
+
+    // Parallel runs join their helpers before returning. The kernel can
+    // list an exiting thread briefly after its join, so poll a little.
+    run_ffm(&app, &FfmConfig::default().with_jobs(4)).expect("parallel pipeline runs");
+    let matrix = run_sweep(&app, &spec.with_jobs(2)).expect("parallel sweep runs");
+    assert_eq!(matrix.cells.len(), 9);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    while thread_count() != before && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert_eq!(thread_count(), before, "parallel runs left threads behind: {:?}", thread_names());
 }

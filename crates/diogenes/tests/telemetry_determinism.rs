@@ -56,10 +56,6 @@ fn profiling_changes_no_report_bytes_and_records_well_formed_telemetry() {
     let sweep_on_1 = sweep_json(&app, 1);
     let sweep_on_8 = sweep_json(&app, 8);
     telemetry::set_enabled(false);
-    // Pool workers record their busy/idle counters just after signaling
-    // batch completion; give the last batch's stragglers a moment so the
-    // snapshot below observes settled metrics.
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let snap = telemetry::snapshot();
 
     assert_eq!(report_on_1, report_off_1, "profiling changed the jobs=1 report");
@@ -94,23 +90,15 @@ fn profiling_changes_no_report_bytes_and_records_well_formed_telemetry() {
             .unwrap_or_else(|e| panic!("track {:?} malformed: {e}", track.thread));
     }
 
-    // The jobs=8 runs used the shared pool: batches were submitted, and
-    // pool workers ran tasks on their own named tracks.
-    assert!(snap.counters["pool.batches_submitted"] > 0);
+    // The jobs=8 runs fanned out: helper threads ran tasks on their own
+    // named tracks.
     let tasks = snap.counters.get("pool.tasks_submitter").copied().unwrap_or(0)
         + snap.counters.get("pool.tasks_helper").copied().unwrap_or(0);
     assert!(tasks > 0, "no pool tasks counted: {:?}", snap.counters);
-    assert!(snap.hists.contains_key("pool.batch_size"), "{:?}", snap.hists.keys());
-    assert!(snap.hists.contains_key("pool.queue_depth"));
     assert!(
         snap.tracks.iter().any(|t| t.thread.starts_with("ffm-pool-")),
         "no pool-worker track recorded: {:?}",
         snap.tracks.iter().map(|t| &t.thread).collect::<Vec<_>>()
-    );
-    assert!(
-        snap.counters.contains_key("pool.worker_busy_ns"),
-        "worker utilization missing: {:?}",
-        snap.counters
     );
 
     // Collection metrics from the instrumented stages and analysis.

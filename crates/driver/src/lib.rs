@@ -16,6 +16,7 @@
 //! Measurement layers attach through [`hooks::HookRegistry`]; they never
 //! see the simulator's ground truth.
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod api;

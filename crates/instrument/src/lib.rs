@@ -16,6 +16,7 @@
 //!
 //! Payload digests for transfer deduplication live in [`hash`].
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod discovery;

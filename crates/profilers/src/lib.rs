@@ -13,6 +13,7 @@
 //! can say what fixing a point would be worth — that contrast with the
 //! feed-forward model's expected benefit is the heart of Table 2.
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod hpctoolkit;

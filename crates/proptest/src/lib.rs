@@ -20,6 +20,8 @@
 //! plain `cargo test` on small machines. Set `PROPTEST_CASES` to
 //! override.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 // ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@
 //! assert_eq!(m.device.idle_in(Span::new(0, 25_000)), 5_000);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod clock;

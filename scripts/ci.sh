@@ -69,17 +69,28 @@ print(f"telemetry smoke ok: {len(d['traceEvents'])} trace events, "
 EOF
 rm -rf "$TELEMETRY"
 
-echo "== sweep shard/merge smoke (CLI round trip, byte-identical) =="
+echo "== sweep shard/merge smoke (concurrent shards on one cache, byte-identical) =="
 SMOKE=$(mktemp -d)
 ./target/release/diogenes sweep als --jobs 2 --no-cache \
     --out "$SMOKE/full.json" > /dev/null 2>&1
+# Both shards run at once on one cache directory: the 3x3 ALS grid's
+# shards share their Discovery keys, so both processes write the same
+# entries concurrently, meeting only at the store's atomic rename.
 ./target/release/diogenes sweep als --jobs 2 --cache-dir "$SMOKE/cache" \
-    --shard 1/2 --out "$SMOKE/s1.json" > /dev/null 2>&1
+    --shard 1/2 --out "$SMOKE/s1.json" > /dev/null 2>&1 &
+SHARD1=$!
 ./target/release/diogenes sweep als --jobs 2 --cache-dir "$SMOKE/cache" \
-    --shard 2/2 --out "$SMOKE/s2.json" > /dev/null 2>&1
+    --shard 2/2 --out "$SMOKE/s2.json" > /dev/null 2>&1 &
+SHARD2=$!
+wait "$SHARD1" || { echo "shard 1/2 failed"; exit 1; }
+wait "$SHARD2" || { echo "shard 2/2 failed"; exit 1; }
 ./target/release/diogenes sweep als --merge --in "$SMOKE/s1.json" \
     --in "$SMOKE/s2.json" --out "$SMOKE/merged.json" > /dev/null 2>&1
 cmp "$SMOKE/full.json" "$SMOKE/merged.json"
+if ls -A "$SMOKE/cache" | grep -q '^\.tmp-'; then
+    echo "temp files left in the cache: $(ls -A "$SMOKE/cache" | grep '^\.tmp-')"
+    exit 1
+fi
 ./target/release/diogenes cache --dir "$SMOKE/cache" | grep -q "entries"
 ./target/release/diogenes cache --dir "$SMOKE/cache" --clear-all > /dev/null
 rm -rf "$SMOKE"
@@ -165,7 +176,7 @@ stats = json.loads(body)
 assert stats['jobs']['computed'] == 1, stats
 assert stats['jobs']['failed'] == 0, stats
 assert stats['jobs']['rejected'] == 0 and stats['jobs']['evicted'] == 0, stats
-assert 'queue_depth' in stats and 'live_claims' in stats['cache'], stats
+assert 'queue_depth' in stats, stats
 
 # /metrics: Prometheus text exposition with the daemon's live counters.
 status, body = req('GET', '/metrics')

@@ -15,6 +15,8 @@
 //! * [`profilers`] — NVProf / HPCToolkit baseline models.
 //! * [`diogenes`] — the tool: pipeline orchestration, CLI views, export.
 
+#![forbid(unsafe_code)]
+
 pub use cuda_driver;
 pub use cupti_sim;
 pub use diogenes;
