@@ -398,7 +398,7 @@ fn execute(
 
 /// Consult the store, execute on a miss and `put` the result, record
 /// telemetry counters. Workers that miss the same key at once (threads
-/// or shard processes) each compute it; the store's atomic rename makes
+/// or processes sharing a disk cache) each compute it; the store's atomic rename makes
 /// the last write win, and every write carries the same bytes.
 fn obtain(
     id: StageId,

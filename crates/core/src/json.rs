@@ -4,13 +4,15 @@
 //! (paper §4). The offline dependency set for this reproduction does not
 //! include a JSON crate, so this module provides the ~minimal value
 //! model + spec-compliant string escaping the export needs, plus a
-//! recursive-descent parser used by the sweep shard-merge path.
+//! recursive-descent parser that reads documents back (serve's
+//! submissions and its FFB re-encoding of stored results, `trace-check`).
 //!
 //! Round-trip contract: for any document this module emitted,
 //! `Json::parse(doc).to_string_pretty()` reproduces the input bytes
 //! exactly — object key order is preserved, integers stay exact `i128`s,
 //! and floats re-render via the shortest-round-trip `Display`, so a
-//! merged sweep artifact can be byte-identical to an unsharded one.
+//! stored result that serve re-parses for an FFB reply decodes back to
+//! the same JSON bytes.
 
 use std::fmt::{self, Write as _};
 use std::io;
@@ -654,8 +656,8 @@ mod tests {
 
     #[test]
     fn emit_parse_emit_is_byte_identical() {
-        // The contract the shard-merge path relies on: re-emitting a parsed
-        // document reproduces the original bytes exactly.
+        // The contract serve's FFB re-encoding relies on: re-emitting a
+        // parsed document reproduces the original bytes exactly.
         let doc = Json::obj([
             ("app", "als".into()),
             ("big", Json::Int(i128::from(u64::MAX) * 3)),

@@ -82,9 +82,8 @@ pub mod telemetry;
 pub use analysis::{analyze, Analysis, AnalysisConfig, ProblemOp};
 pub use benefit::{expected_benefit, BenefitFold, BenefitOptions, BenefitReport, NodeBenefit};
 pub use codec::{
-    decode_any_doc, decode_artifact, decode_doc, decode_sweep, encode_artifact, encode_doc,
-    encode_sweep, is_ffb, CallRow, ColU64, Ffb, FrameRow, Stage2Cols, StrTable, KIND_DOC,
-    KIND_SWEEP,
+    decode_any_doc, decode_artifact, encode_artifact, encode_doc, is_ffb, CallRow, ColU64, Ffb,
+    FrameRow, Stage2Cols, StrTable, KIND_DOC,
 };
 pub use engine::{
     declared_fields, deps, epoch_key, plan_keys, run_collection, run_stages, stage_key, CollectOut,
@@ -116,9 +115,9 @@ pub use store::{
     CacheReport, KeyHasher, StageKey, StoreStats, SCHEMA_VERSION,
 };
 pub use sweep::{
-    get_field, merge_sweep_docs, run_fleet, run_sweep, run_sweep_with_store, set_field,
-    sweep_to_json, Axis, AxisLayout, CacheMode, Shard, SweepCell, SweepMatrix, SweepMergeFold,
-    SweepPoint, SweepSpec, SweepSummary, SWEEPABLE_FIELDS,
+    get_field, run_fleet, run_sweep, run_sweep_with_store, set_field, sweep_to_json, Axis,
+    AxisLayout, CacheMode, SweepCell, SweepMatrix, SweepPoint, SweepSpec, SweepSummary,
+    MAX_SWEEP_CELLS, SWEEPABLE_FIELDS,
 };
 pub use telemetry::{
     chrome_duration_event, chrome_duration_event_args, chrome_metadata_event, snapshot_to_json,

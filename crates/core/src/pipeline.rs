@@ -25,7 +25,7 @@
 //! [`crate::store::Artifact`]. [`run_ffm`] executes the DAG with no
 //! store; [`run_ffm_with_store`] threads an
 //! [`ArtifactStore`] through, so repeated runs
-//! (sweep cells sharing upstream config, shard processes sharing a disk
+//! (sweep cells sharing upstream config, processes sharing a disk
 //! cache) reuse stage outputs instead of recomputing them. Stage 4
 //! deliberately starts as soon as stage 3a lands — it consumes only the
 //! first-use sites, which the hashing run never produces. With

@@ -13,7 +13,8 @@
 //!
 //! - an in-memory map (always on), shared across the cells of one sweep;
 //! - an optional on-disk layer under `results/cache/`, so separate
-//!   processes (e.g. `--shard k/n` workers) and repeated runs share work.
+//!   processes (e.g. two sweeps started at once) and repeated runs share
+//!   work.
 //!
 //! Writers of one entry never coordinate beyond [`write_atomic`]'s
 //! rename: threads or processes that miss the same key each compute it
@@ -244,8 +245,8 @@ impl ArtifactStore {
         }
     }
 
-    /// Store backed by a directory (created on first write). Shard
-    /// processes pointed at the same directory share work.
+    /// Store backed by a directory (created on first write). Processes
+    /// pointed at the same directory share work.
     pub fn with_disk(dir: impl Into<PathBuf>) -> Self {
         let mut s = ArtifactStore::in_memory();
         s.disk = Some(dir.into());

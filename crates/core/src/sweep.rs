@@ -72,42 +72,15 @@ pub enum CacheMode {
     /// Artifacts are shared in memory for the duration of the sweep.
     Memory,
     /// Memory sharing plus a persistent on-disk layer under the given
-    /// directory, so a later sweep (or another shard of this one) can
+    /// directory, so a later sweep (or one running at the same time) can
     /// start warm.
     Disk(PathBuf),
 }
 
-/// One deterministic slice of a sweep grid, for distributing a sweep
-/// across processes or machines: shard `k` of `n` (1-based `k`) keeps
-/// exactly the cells whose global index `i` satisfies `i % n == k - 1`.
-///
-/// Round-robin assignment keeps each shard's workload representative of
-/// the whole grid (contiguous blocks would give one shard all the
-/// expensive corner of the space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// 1-based shard number, `1 ..= n`.
-    pub k: usize,
-    /// Total shard count, `>= 1`.
-    pub n: usize,
-}
-
-impl Shard {
-    pub fn new(k: usize, n: usize) -> Result<Self, String> {
-        if n == 0 {
-            return Err("shard count n must be >= 1".to_string());
-        }
-        if k == 0 || k > n {
-            return Err(format!("shard k must be in 1..={n}, got {k}"));
-        }
-        Ok(Self { k, n })
-    }
-
-    /// Does this shard own global cell index `i`?
-    pub fn contains(&self, i: usize) -> bool {
-        i % self.n == self.k - 1
-    }
-}
+/// Largest grid [`SweepSpec::expand`] builds. Specs come from the
+/// command line and from `POST /sweep` bodies, and expansion builds every
+/// cell's config before anything runs, so the size is checked first.
+pub const MAX_SWEEP_CELLS: usize = 4096;
 
 /// A declarative sweep: base configuration plus axes.
 #[derive(Debug, Clone)]
@@ -124,8 +97,6 @@ pub struct SweepSpec {
     pub jobs: usize,
     /// Stage-artifact memoization across cells.
     pub cache: CacheMode,
-    /// Run only this slice of the grid (`None` = the whole grid).
-    pub shard: Option<Shard>,
 }
 
 impl SweepSpec {
@@ -136,7 +107,6 @@ impl SweepSpec {
             layout: AxisLayout::Cartesian,
             jobs: 0,
             cache: CacheMode::Memory,
-            shard: None,
         }
     }
 
@@ -171,18 +141,14 @@ impl SweepSpec {
         self
     }
 
-    /// Restrict the sweep to one round-robin slice of the grid.
-    pub fn with_shard(mut self, shard: Shard) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
     /// Expand the spec into concrete per-cell configurations, in
-    /// deterministic cell order. Errors on an unknown field path, a
-    /// value out of range for its field, or mismatched axis lengths in
-    /// [`AxisLayout::Paired`] mode.
+    /// deterministic cell order. Errors on an unknown field path, a field
+    /// that names two axes, a value out of range for its field,
+    /// mismatched axis lengths in [`AxisLayout::Paired`] mode, or a grid
+    /// larger than [`MAX_SWEEP_CELLS`]; the grid is counted, and checked
+    /// against the cap, before any cell is built.
     pub fn expand(&self) -> Result<Vec<SweepPoint>, String> {
-        for axis in &self.axes {
+        for (i, axis) in self.axes.iter().enumerate() {
             if axis.values.is_empty() {
                 return Err(format!("axis {:?} has no values", axis.field));
             }
@@ -190,6 +156,13 @@ impl SweepSpec {
             // simulation work starts.
             let mut probe = self.base.clone();
             set_field(&mut probe, &axis.field, axis.values[0])?;
+            if self.axes[..i].iter().any(|a| a.field == axis.field) {
+                return Err(format!("field {:?} names more than one axis", axis.field));
+            }
+        }
+        let cells = self.cell_count()?;
+        if cells == 0 {
+            return Ok(Vec::new());
         }
         let assignments: Vec<Vec<(String, u64)>> = match self.layout {
             AxisLayout::Cartesian => {
@@ -205,30 +178,11 @@ impl SweepSpec {
                     }
                     acc = next;
                 }
-                if self.axes.is_empty() {
-                    Vec::new()
-                } else {
-                    acc
-                }
+                acc
             }
-            AxisLayout::Paired => {
-                let Some(first) = self.axes.first() else { return Ok(Vec::new()) };
-                let len = first.values.len();
-                for axis in &self.axes {
-                    if axis.values.len() != len {
-                        return Err(format!(
-                            "paired axes must have equal lengths: {:?} has {} values, {:?} has {}",
-                            first.field,
-                            len,
-                            axis.field,
-                            axis.values.len()
-                        ));
-                    }
-                }
-                (0..len)
-                    .map(|i| self.axes.iter().map(|a| (a.field.clone(), a.values[i])).collect())
-                    .collect()
-            }
+            AxisLayout::Paired => (0..cells)
+                .map(|i| self.axes.iter().map(|a| (a.field.clone(), a.values[i])).collect())
+                .collect(),
         };
         assignments
             .into_iter()
@@ -240,6 +194,35 @@ impl SweepSpec {
                 Ok(SweepPoint { assignment, cfg })
             })
             .collect()
+    }
+
+    /// The number of cells [`SweepSpec::expand`] builds, counted without
+    /// building them: the product of the axis lengths (cartesian) or the
+    /// common length (paired); no axes means no cells.
+    fn cell_count(&self) -> Result<usize, String> {
+        let Some(first) = self.axes.first() else { return Ok(0) };
+        let count = match self.layout {
+            AxisLayout::Cartesian => {
+                self.axes.iter().try_fold(1usize, |n, a| n.checked_mul(a.values.len()))
+            }
+            AxisLayout::Paired => {
+                let len = first.values.len();
+                if let Some(axis) = self.axes.iter().find(|a| a.values.len() != len) {
+                    return Err(format!(
+                        "paired axes must have equal lengths: {:?} has {} values, {:?} has {}",
+                        first.field,
+                        len,
+                        axis.field,
+                        axis.values.len()
+                    ));
+                }
+                Some(len)
+            }
+        };
+        match count {
+            Some(n) if n <= MAX_SWEEP_CELLS => Ok(n),
+            _ => Err(format!("sweep grid has more than {MAX_SWEEP_CELLS} cells")),
+        }
     }
 }
 
@@ -253,9 +236,8 @@ pub struct SweepPoint {
 /// The measured outcome of one grid cell.
 #[derive(Debug, Clone)]
 pub struct SweepCell {
-    /// Global cell index in the full (unsharded) grid, in expansion
-    /// order. Shard documents carry it so merging can reassemble the
-    /// exact unsharded cell order.
+    /// Cell index in expansion order: the document's `"cell"` key, and
+    /// what the summary rows refer to.
     pub index: usize,
     /// `(field path, value)` per axis, in axis order.
     pub assignment: Vec<(String, u64)>,
@@ -303,24 +285,16 @@ pub struct SweepSummary {
     pub max_overhead: Option<usize>,
 }
 
-/// The complete result of a sweep over one application (or of one shard
-/// of it).
+/// The complete result of a sweep over one application.
 #[derive(Debug)]
 pub struct SweepMatrix {
     pub app_name: String,
     pub workload: String,
     pub axes: Vec<Axis>,
     pub layout: AxisLayout,
-    /// Size of the full unsharded grid. Equals `cells.len()` unless
-    /// this matrix is a shard.
-    pub total_cells: usize,
-    /// `Some` when this matrix holds only one slice of the grid.
-    pub shard: Option<Shard>,
-    /// Cells in global-index order (a shard's subsequence of it).
+    /// Every cell of the grid, in expansion order.
     pub cells: Vec<SweepCell>,
-    /// Argmin/argmax over `cells` — i.e. over the shard, when sharded.
-    /// Values are positions in `cells`, which for an unsharded run
-    /// coincide with global indices.
+    /// Argmin/argmax over `cells`; values are cell indices.
     pub summary: SweepSummary,
     /// Artifact-store hit/miss counters for this sweep, when a cache
     /// was active. Diagnostic only — never serialized into the sweep
@@ -371,7 +345,7 @@ where
 ///
 /// Creates the artifact store named by [`SweepSpec::cache`] and
 /// delegates to [`run_sweep_with_store`]. Spec errors (unknown field
-/// path, bad value, mismatched paired axes, bad shard) are reported as
+/// path, bad value, mismatched paired axes, oversized grid) are reported as
 /// `Err(String)`; the first failing cell's [`cuda_driver::CudaError`]
 /// is rendered into the same error string.
 pub fn run_sweep(app: &dyn GpuApp, spec: &SweepSpec) -> Result<SweepMatrix, String> {
@@ -398,20 +372,9 @@ pub fn run_sweep_with_store(
     store: Option<&ArtifactStore>,
 ) -> Result<SweepMatrix, String> {
     let _sweep_span = telemetry::span_detail("run_sweep", || app.name().to_string());
-    if let Some(s) = spec.shard {
-        // Re-validate: the struct is plain-old-data, so a hand-built
-        // (not `Shard::new`) value could smuggle in k > n.
-        Shard::new(s.k, s.n)?;
-    }
-    let points = spec.expand()?;
-    let total_cells = points.len();
+    let points: Vec<(usize, SweepPoint)> = spec.expand()?.into_iter().enumerate().collect();
     let jobs = effective_jobs(spec.jobs);
-    let indexed: Vec<(usize, SweepPoint)> = points
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| spec.shard.is_none_or(|s| s.contains(*i)))
-        .collect();
-    let cells = run_fleet(indexed, jobs, |(i, p): (usize, SweepPoint)| -> CudaResult<SweepCell> {
+    let cells = run_fleet(points, jobs, |(i, p): (usize, SweepPoint)| -> CudaResult<SweepCell> {
         let _cell_span = telemetry::span_detail("sweep.cell", || {
             let axes: Vec<String> = p.assignment.iter().map(|(k, v)| format!("{k}={v}")).collect();
             format!("#{i} {}", axes.join(","))
@@ -435,8 +398,6 @@ pub fn run_sweep_with_store(
         workload: app.workload(),
         axes: spec.axes.clone(),
         layout: spec.layout,
-        total_cells,
-        shard: spec.shard,
         cells,
         summary,
         cache_stats: store.map(|s| s.stats()),
@@ -473,10 +434,6 @@ pub fn sweep_to_json(m: &SweepMatrix) -> Json {
         ])
     };
     let opt = |i: Option<usize>| i.map(|i| Json::Int(i as i128)).unwrap_or(Json::Null);
-    let shard_json = match m.shard {
-        None => Json::Null,
-        Some(s) => Json::obj([("k", Json::Int(s.k as i128)), ("n", Json::Int(s.n as i128))]),
-    };
     Json::obj([
         ("app", Json::Str(m.app_name.clone())),
         ("workload", Json::Str(m.workload.clone())),
@@ -491,8 +448,9 @@ pub fn sweep_to_json(m: &SweepMatrix) -> Json {
             ),
         ),
         ("axes", Json::Arr(m.axes.iter().map(axis_json).collect())),
-        ("total_cells", Json::Int(m.total_cells as i128)),
-        ("shard", shard_json),
+        ("total_cells", Json::Int(m.cells.len() as i128)),
+        // Always null; the key stays so sweep documents keep their bytes.
+        ("shard", Json::Null),
         ("cells", Json::Arr(m.cells.iter().map(cell_json).collect())),
         (
             "summary",
@@ -504,193 +462,6 @@ pub fn sweep_to_json(m: &SweepMatrix) -> Json {
             ]),
         ),
     ])
-}
-
-/// Merge shard documents (parsed `SWEEP_*.shard-K-of-N.json` files)
-/// back into the document an unsharded run would have produced —
-/// byte-identically, once rendered with the same writer.
-///
-/// Validates that every document describes the same sweep (app,
-/// workload, layout, axes, `total_cells`), that each is a shard
-/// artifact with a consistent `n`, no duplicated `k`, and that the
-/// union of cells covers every global index exactly once. The summary
-/// is recomputed over the merged cells; because JSON numbers round-trip
-/// exactly through [`Json`], the recomputed argmin/argmax matches what
-/// the unsharded run computed from the in-memory floats.
-pub fn merge_sweep_docs(docs: &[Json]) -> Result<Json, String> {
-    let mut fold = SweepMergeFold::new();
-    for d in docs {
-        fold.add_doc(d)?;
-    }
-    fold.finish()
-}
-
-/// The header keys every shard must agree on, in validation order.
-const MERGE_HEADER_KEYS: [&str; 5] = ["app", "workload", "layout", "axes", "total_cells"];
-
-/// Incremental shard merge: feed parsed shard documents one at a time
-/// through [`SweepMergeFold::add_doc`] (a binary shard is decoded to its
-/// document first), then [`SweepMergeFold::finish`]. Produces the
-/// document an unsharded run would have, byte-identically once
-/// rendered, regardless of how each shard arrived. Peak memory is the
-/// merged cell set plus one shard document, not every shard at once.
-#[derive(Default)]
-pub struct SweepMergeFold {
-    docs_seen: usize,
-    /// Doc-0 values for [`MERGE_HEADER_KEYS`], in that order.
-    header: Option<[Json; 5]>,
-    total: usize,
-    shard_n: Option<i128>,
-    seen_k: Vec<i128>,
-    cells: Vec<(usize, Json)>,
-}
-
-impl SweepMergeFold {
-    pub fn new() -> SweepMergeFold {
-        SweepMergeFold::default()
-    }
-
-    /// Fold in one parsed shard document.
-    pub fn add_doc(&mut self, d: &Json) -> Result<(), String> {
-        let i = self.docs_seen;
-        if let Some(first) = &self.header {
-            for (key, value) in MERGE_HEADER_KEYS.iter().zip(first) {
-                if d.get(key) != Some(value) {
-                    return Err(format!("shard document {i} disagrees with document 0 on {key:?}"));
-                }
-            }
-        } else {
-            let mut header = Vec::with_capacity(MERGE_HEADER_KEYS.len());
-            for key in MERGE_HEADER_KEYS {
-                let Some(v) = d.get(key) else {
-                    return Err(format!("shard document {i} is missing {key:?}"));
-                };
-                header.push(v.clone());
-            }
-            // The grid size comes from the file: it is checked against
-            // the cells actually present in `finish`, never trusted as
-            // an allocation size.
-            self.total = header[4]
-                .as_i128()
-                .and_then(|t| usize::try_from(t).ok())
-                .ok_or("total_cells is not a non-negative integer")?;
-            self.header = Some(header.try_into().expect("five header keys"));
-        }
-
-        let shard = d.get("shard").ok_or(format!("shard document {i} is missing \"shard\""))?;
-        if matches!(shard, Json::Null) {
-            return Err(format!(
-                "document {i} is not a shard artifact (\"shard\" is null); \
-                 merging already-complete sweeps is not meaningful"
-            ));
-        }
-        let k = shard.get("k").and_then(Json::as_i128);
-        let n = shard.get("n").and_then(Json::as_i128);
-        let (Some(k), Some(n)) = (k, n) else {
-            return Err(format!("document {i} has a malformed \"shard\" object"));
-        };
-        match self.shard_n {
-            None => self.shard_n = Some(n),
-            Some(expect) if n != expect => {
-                return Err(format!(
-                    "document {i} is a shard of {n}, but earlier documents are shards of {expect}"
-                ));
-            }
-            _ => {}
-        }
-        if self.seen_k.contains(&k) {
-            return Err(format!("shard {k}/{n} appears more than once"));
-        }
-        self.seen_k.push(k);
-
-        let arr = d
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or(format!("document {i} has no \"cells\" array"))?;
-        self.cells.reserve(arr.len());
-        for cell in arr {
-            let idx = cell
-                .get("cell")
-                .and_then(Json::as_i128)
-                .and_then(|c| usize::try_from(c).ok())
-                .ok_or(format!("document {i} has a cell without a \"cell\" index"))?;
-            self.cells.push((idx, cell.clone()));
-        }
-        self.docs_seen += 1;
-        Ok(())
-    }
-
-    /// Check coverage, recompute the summary over the full grid, and
-    /// assemble the merged document. Shard-local summaries are
-    /// discarded: their argmins only saw a slice.
-    pub fn finish(self) -> Result<Json, String> {
-        if self.docs_seen == 0 {
-            return Err("no shard documents to merge".to_string());
-        }
-        let total = self.total;
-        let mut cells = self.cells;
-        cells.sort_by_key(|(i, _)| *i);
-        if cells.len() != total {
-            return Err(format!(
-                "merged shards hold {} cells but the grid has {total}; \
-                 a shard is missing or extra",
-                cells.len()
-            ));
-        }
-        for (pos, (idx, _)) in cells.iter().enumerate() {
-            if *idx != pos {
-                return Err(format!(
-                    "cell coverage is broken at global index {pos} (found index {idx}); \
-                     duplicate or missing shard cells"
-                ));
-            }
-        }
-        let cells: Vec<Json> = cells.into_iter().map(|(_, c)| c).collect();
-
-        let int_of = |c: &Json, key: &str| -> Result<i128, String> {
-            c.get(key).and_then(Json::as_i128).ok_or(format!("cell is missing integer {key:?}"))
-        };
-        let float_of = |c: &Json, key: &str| -> Result<f64, String> {
-            c.get(key).and_then(Json::as_f64).ok_or(format!("cell is missing number {key:?}"))
-        };
-        let mut benefit: Vec<i128> = Vec::with_capacity(cells.len());
-        let mut overhead: Vec<f64> = Vec::with_capacity(cells.len());
-        for c in &cells {
-            benefit.push(int_of(c, "total_benefit_ns")?);
-            overhead.push(float_of(c, "collection_overhead_factor")?);
-        }
-        fn arg<T: PartialOrd + Copy>(xs: &[T], better: fn(T, T) -> bool) -> Json {
-            let mut best: Option<usize> = None;
-            for (i, &x) in xs.iter().enumerate() {
-                match best {
-                    None => best = Some(i),
-                    Some(b) if better(x, xs[b]) => best = Some(i),
-                    _ => {}
-                }
-            }
-            best.map(|i| Json::Int(i as i128)).unwrap_or(Json::Null)
-        }
-
-        let [app, workload, layout, axes, _] = self.header.expect("docs_seen > 0 implies header");
-        Ok(Json::obj([
-            ("app", app),
-            ("workload", workload),
-            ("layout", layout),
-            ("axes", axes),
-            ("total_cells", Json::Int(total as i128)),
-            ("shard", Json::Null),
-            ("cells", Json::Arr(cells)),
-            (
-                "summary",
-                Json::obj([
-                    ("min_benefit_cell", arg(&benefit, |a, b| a < b)),
-                    ("max_benefit_cell", arg(&benefit, |a, b| a > b)),
-                    ("min_overhead_cell", arg(&overhead, |a, b| a < b)),
-                    ("max_overhead_cell", arg(&overhead, |a, b| a > b)),
-                ]),
-            ),
-        ]))
-    }
 }
 
 /// Every sweepable field path, for `--list-fields` style help output.
@@ -829,7 +600,6 @@ pub fn set_field(cfg: &mut FfmConfig, field: &str, value: u64) -> Result<(), Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec;
 
     #[test]
     fn every_listed_field_is_settable() {
@@ -905,6 +675,48 @@ mod tests {
     }
 
     #[test]
+    fn a_field_named_by_two_axes_is_rejected() {
+        for spec in [
+            SweepSpec::new(FfmConfig::default())
+                .axis("cost.free_base_ns", vec![1000, 2000])
+                .axis("cost.free_base_ns", vec![3000]),
+            SweepSpec::new(FfmConfig::default())
+                .axis("cost.free_base_ns", vec![1, 2])
+                .axis("driver.unified_memset_penalty", vec![10, 20])
+                .axis("cost.free_base_ns", vec![3, 4])
+                .paired(),
+        ] {
+            let err = spec.expand().unwrap_err();
+            assert!(err.contains("\"cost.free_base_ns\""), "error names the field: {err}");
+        }
+    }
+
+    #[test]
+    fn oversized_grids_are_rejected_before_expanding() {
+        let values = |n: u64| (0..n).collect::<Vec<u64>>();
+        let wide = SweepSpec::new(FfmConfig::default())
+            .axis("cost.free_base_ns", values(100))
+            .axis("cost.alloc_base_ns", values(100));
+        assert!(wide.expand().unwrap_err().contains("4096"));
+        // 256^8 = 2^64 cells: the count itself overflows.
+        let mut overflow = SweepSpec::new(FfmConfig::default());
+        for field in &SWEEPABLE_FIELDS[..8] {
+            overflow = overflow.axis(*field, values(256));
+        }
+        assert!(overflow.expand().is_err());
+        // A paired grid counts its common length, and the cap is inclusive.
+        let paired = SweepSpec::new(FfmConfig::default())
+            .axis("cost.free_base_ns", values(MAX_SWEEP_CELLS as u64 + 1))
+            .axis("cost.alloc_base_ns", values(MAX_SWEEP_CELLS as u64 + 1))
+            .paired();
+        assert!(paired.expand().is_err());
+        let at_cap = SweepSpec::new(FfmConfig::default())
+            .axis("cost.free_base_ns", values(64))
+            .axis("cost.alloc_base_ns", values(64));
+        assert_eq!(at_cap.expand().unwrap().len(), MAX_SWEEP_CELLS);
+    }
+
+    #[test]
     fn summary_picks_first_extremes_deterministically() {
         let mk = |benefit: Ns, ovh: f64| SweepCell {
             index: 0,
@@ -928,188 +740,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_validation_and_round_robin_slicing() {
-        assert!(Shard::new(0, 2).is_err());
-        assert!(Shard::new(3, 2).is_err());
-        assert!(Shard::new(1, 0).is_err());
-        let total = 7;
-        for n in 1..=4usize {
-            let mut covered = vec![0usize; total];
-            for k in 1..=n {
-                let s = Shard::new(k, n).unwrap();
-                for (i, slot) in covered.iter_mut().enumerate() {
-                    if s.contains(i) {
-                        *slot += 1;
-                    }
-                }
-            }
-            assert_eq!(covered, vec![1; total], "shards of {n} must partition the grid");
-        }
-        let s = Shard::new(2, 3).unwrap();
-        let mine: Vec<usize> = (0..10).filter(|&i| s.contains(i)).collect();
-        assert_eq!(mine, vec![1, 4, 7]);
-    }
-
-    /// A synthetic shard document with the given shard tag and cells.
-    fn shard_doc(shard: Json, indices: &[usize]) -> Json {
-        let cell = |i: usize| {
-            Json::obj([
-                ("cell", Json::Int(i as i128)),
-                ("total_benefit_ns", Json::Int(100 - i as i128)),
-                ("collection_overhead_factor", Json::Float(1.0 + i as f64)),
-            ])
-        };
-        Json::obj([
-            ("app", Json::Str("demo".into())),
-            ("workload", Json::Str("w".into())),
-            ("layout", Json::Str("cartesian".into())),
-            ("axes", Json::Arr(vec![])),
-            ("total_cells", Json::Int(4)),
-            ("shard", shard),
-            ("cells", Json::Arr(indices.iter().map(|&i| cell(i)).collect())),
-            ("summary", Json::Null),
-        ])
-    }
-
-    fn shard_tag(k: usize, n: usize) -> Json {
-        Json::obj([("k", Json::Int(k as i128)), ("n", Json::Int(n as i128))])
-    }
-
-    #[test]
-    fn merge_reassembles_cells_and_recomputes_summary() {
-        let a = shard_doc(shard_tag(1, 2), &[0, 2]);
-        let b = shard_doc(shard_tag(2, 2), &[1, 3]);
-        // Order of documents must not matter.
-        for docs in [[a.clone(), b.clone()], [b, a]] {
-            let merged = merge_sweep_docs(&docs).unwrap();
-            assert!(matches!(merged.get("shard"), Some(Json::Null)));
-            let cells = merged.get("cells").and_then(Json::as_arr).unwrap();
-            let order: Vec<i128> =
-                cells.iter().map(|c| c.get("cell").and_then(Json::as_i128).unwrap()).collect();
-            assert_eq!(order, vec![0, 1, 2, 3]);
-            let summary = merged.get("summary").unwrap();
-            // benefit = 100 - i (max at 0); overhead = 1 + i (max at 3).
-            assert_eq!(summary.get("max_benefit_cell").and_then(Json::as_i128), Some(0));
-            assert_eq!(summary.get("min_benefit_cell").and_then(Json::as_i128), Some(3));
-            assert_eq!(summary.get("min_overhead_cell").and_then(Json::as_i128), Some(0));
-            assert_eq!(summary.get("max_overhead_cell").and_then(Json::as_i128), Some(3));
-        }
-    }
-
-    #[test]
-    fn merge_rejects_malformed_shard_sets() {
-        let a = shard_doc(shard_tag(1, 2), &[0, 2]);
-        let b = shard_doc(shard_tag(2, 2), &[1, 3]);
-        // Missing shard.
-        assert!(merge_sweep_docs(std::slice::from_ref(&a)).unwrap_err().contains("grid has 4"));
-        // Duplicate k.
-        assert!(merge_sweep_docs(&[a.clone(), a.clone()]).unwrap_err().contains("more than once"));
-        // Mismatched n.
-        let c = shard_doc(shard_tag(1, 3), &[0, 3]);
-        assert!(merge_sweep_docs(&[c, b]).unwrap_err().contains("shards of"));
-        // Unsharded doc in the mix.
-        let full = shard_doc(Json::Null, &[0, 1, 2, 3]);
-        assert!(merge_sweep_docs(&[full]).unwrap_err().contains("not a shard artifact"));
-        // Header disagreement.
-        let mut renamed = shard_doc(shard_tag(2, 2), &[1, 3]);
-        if let Json::Obj(fields) = &mut renamed {
-            fields[0].1 = Json::Str("other".into());
-        }
-        assert!(merge_sweep_docs(&[a.clone(), renamed]).unwrap_err().contains("disagrees"));
-        // Overlapping cells (1 appears twice, 3 missing).
-        let overlap = shard_doc(shard_tag(2, 2), &[1, 1]);
-        assert!(merge_sweep_docs(&[a, overlap]).unwrap_err().contains("coverage"));
-        assert!(merge_sweep_docs(&[]).is_err());
-        // Hostile grid sizes are errors, not allocations.
-        for total in [1_099_511_627_776i128, 1_000_000_000_000_000_000, i128::MAX] {
-            // Valid shards of a 4-cell grid in every field but this one.
-            let hostile = [(1, [0, 2]), (2, [1, 3])].map(|(k, cells)| {
-                let mut d = shard_doc(shard_tag(k, 2), &cells);
-                if let Json::Obj(fields) = &mut d {
-                    fields[4].1 = Json::Int(total);
-                }
-                d
-            });
-            assert!(merge_sweep_docs(&hostile).is_err(), "total_cells {total}");
-        }
-    }
-
-    #[test]
-    fn ffb_and_json_shards_merge_identically() {
-        let mk = |k: usize, indices: &[usize]| -> SweepMatrix {
-            let cells: Vec<SweepCell> = indices
-                .iter()
-                .map(|&i| SweepCell {
-                    index: i,
-                    assignment: vec![("cost.driver_call_ns".to_string(), 100 + i as u64)],
-                    baseline_exec_ns: 1_000 + i as u64,
-                    total_benefit_ns: 100 - i as u64,
-                    benefit_pct: 1.5 * i as f64,
-                    problem_count: i,
-                    sync_issues: i % 2,
-                    transfer_issues: i / 2,
-                    sequence_count: 1,
-                    collection_overhead_factor: 1.0 + i as f64,
-                })
-                .collect();
-            let summary = SweepMatrix::summarize(&cells);
-            SweepMatrix {
-                app_name: "demo".into(),
-                workload: "w".into(),
-                axes: vec![Axis::new("cost.driver_call_ns", vec![100, 101, 102, 103])],
-                layout: AxisLayout::Cartesian,
-                total_cells: 4,
-                shard: Some(Shard::new(k, 2).unwrap()),
-                cells,
-                summary,
-                cache_stats: None,
-            }
-        };
-        let a = mk(1, &[0, 2]);
-        let b = mk(2, &[1, 3]);
-        let expect = merge_sweep_docs(&[sweep_to_json(&a), sweep_to_json(&b)]).unwrap();
-        let decoded = |m: &SweepMatrix| {
-            codec::decode_any_doc(&codec::encode_sweep(m).unwrap()).expect("sweep decodes")
-        };
-
-        // Binary-only fold: each container decodes to its document, and
-        // the merged document is identical.
-        let mut fold = SweepMergeFold::new();
-        fold.add_doc(&decoded(&a)).unwrap();
-        fold.add_doc(&decoded(&b)).unwrap();
-        assert_eq!(fold.finish().unwrap(), expect);
-
-        // Mixed binary + JSON shards, either order, render-identically.
-        let mut fold = SweepMergeFold::new();
-        fold.add_doc(&sweep_to_json(&b)).unwrap();
-        fold.add_doc(&decoded(&a)).unwrap();
-        assert_eq!(fold.finish().unwrap(), expect);
-        let mut fold = SweepMergeFold::new();
-        fold.add_doc(&decoded(&a)).unwrap();
-        fold.add_doc(&sweep_to_json(&b)).unwrap();
-        let mut r1 = Vec::new();
-        fold.finish().unwrap().write_pretty(&mut r1).unwrap();
-        let mut r2 = Vec::new();
-        expect.write_pretty(&mut r2).unwrap();
-        assert_eq!(r1, r2);
-
-        // A complete (unsharded) binary sweep is rejected like its JSON
-        // counterpart.
-        let mut full = mk(1, &[0, 1, 2, 3]);
-        full.shard = None;
-        full.summary = SweepMatrix::summarize(&full.cells);
-        let mut fold = SweepMergeFold::new();
-        assert!(fold.add_doc(&decoded(&full)).unwrap_err().contains("not a shard artifact"));
-    }
-
-    #[test]
-    fn spec_builders_set_cache_and_shard() {
+    fn spec_builders_set_cache() {
         let spec = SweepSpec::new(FfmConfig::default());
         assert_eq!(spec.cache, CacheMode::Memory);
-        assert!(spec.shard.is_none());
-        let spec = spec.no_cache().with_shard(Shard::new(1, 2).unwrap());
+        let spec = spec.no_cache();
         assert_eq!(spec.cache, CacheMode::Off);
-        assert_eq!(spec.shard, Some(Shard { k: 1, n: 2 }));
         let spec = spec.disk_cache("/tmp/x");
         assert_eq!(spec.cache, CacheMode::Disk(PathBuf::from("/tmp/x")));
     }

@@ -1,6 +1,6 @@
 //! Property-based tests for the FFB artifact codec: round-trip identity
-//! for every serializable [`Artifact`] kind, arbitrary documents and
-//! sweep matrices, and decode robustness —
+//! for every serializable [`Artifact`] kind and arbitrary documents, and
+//! decode robustness —
 //! truncated, corrupted, or misaligned containers must return `Err` (or
 //! the original content), never panic, never read out of bounds.
 
@@ -9,10 +9,9 @@ use std::sync::Arc;
 
 use cuda_driver::{ApiFn, InternalFn};
 use ffm_core::{
-    decode_artifact, decode_doc, decode_sweep, encode_artifact, encode_doc, encode_sweep, Artifact,
-    ArtifactKind, Axis, AxisLayout, DuplicateTransfer, Ffb, Json, OpInstance, ProtectedAccess,
-    Shard, Stage1Result, Stage2Cols, Stage2Result, Stage3Result, Stage4Result, SweepCell,
-    SweepMatrix, TracedCall, TransferRec,
+    decode_any_doc, decode_artifact, encode_artifact, encode_doc, Artifact, ArtifactKind,
+    DuplicateTransfer, Ffb, Json, OpInstance, ProtectedAccess, Stage1Result, Stage2Cols,
+    Stage2Result, Stage3Result, Stage4Result, TracedCall, TransferRec,
 };
 use gpu_sim::{Digest, Direction, Frame, SourceLoc, StackTrace, WaitReason};
 use instrument::Discovery;
@@ -181,47 +180,6 @@ fn build_doc_inner(g: &mut Gen, depth: usize) -> Json {
     }
 }
 
-/// A small sweep matrix with a valid axis/assignment correspondence,
-/// optionally marked as a shard.
-fn build_sweep(seed: u64, n: usize, sharded: bool) -> SweepMatrix {
-    let mut g = Gen(seed | 1);
-    let cells = (0..n)
-        .map(|i| {
-            let baseline = 1 + g.below(1_000_000);
-            let benefit = g.next() % baseline;
-            SweepCell {
-                index: i,
-                assignment: vec![
-                    ("cost.free_base_ns".to_string(), i as u64),
-                    ("driver.unified_memset_penalty".to_string(), i as u64),
-                ],
-                baseline_exec_ns: baseline,
-                total_benefit_ns: benefit,
-                benefit_pct: benefit as f64 * 100.0 / baseline as f64,
-                problem_count: g.below(40) as usize,
-                sync_issues: g.below(30) as usize,
-                transfer_issues: g.below(10) as usize,
-                sequence_count: g.below(5) as usize,
-                collection_overhead_factor: 1.0 + g.below(300) as f64 / 100.0,
-            }
-        })
-        .collect();
-    SweepMatrix {
-        app_name: "prop".to_string(),
-        workload: "codec_props".to_string(),
-        axes: vec![
-            Axis::new("cost.free_base_ns", (0..n as u64).collect()),
-            Axis::new("driver.unified_memset_penalty", (0..n as u64).collect()),
-        ],
-        layout: AxisLayout::Paired,
-        total_cells: n,
-        shard: sharded.then(|| Shard::new(1, 2).expect("valid shard")),
-        cells,
-        summary: Default::default(),
-        cache_stats: None,
-    }
-}
-
 /// Read `bytes` as an artifact of `kind` — Stage 2 through the borrowed
 /// [`Stage2Cols`] reader, every other kind through the store's owned
 /// decoder; `true` iff the read succeeded. Exercised below against
@@ -261,7 +219,7 @@ proptest! {
     #[test]
     fn doc_roundtrip_is_identity(seed in 0u64..u64::MAX, depth in 0usize..4) {
         let doc = build_doc(seed, depth);
-        let back = decode_doc(&encode_doc(&doc)).expect("decodes");
+        let back = decode_any_doc(&encode_doc(&doc)).expect("decodes");
         prop_assert_eq!(&back, &doc);
         prop_assert_eq!(back.to_string_pretty(), doc.to_string_pretty());
     }
@@ -311,12 +269,12 @@ proptest! {
         let i = (pos % bytes.len() as u64) as usize;
         let mut bad = bytes.clone();
         bad[i] ^= mask;
-        if let Ok(back) = decode_doc(&bad) {
+        if let Ok(back) = decode_any_doc(&bad) {
             prop_assert!((12..20).contains(&i), "byte {i} misdecoded");
             prop_assert_eq!(back, doc);
         }
         let end = (pos % bytes.len() as u64) as usize;
-        prop_assert!(decode_doc(&bytes[..end]).is_err());
+        prop_assert!(decode_any_doc(&bytes[..end]).is_err());
     }
 
     /// Decoding random garbage (no valid container anywhere) errors.
@@ -324,21 +282,8 @@ proptest! {
     fn garbage_bytes_are_rejected(seed in 0u64..u64::MAX, len in 0usize..200) {
         let mut g = Gen(seed | 1);
         let bytes: Vec<u8> = (0..len).map(|_| g.next() as u8).collect();
-        prop_assert!(decode_doc(&bytes).is_err());
+        prop_assert!(decode_any_doc(&bytes).is_err());
         prop_assert!(decode_artifact(&bytes, ArtifactKind::Stage2).is_err());
-    }
-
-    /// decode ∘ encode is the identity for sweep matrices too, sharded
-    /// or not: re-encoding the decoded matrix reproduces the bytes.
-    #[test]
-    fn sweep_roundtrip_is_identity(
-        seed in 0u64..u64::MAX,
-        n in 0usize..8,
-        sharded in any::<bool>(),
-    ) {
-        let bytes = encode_sweep(&build_sweep(seed, n, sharded)).expect("encodes");
-        let back = decode_sweep(&bytes).expect("decodes");
-        prop_assert_eq!(encode_sweep(&back).expect("re-encodes"), bytes);
     }
 
     /// The readers accept a container at any buffer alignment

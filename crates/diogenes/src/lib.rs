@@ -33,7 +33,7 @@ pub mod sweep;
 pub mod tool;
 pub mod traceviz;
 
-pub use artifact::{convert_file, load_doc, write_doc, write_json_doc, write_sweep, OutFormat};
+pub use artifact::{load_doc, write_json_doc};
 pub use autofix::{autocorrect, derive_policy, evaluate_autofix, AutofixConfig, AutofixOutcome};
 pub use cli::{
     fmt_secs, render_fold_expansion, render_overview, render_sequence, render_subsequence,
@@ -43,10 +43,7 @@ pub use seqfam::{
     best_subsequence, family_subsequence_benefit, family_subsequence_benefit_indexed,
     merge_sequences, FamilyEntry, SequenceFamily, SubsequenceChoice,
 };
-pub use serve::{build_app, serve, ServeConfig, Server};
-pub use sweep::{
-    build_spec, default_axes, default_out_path, find_shard_files, merge_shard_files,
-    parse_axis_arg, parse_shard_arg, run_sweep_cli, shard_out_path,
-};
+pub use serve::{build_app, parse_scale, serve, ServeConfig, Server};
+pub use sweep::{build_spec, default_axes, default_out_path, parse_axis_arg};
 pub use tool::{run_diogenes, DiogenesConfig, DiogenesResult};
 pub use traceviz::{check_chrome_trace, chrome_trace, TraceCheck};

@@ -34,9 +34,9 @@
 
 use cuda_driver::ApiFn;
 use diogenes::{
-    best_subsequence, build_app, derive_policy, evaluate_autofix, render_fold_expansion,
-    render_overview, render_sequence, render_subsequence, resolve_jobs, run_diogenes,
-    AutofixConfig, DiogenesConfig, OutFormat, ServeConfig,
+    best_subsequence, build_app, derive_policy, evaluate_autofix, parse_scale,
+    render_fold_expansion, render_overview, render_sequence, render_subsequence, resolve_jobs,
+    run_diogenes, AutofixConfig, DiogenesConfig, ServeConfig,
 };
 use ffm_core::{log_error, report_to_json, telemetry};
 use gpu_sim::CostModel;
@@ -59,14 +59,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: diogenes <als|cuibm|amg|gaussian|pipelined> [--scale test|paper] \
          [--view overview|sequence|fold|compare] [--fold <apiName>] [--seq N] \
-         [--sub FROM TO] [--autoseq] [--autofix] [--json <path>] [--format json|bin] \
-         [--jobs N] [--profile]\n\
+         [--sub FROM TO] [--autoseq] [--autofix] [--json <path>] [--jobs N] [--profile]\n\
          \x20      diogenes sweep <app> [--scale test|paper] [--axis field=v1,v2,...]... \
-         [--paired] [--jobs N] [--out <path>] [--format json|bin] [--profile] \
-         [--list-fields] [--shard K/N] [--no-cache] [--cache-dir <dir>]\n\
-         \x20      diogenes sweep <app> --merge [--in <shard.json|.ffb>]... [--out <path>] \
-         [--format json|bin]\n\
-         \x20      diogenes convert <in> <out>   (.ffb out = binary, else JSON)\n\
+         [--paired] [--jobs N] [--out <path>] [--profile] [--list-fields] [--no-cache] \
+         [--cache-dir <dir>]\n\
          \x20      diogenes cache [--dir <dir>] [--clear-stale] [--clear-all]\n\
          \x20      diogenes serve [--addr HOST:PORT] [--executors N] \
          [--cache-dir <dir>] [--no-cache] [--max-queue N] [--max-done N] \
@@ -74,6 +70,19 @@ fn usage() -> ! {
          \x20      diogenes trace-check <trace.json>   (validate a Chrome trace dump)"
     );
     std::process::exit(2);
+}
+
+/// The value of `--scale` as `build_app`'s `paper` flag. A missing value
+/// prints usage and an unknown one logs the error; both exit 2.
+fn scale_arg(arg: Option<&String>) -> bool {
+    let Some(scale) = arg else { usage() };
+    match parse_scale(scale) {
+        Ok(paper) => paper,
+        Err(e) => {
+            log_error!("{e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// `diogenes cache ...` — report the stage-artifact cache and clear
@@ -123,23 +132,6 @@ fn cache_main(args: &[String]) -> ! {
         }
         Err(e) => {
             log_error!("cache: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `diogenes convert <in> <out>` — translate an artifact between pretty
-/// JSON and the FFB binary container. The input format is sniffed from
-/// the file bytes; the output format follows the output extension.
-fn convert_main(args: &[String]) -> ! {
-    let [input, output] = args else { usage() };
-    match diogenes::convert_file(input, output) {
-        Ok(format) => {
-            eprintln!("diogenes convert: wrote {output} ({} format)", format.ext());
-            std::process::exit(0);
-        }
-        Err(e) => {
-            log_error!("convert: {e}");
             std::process::exit(1);
         }
     }
@@ -199,10 +191,7 @@ fn serve_main(args: &[String]) -> ! {
 /// `diogenes sweep <app> ...` — replay the pipeline over a configuration
 /// grid and write the matrix to `results/SWEEP_<app>.json`.
 fn sweep_main(args: &[String]) -> ! {
-    use diogenes::{
-        build_spec, default_out_path, find_shard_files, merge_shard_files, parse_axis_arg,
-        parse_shard_arg, run_sweep_cli, shard_out_path,
-    };
+    use diogenes::{build_spec, default_out_path, parse_axis_arg};
 
     if args.iter().any(|a| a == "--list-fields") {
         for f in ffm_core::SWEEPABLE_FIELDS {
@@ -220,19 +209,15 @@ fn sweep_main(args: &[String]) -> ! {
     let mut jobs_flag: Option<usize> = None;
     let mut out_path: Option<String> = None;
     let mut profile = false;
-    let mut shard: Option<ffm_core::Shard> = None;
-    let mut merge = false;
-    let mut merge_inputs: Vec<String> = Vec::new();
     let mut no_cache = false;
     let mut cache_dir = "results/cache".to_string();
-    let mut format = OutFormat::Json;
 
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
                 i += 1;
-                scale_paper = args.get(i).map(|s| s == "paper").unwrap_or_else(|| usage());
+                scale_paper = scale_arg(args.get(i));
             }
             "--axis" => {
                 i += 1;
@@ -256,67 +241,14 @@ fn sweep_main(args: &[String]) -> ! {
                 i += 1;
                 out_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
-            "--shard" => {
-                i += 1;
-                let arg = args.get(i).cloned().unwrap_or_else(|| usage());
-                match parse_shard_arg(&arg) {
-                    Ok(s) => shard = Some(s),
-                    Err(e) => {
-                        log_error!("sweep: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--merge" => merge = true,
-            "--in" => {
-                i += 1;
-                merge_inputs.push(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
             "--no-cache" => no_cache = true,
             "--cache-dir" => {
                 i += 1;
                 cache_dir = args.get(i).cloned().unwrap_or_else(|| usage());
             }
-            "--format" => {
-                i += 1;
-                let arg = args.get(i).cloned().unwrap_or_else(|| usage());
-                match OutFormat::parse(&arg) {
-                    Ok(f) => format = f,
-                    Err(e) => {
-                        log_error!("sweep: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             _ => usage(),
         }
         i += 1;
-    }
-
-    if merge {
-        // Merge mode runs no simulation: fold shard documents back into
-        // the unsharded artifact.
-        let inputs = if merge_inputs.is_empty() {
-            find_shard_files(&app_name, "results")
-        } else {
-            merge_inputs
-        };
-        eprintln!("diogenes sweep: merging {} shard file(s)...", inputs.len());
-        match merge_shard_files(&inputs) {
-            Ok(doc) => {
-                let path = out_path.unwrap_or_else(|| default_out_path(&app_name, format));
-                if let Err(e) = diogenes::write_doc(&path, &doc, format) {
-                    log_error!("sweep: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!("diogenes sweep: merged matrix written to {path}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                log_error!("sweep: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 
     let Some(app) = build_app(&app_name, scale_paper) else { usage() };
@@ -327,13 +259,6 @@ fn sweep_main(args: &[String]) -> ! {
     } else {
         ffm_core::CacheMode::Disk(cache_dir.into())
     };
-    if let Some(s) = shard {
-        spec = spec.with_shard(s);
-        if out_path.is_none() {
-            out_path = Some(shard_out_path(&app_name, s, format));
-        }
-    }
-    let spec = spec;
     let cell_count = match spec.expand() {
         Ok(points) => points.len(),
         Err(e) => {
@@ -341,18 +266,14 @@ fn sweep_main(args: &[String]) -> ! {
             std::process::exit(2);
         }
     };
-    let shard_note = match spec.shard {
-        Some(s) => format!(" (shard {}/{})", s.k, s.n),
-        None => String::new(),
-    };
     eprintln!(
-        "diogenes sweep: {} cells over {} ({}){shard_note} [{jobs} jobs, {jobs_origin}]...",
+        "diogenes sweep: {} cells over {} ({}) [{jobs} jobs, {jobs_origin}]...",
         cell_count,
         app.name(),
         app.workload()
     );
     telemetry::set_enabled(profile);
-    let (matrix, doc) = match run_sweep_cli(app.as_ref(), &spec) {
+    let matrix = match ffm_core::run_sweep(app.as_ref(), &spec) {
         Ok(r) => r,
         Err(e) => {
             log_error!("sweep: {e}");
@@ -389,8 +310,8 @@ fn sweep_main(args: &[String]) -> ! {
             );
         }
     }
-    let path = out_path.unwrap_or_else(|| default_out_path(&matrix.app_name, format));
-    if let Err(e) = diogenes::write_sweep(&path, &matrix, &doc, format) {
+    let path = out_path.unwrap_or_else(|| default_out_path(&matrix.app_name));
+    if let Err(e) = diogenes::write_json_doc(&path, &ffm_core::sweep_to_json(&matrix)) {
         log_error!("sweep: {e}");
         std::process::exit(1);
     }
@@ -439,9 +360,6 @@ fn main() {
     if args[0] == "cache" {
         cache_main(&args[1..]);
     }
-    if args[0] == "convert" {
-        convert_main(&args[1..]);
-    }
     if args[0] == "serve" {
         serve_main(&args[1..]);
     }
@@ -456,25 +374,13 @@ fn main() {
     let mut autofix = false;
     let mut jobs_flag: Option<usize> = None;
     let mut profile = false;
-    let mut format = OutFormat::Json;
 
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
                 i += 1;
-                scale_paper = args.get(i).map(|s| s == "paper").unwrap_or_else(|| usage());
-            }
-            "--format" => {
-                i += 1;
-                let arg = args.get(i).cloned().unwrap_or_else(|| usage());
-                match OutFormat::parse(&arg) {
-                    Ok(f) => format = f,
-                    Err(e) => {
-                        log_error!("{e}");
-                        std::process::exit(2);
-                    }
-                }
+                scale_paper = scale_arg(args.get(i));
             }
             "--view" => {
                 i += 1;
@@ -636,10 +542,10 @@ autofix: patching {} call sites...",
 
     if let Some(path) = json_path {
         let doc = report_to_json(&result.report);
-        if let Err(e) = diogenes::write_doc(&path, &doc, format) {
+        if let Err(e) = diogenes::write_json_doc(&path, &doc) {
             log_error!("{e}");
             std::process::exit(1);
         }
-        eprintln!("\ndiogenes: report exported to {path} ({} format)", format.ext());
+        eprintln!("\ndiogenes: report exported to {path}");
     }
 }

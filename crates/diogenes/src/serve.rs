@@ -49,8 +49,8 @@
 //!
 //! `GET /report/<id>` and `GET /sweep/<id>` return JSON by default;
 //! `Accept: application/x-diogenes-ffb` re-encodes the stored document
-//! through the FFB codec (byte-identical to `diogenes --format ffb`
-//! output for the same document).
+//! through the FFB codec (`ffm_core::encode_doc`); `ffm_core::decode_any_doc`
+//! turns those bytes back into the JSON document.
 //!
 //! ## Shutdown
 //!
@@ -99,6 +99,17 @@ pub fn build_app(name: &str, paper: bool) -> Option<Box<dyn GpuApp>> {
         ("pipelined", true) => Box::new(Pipelined::new(PipelinedConfig::paper_scale())),
         _ => return None,
     })
+}
+
+/// Parse a scale name — the CLI's `--scale` and a submission's
+/// `"scale"` — into [`build_app`]'s `paper` flag. Anything but `test`
+/// or `paper` is an error, never a silent test-scale run.
+pub fn parse_scale(scale: &str) -> Result<bool, String> {
+    match scale {
+        "test" => Ok(false),
+        "paper" => Ok(true),
+        other => Err(format!("unknown scale {other:?} (expected test or paper)")),
+    }
 }
 
 /// Daemon configuration (the `diogenes serve` flags).
@@ -683,10 +694,9 @@ fn parse_spec(doc: &Json, sweep: bool, stream: bool) -> Result<JobSpec, String> 
         .and_then(Json::as_str)
         .ok_or("submission needs an \"app\" field (als|cuibm|amg|gaussian|pipelined)")?
         .to_string();
-    let paper = match doc.get("scale").and_then(Json::as_str) {
-        None | Some("test") => false,
-        Some("paper") => true,
-        Some(other) => return Err(format!("unknown scale {other:?} (expected test or paper)")),
+    let paper = match doc.get("scale") {
+        None => false,
+        Some(scale) => parse_scale(scale.as_str().ok_or("\"scale\" must be a string")?)?,
     };
     if build_app(&app, paper).is_none() {
         return Err(format!("unknown app {app:?} (expected als|cuibm|amg|gaussian|pipelined)"));
@@ -830,8 +840,8 @@ fn wants_ffb(req: &Request) -> bool {
 }
 
 /// Serve stored result bytes, honoring FFB content negotiation: the
-/// stored document is JSON; an FFB `Accept` re-encodes it through the
-/// columnar codec (the same bytes `diogenes --format ffb` writes).
+/// stored document is JSON; an FFB `Accept` re-encodes it through
+/// [`encode_doc`].
 fn negotiate(req: &Request, bytes: Vec<u8>) -> (u16, Vec<u8>, &'static str) {
     if !wants_ffb(req) {
         return (200, bytes, CT_JSON);
@@ -1171,6 +1181,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn parse_scale_accepts_exactly_test_and_paper() {
+        assert_eq!(parse_scale("test"), Ok(false));
+        assert_eq!(parse_scale("paper"), Ok(true));
+        for typo in ["papr", "Paper", "TEST", " paper", "", "full"] {
+            let err = parse_scale(typo).unwrap_err();
+            assert!(err.contains(&format!("{typo:?}")), "error names the value: {err}");
+        }
+    }
+
+    #[test]
     fn build_app_accepts_the_cli_vocabulary() {
         for name in ["als", "cuibm", "amg", "gaussian", "pipelined"] {
             assert!(build_app(name, false).is_some(), "{name} test scale");
@@ -1279,6 +1299,7 @@ mod tests {
             r#"{}"#,
             r#"{"app": "nonesuch"}"#,
             r#"{"app": "als", "scale": "huge"}"#,
+            r#"{"app": "als", "scale": 1}"#,
             r#"{"app": "als", "jobs": "many"}"#,
         ] {
             let doc = Json::parse(bad).unwrap();
@@ -1372,6 +1393,38 @@ mod tests {
         assert_eq!(s4, 200, "dedupe attach bypasses backpressure");
         assert_eq!(shared.dedup_hits.load(Ordering::Relaxed), 1);
         assert_eq!(shared.state.lock().unwrap().queue.len(), 2);
+    }
+
+    #[test]
+    fn sweeps_naming_a_field_twice_or_oversized_are_rejected_before_queueing() {
+        let server = idle_server(256, 64);
+        let shared = &server.shared;
+        let twice = r#"{"app": "gaussian", "axes": [
+            {"field": "cost.free_base_ns", "values": [1000, 2000]},
+            {"field": "cost.free_base_ns", "values": [3000]}]}"#;
+        let (s, body) = submit(&post("/sweep", twice), shared, true);
+        assert_eq!(s, 400);
+        assert!(String::from_utf8(body).unwrap().contains("cost.free_base_ns"));
+        // 100 x 100 cells is over the cap; 2^64 cells overflows the count.
+        let values = |n: u64| format!("{:?}", (0..n).collect::<Vec<u64>>());
+        let wide = format!(
+            r#"{{"app": "gaussian", "axes": [{{"field": "cost.free_base_ns", "values": {v}}},
+                {{"field": "cost.alloc_base_ns", "values": {v}}}]}}"#,
+            v = values(100)
+        );
+        let axes: Vec<String> = ffm_core::SWEEPABLE_FIELDS[..8]
+            .iter()
+            .map(|f| format!(r#"{{"field": "{f}", "values": {}}}"#, values(256)))
+            .collect();
+        let overflow = format!(r#"{{"app": "gaussian", "axes": [{}]}}"#, axes.join(","));
+        for body in [wide, overflow] {
+            let (s, reply) = submit(&post("/sweep", &body), shared, true);
+            assert_eq!(s, 400);
+            let reply = String::from_utf8(reply).unwrap();
+            assert!(reply.contains(&ffm_core::MAX_SWEEP_CELLS.to_string()), "{reply}");
+        }
+        let st = shared.state.lock().unwrap();
+        assert!(st.jobs.is_empty() && st.queue.is_empty(), "no job was created");
     }
 
     #[test]

@@ -7,21 +7,11 @@
 //! `driver.unified_memset_penalty`). With no `--axis` the default 3×3
 //! cost/driver grid below is swept. The JSON artifact is byte-identical
 //! at every `--jobs` setting.
-//!
-//! Distribution: `--shard k/n` runs one deterministic round-robin slice
-//! of the grid and writes `results/SWEEP_<app>.shard-k-of-n.json` (or
-//! `.ffb` under `--format bin`); `--merge` folds the shard files — either
-//! format, freely mixed — back into the unsharded `results/SWEEP_<app>.json`,
-//! byte-identical to a single-process run.
 //! Stage artifacts are memoized across cells (on disk under
 //! `results/cache/` by default; `--no-cache` disables, `--cache-dir`
 //! redirects) — caching changes speed, never bytes.
 
-use crate::artifact::{load_doc, OutFormat};
-use cuda_driver::GpuApp;
-use ffm_core::{
-    run_sweep, sweep_to_json, Axis, FfmConfig, Json, Shard, SweepMatrix, SweepMergeFold, SweepSpec,
-};
+use ffm_core::{Axis, FfmConfig, SweepSpec};
 
 /// Parse one `--axis` argument of the form `field=v1,v2,...`.
 pub fn parse_axis_arg(arg: &str) -> Result<Axis, String> {
@@ -66,93 +56,9 @@ pub fn build_spec(axes: Vec<Axis>, paired: bool, jobs: usize) -> SweepSpec {
     spec
 }
 
-/// Run the sweep and return the matrix plus its document model (the
-/// caller picks the serialization: pretty JSON or FFB).
-pub fn run_sweep_cli(app: &dyn GpuApp, spec: &SweepSpec) -> Result<(SweepMatrix, Json), String> {
-    let matrix = run_sweep(app, spec)?;
-    let doc = sweep_to_json(&matrix);
-    Ok((matrix, doc))
-}
-
-/// Default artifact path for an app: `results/SWEEP_<app>.<ext>`.
-pub fn default_out_path(app_name: &str, format: OutFormat) -> String {
-    format!("results/SWEEP_{app_name}.{}", format.ext())
-}
-
-/// Default artifact path for one shard of an app's sweep.
-pub fn shard_out_path(app_name: &str, shard: Shard, format: OutFormat) -> String {
-    format!("results/SWEEP_{app_name}.shard-{}-of-{}.{}", shard.k, shard.n, format.ext())
-}
-
-/// Parse a `--shard` argument of the form `k/n` (1-based k).
-pub fn parse_shard_arg(arg: &str) -> Result<Shard, String> {
-    let (k, n) = arg
-        .split_once('/')
-        .ok_or_else(|| format!("shard {arg:?} must look like k/n (e.g. 1/4)"))?;
-    let k = k.trim().parse::<usize>().map_err(|_| format!("shard {arg:?}: bad k"))?;
-    let n = n.trim().parse::<usize>().map_err(|_| format!("shard {arg:?}: bad n"))?;
-    Shard::new(k, n)
-}
-
-/// Find every shard artifact for `app_name` under `dir`
-/// (`SWEEP_<app>.shard-K-of-N.json` or `.ffb`), sorted by file name.
-///
-/// A directory can legitimately hold the *same* shard in both formats —
-/// after `diogenes convert`, or when `--format` changed between shard
-/// runs. Feeding both copies to `--merge` would fail on the duplicate
-/// shard index, so duplicates are deduplicated by shard stem here, the
-/// `.ffb` copy winning (it is the cheaper one to decode and both carry
-/// identical data). Skipped copies are named in a debug log line.
-pub fn find_shard_files(app_name: &str, dir: &str) -> Vec<String> {
-    use std::collections::BTreeMap;
-    let prefix = format!("SWEEP_{app_name}.shard-");
-    // stem (file name minus format extension) -> chosen file name
-    let mut by_stem: BTreeMap<String, String> = BTreeMap::new();
-    let mut skipped: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
-        let Ok(name) = entry.file_name().into_string() else { continue };
-        if !name.starts_with(&prefix) {
-            continue;
-        }
-        let Some(stem) = name.strip_suffix(".json").or_else(|| name.strip_suffix(".ffb")) else {
-            continue;
-        };
-        match by_stem.entry(stem.to_string()) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(name);
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                // Same shard in both formats: keep the .ffb copy.
-                let loser = if name.ends_with(".ffb") { o.insert(name) } else { name };
-                skipped.push(format!("{dir}/{loser}"));
-            }
-        }
-    }
-    if !skipped.is_empty() {
-        ffm_core::log_debug!(
-            "sweep: skipping duplicate-format shard file(s): {}",
-            skipped.join(", ")
-        );
-    }
-    let mut found: Vec<String> =
-        by_stem.into_values().map(|name| format!("{dir}/{name}")).collect();
-    found.sort();
-    found
-}
-
-/// Read, validate, and merge shard artifacts — JSON or FFB, freely mixed
-/// (format sniffed from the bytes) — into the unsharded sweep document.
-/// Each shard is loaded as a document and folded before the next is
-/// read; the caller serializes the result exactly once.
-pub fn merge_shard_files(paths: &[String]) -> Result<Json, String> {
-    if paths.is_empty() {
-        return Err("no shard files to merge (run with --shard k/n first)".to_string());
-    }
-    let mut fold = SweepMergeFold::new();
-    for p in paths {
-        fold.add_doc(&load_doc(p)?).map_err(|e| format!("{p}: {e}"))?;
-    }
-    fold.finish()
+/// Default artifact path for an app: `results/SWEEP_<app>.json`.
+pub fn default_out_path(app_name: &str) -> String {
+    format!("results/SWEEP_{app_name}.json")
 }
 
 #[cfg(test)]
@@ -180,56 +86,6 @@ mod tests {
         let spec = build_spec(Vec::new(), false, 1);
         assert_eq!(spec.axes.len(), 2);
         assert_eq!(spec.expand().unwrap().len(), 9);
-    }
-
-    #[test]
-    fn shard_args_parse_and_name_artifacts() {
-        let s = parse_shard_arg("2/4").unwrap();
-        assert_eq!((s.k, s.n), (2, 4));
-        assert_eq!(
-            shard_out_path("als", s, OutFormat::Json),
-            "results/SWEEP_als.shard-2-of-4.json"
-        );
-        assert_eq!(shard_out_path("als", s, OutFormat::Bin), "results/SWEEP_als.shard-2-of-4.ffb");
-        assert_eq!(default_out_path("als", OutFormat::Json), "results/SWEEP_als.json");
-        assert_eq!(default_out_path("als", OutFormat::Bin), "results/SWEEP_als.ffb");
-        assert!(parse_shard_arg("0/4").is_err());
-        assert!(parse_shard_arg("5/4").is_err());
-        assert!(parse_shard_arg("2").is_err());
-        assert!(parse_shard_arg("a/b").is_err());
-    }
-
-    #[test]
-    fn shard_discovery_dedupes_duplicate_formats_preferring_ffb() {
-        let dir =
-            std::env::temp_dir().join(format!("diogenes-shard-discovery-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let d = dir.to_str().unwrap();
-        // Shard 1 exists in both formats (e.g. after `diogenes convert`);
-        // shard 2 only as JSON; shard 3 only as FFB. An unrelated app's
-        // shard and a non-shard file must not leak in.
-        for name in [
-            "SWEEP_als.shard-1-of-3.json",
-            "SWEEP_als.shard-1-of-3.ffb",
-            "SWEEP_als.shard-2-of-3.json",
-            "SWEEP_als.shard-3-of-3.ffb",
-            "SWEEP_amg.shard-1-of-2.json",
-            "SWEEP_als.json",
-        ] {
-            std::fs::write(dir.join(name), b"x").unwrap();
-        }
-        let found = find_shard_files("als", d);
-        assert_eq!(
-            found,
-            vec![
-                format!("{d}/SWEEP_als.shard-1-of-3.ffb"),
-                format!("{d}/SWEEP_als.shard-2-of-3.json"),
-                format!("{d}/SWEEP_als.shard-3-of-3.ffb"),
-            ],
-            "one entry per shard stem, .ffb preferred on collision"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Regression: `--format json` and a bin→json `convert` round trip must
-//! produce byte-identical report documents — at every job count. JSON
-//! stays the canonical human-facing rendering; FFB must preserve every
-//! bit of content needed to reproduce it.
+//! Regression: a document encoded as FFB (`encode_doc`, what serve sends
+//! for an FFB `Accept`) and decoded back (`decode_any_doc`) must render
+//! byte-identically to the JSON file the CLI writes — at every job
+//! count. JSON stays the canonical rendering; FFB must preserve every bit
+//! of content needed to reproduce it.
 
-use diogenes::{convert_file, run_diogenes, write_doc, DiogenesConfig, OutFormat};
+use diogenes::{run_diogenes, write_json_doc, DiogenesConfig};
 use diogenes_apps::{AlsConfig, CumfAls};
-use ffm_core::{report_to_json, run_sweep, sweep_to_json, FfmConfig, SweepSpec};
+use ffm_core::{
+    decode_any_doc, encode_doc, report_to_json, run_sweep, sweep_to_json, FfmConfig, Json,
+    SweepSpec,
+};
 
 fn app() -> CumfAls {
     let mut cfg = AlsConfig::test_scale();
@@ -20,6 +24,16 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The JSON file the CLI writes for `doc`, and the pretty rendering of
+/// the same document after an FFB encode/decode round trip.
+fn written_and_round_tripped(dir: &std::path::Path, name: &str, doc: &Json) -> (Vec<u8>, Vec<u8>) {
+    let path = dir.join(name);
+    write_json_doc(path.to_str().unwrap(), doc).unwrap();
+    let mut back = Vec::new();
+    decode_any_doc(&encode_doc(doc)).expect("document decodes").write_pretty(&mut back).unwrap();
+    (std::fs::read(&path).unwrap(), back)
+}
+
 #[test]
 fn report_bin_to_json_round_trip_is_byte_identical_at_every_job_count() {
     let dir = tmp_dir("report");
@@ -28,20 +42,9 @@ fn report_bin_to_json_round_trip_is_byte_identical_at_every_job_count() {
         let result =
             run_diogenes(&app(), DiogenesConfig::new().with_jobs(jobs)).expect("pipeline runs");
         let doc = report_to_json(&result.report);
-
-        let json_path = dir.join(format!("report-{jobs}.json"));
-        let bin_path = dir.join(format!("report-{jobs}.ffb"));
-        let back_path = dir.join(format!("report-{jobs}-back.json"));
-        write_doc(json_path.to_str().unwrap(), &doc, OutFormat::Json).unwrap();
-        write_doc(bin_path.to_str().unwrap(), &doc, OutFormat::Bin).unwrap();
-        assert_eq!(
-            convert_file(bin_path.to_str().unwrap(), back_path.to_str().unwrap()).unwrap(),
-            OutFormat::Json
-        );
-
-        let direct = std::fs::read(&json_path).unwrap();
-        let converted = std::fs::read(&back_path).unwrap();
-        assert_eq!(direct, converted, "jobs={jobs}: bin→json convert diverged from --format json");
+        let (direct, decoded) =
+            written_and_round_tripped(&dir, &format!("report-{jobs}.json"), &doc);
+        assert_eq!(direct, decoded, "jobs={jobs}: FFB round trip diverged from the JSON file");
         renders.push(direct);
     }
     assert_eq!(renders[0], renders[1], "report must not depend on the job count");
@@ -55,19 +58,8 @@ fn sweep_bin_artifact_converts_back_to_the_json_artifact() {
         .axis("cost.free_base_ns", vec![1_000, 4_000])
         .with_jobs(1);
     let matrix = run_sweep(&app(), &spec).expect("sweep runs");
-    let doc = sweep_to_json(&matrix);
-
-    let json_path = dir.join("sweep.json");
-    let bin_path = dir.join("sweep.ffb");
-    let back_path = dir.join("sweep-back.json");
-    write_doc(json_path.to_str().unwrap(), &doc, OutFormat::Json).unwrap();
-    // The CLI writes sweeps through the columnar KIND_SWEEP container.
-    std::fs::write(&bin_path, ffm_core::encode_sweep(&matrix).unwrap()).unwrap();
-    convert_file(bin_path.to_str().unwrap(), back_path.to_str().unwrap()).unwrap();
-    assert_eq!(
-        std::fs::read(&json_path).unwrap(),
-        std::fs::read(&back_path).unwrap(),
-        "sweep bin→json convert diverged from the JSON artifact"
-    );
+    // The bytes serve sends for an FFB `GET /sweep/<id>`.
+    let (direct, decoded) = written_and_round_tripped(&dir, "sweep.json", &sweep_to_json(&matrix));
+    assert_eq!(direct, decoded, "sweep FFB round trip diverged from the JSON artifact");
     let _ = std::fs::remove_dir_all(&dir);
 }

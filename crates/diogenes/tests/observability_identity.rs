@@ -55,10 +55,6 @@ fn flight_recorder_changes_no_report_bytes_and_keeps_well_formed_spans() {
     assert_eq!(sweep_on_1, sweep_off_1, "flight recorder changed the jobs=1 sweep");
     assert_eq!(sweep_on_4, sweep_off_4, "flight recorder changed the jobs=4 sweep");
 
-    // Pool workers flush span events right after batch completion; give
-    // stragglers a beat so the ring below is settled.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-
     // -- What the ring retained. ----------------------------------------
     let stats = telemetry::flight_stats();
     assert!(stats.events > 0, "recorder captured nothing");

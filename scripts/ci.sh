@@ -40,9 +40,6 @@ cargo test -q -p diogenes --test serve_observability
 echo "== cache determinism (no-cache/cold/warm bit-identical SWEEP json) =="
 cargo test -q -p diogenes --test cache_determinism
 
-echo "== shard merge (--shard k/n + --merge == unsharded, byte-identical) =="
-cargo test -q -p diogenes --test shard_merge
-
 echo "== telemetry smoke (--profile writes a valid self-trace) =="
 cargo build --release -p diogenes
 # Run from a scratch directory so the committed
@@ -69,24 +66,23 @@ print(f"telemetry smoke ok: {len(d['traceEvents'])} trace events, "
 EOF
 rm -rf "$TELEMETRY"
 
-echo "== sweep shard/merge smoke (concurrent shards on one cache, byte-identical) =="
+echo "== concurrent sweep smoke (two identical sweeps on one cache, byte-identical) =="
 SMOKE=$(mktemp -d)
 ./target/release/diogenes sweep als --jobs 2 --no-cache \
     --out "$SMOKE/full.json" > /dev/null 2>&1
-# Both shards run at once on one cache directory: the 3x3 ALS grid's
-# shards share their Discovery keys, so both processes write the same
-# entries concurrently, meeting only at the store's atomic rename.
+# Both sweeps run at once on one cache directory, so both processes
+# write the same entries concurrently, meeting only at the store's
+# atomic rename.
 ./target/release/diogenes sweep als --jobs 2 --cache-dir "$SMOKE/cache" \
-    --shard 1/2 --out "$SMOKE/s1.json" > /dev/null 2>&1 &
-SHARD1=$!
+    --out "$SMOKE/a.json" > /dev/null 2>&1 &
+SWEEP_A=$!
 ./target/release/diogenes sweep als --jobs 2 --cache-dir "$SMOKE/cache" \
-    --shard 2/2 --out "$SMOKE/s2.json" > /dev/null 2>&1 &
-SHARD2=$!
-wait "$SHARD1" || { echo "shard 1/2 failed"; exit 1; }
-wait "$SHARD2" || { echo "shard 2/2 failed"; exit 1; }
-./target/release/diogenes sweep als --merge --in "$SMOKE/s1.json" \
-    --in "$SMOKE/s2.json" --out "$SMOKE/merged.json" > /dev/null 2>&1
-cmp "$SMOKE/full.json" "$SMOKE/merged.json"
+    --out "$SMOKE/b.json" > /dev/null 2>&1 &
+SWEEP_B=$!
+wait "$SWEEP_A" || { echo "concurrent sweep a failed"; exit 1; }
+wait "$SWEEP_B" || { echo "concurrent sweep b failed"; exit 1; }
+cmp "$SMOKE/full.json" "$SMOKE/a.json"
+cmp "$SMOKE/full.json" "$SMOKE/b.json"
 if ls -A "$SMOKE/cache" | grep -q '^\.tmp-'; then
     echo "temp files left in the cache: $(ls -A "$SMOKE/cache" | grep '^\.tmp-')"
     exit 1
@@ -94,38 +90,20 @@ fi
 ./target/release/diogenes cache --dir "$SMOKE/cache" | grep -q "entries"
 ./target/release/diogenes cache --dir "$SMOKE/cache" --clear-all > /dev/null
 rm -rf "$SMOKE"
-echo "shard/merge smoke ok"
+echo "concurrent sweep smoke ok"
 
-echo "== FFB round trip (report json == bin->json convert, every job count) =="
-FFB=$(mktemp -d)
-for jobs in 1 4; do
-    ./target/release/diogenes als --jobs "$jobs" \
-        --json "$FFB/report-$jobs.json" > /dev/null
-    ./target/release/diogenes als --jobs "$jobs" --format bin \
-        --json "$FFB/report-$jobs.ffb" > /dev/null
-    ./target/release/diogenes convert "$FFB/report-$jobs.ffb" \
-        "$FFB/report-$jobs-back.json" > /dev/null
-    cmp "$FFB/report-$jobs.json" "$FFB/report-$jobs-back.json"
-done
-cmp "$FFB/report-1.json" "$FFB/report-4.json"
-
-echo "== FFB shard merge smoke (all-binary and mixed binary + JSON shards, byte-identical) =="
-./target/release/diogenes sweep als --jobs 2 --cache-dir "$FFB/cache" \
-    --shard 1/2 --format bin --out "$FFB/s1.ffb" > /dev/null 2>&1
-./target/release/diogenes sweep als --jobs 2 --cache-dir "$FFB/cache" \
-    --shard 2/2 --out "$FFB/s2.json" > /dev/null 2>&1
-./target/release/diogenes sweep als --jobs 2 --cache-dir "$FFB/cache" \
-    --shard 2/2 --format bin --out "$FFB/s2.ffb" > /dev/null 2>&1
-./target/release/diogenes sweep als --jobs 2 --no-cache \
-    --out "$FFB/full.json" > /dev/null 2>&1
-./target/release/diogenes sweep als --merge --in "$FFB/s1.ffb" \
-    --in "$FFB/s2.json" --out "$FFB/merged.json" > /dev/null 2>&1
-cmp "$FFB/full.json" "$FFB/merged.json"
-./target/release/diogenes sweep als --merge --in "$FFB/s1.ffb" \
-    --in "$FFB/s2.ffb" --out "$FFB/merged-bin.json" > /dev/null 2>&1
-cmp "$FFB/full.json" "$FFB/merged-bin.json"
-rm -rf "$FFB"
-echo "ffb round-trip smoke ok"
+echo "== bad arguments exit 2 (unknown scale, a sweep field named by two axes) =="
+expect_exit_2() {
+    set +e
+    "$@" > /dev/null 2>&1
+    status=$?
+    set -e
+    [ "$status" -eq 2 ] || { echo "expected exit 2, got $status: $*"; exit 1; }
+}
+expect_exit_2 ./target/release/diogenes als --scale papr
+expect_exit_2 ./target/release/diogenes sweep gaussian --no-cache \
+    --axis cost.free_base_ns=1000,2000 --axis cost.free_base_ns=3000
+echo "bad-argument checks ok"
 
 echo "== serve smoke (daemon report byte-identical to CLI, /metrics + /trace live, clean drain) =="
 SERVE=$(mktemp -d)
