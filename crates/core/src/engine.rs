@@ -30,14 +30,15 @@
 //! - **Dep keys propagate invalidation.** Changing a field re-keys the
 //!   stages that read it *and* everything downstream of them.
 //!
-//! [`run_stages`] runs ready stages on [`crate::par`] fan-out lanes (at
-//! most [`MAX_STAGE_WIDTH`] concurrent — the DAG is never wider) and
-//! consults an optional [`ArtifactStore`] before executing each stage,
-//! recording per-stage hit/miss counters in telemetry. With `jobs <= 1`,
-//! or inside a running fan-out such as a sweep cell, everything runs
-//! inline on the caller's thread in the classic sequential order.
+//! [`run_stages`] runs the stages on a fixed plan (`PLAN`): discovery
+//! ∥ stage 1, then three lanes — stage 2 | 3a → 4 | 3b — on [`crate::par`]
+//! fan-out threads, then the stage 3 merge and stage 5 on the caller's
+//! thread. Each stage consults an optional [`ArtifactStore`] before it
+//! executes, recording per-stage hit/miss counters in telemetry. With
+//! `jobs <= 1`, or inside a running fan-out such as a sweep cell, every
+//! lane runs inline on the caller's thread in plan order.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use cuda_driver::{CudaResult, GpuApp};
 use instrument::identify_sync_function;
@@ -69,10 +70,6 @@ pub enum StageId {
 
 pub const STAGE_COUNT: usize = 8;
 
-/// Widest the DAG ever gets (discovery ∥ stage1, then stage2 ∥ 3a ∥ 3b
-/// with stage4 chasing 3a); more workers than this would only idle.
-pub const MAX_STAGE_WIDTH: usize = 4;
-
 impl StageId {
     /// All stages, in classic sequential order — which is also a
     /// topological order (every stage appears after its dependencies),
@@ -90,7 +87,7 @@ impl StageId {
     ];
 
     pub fn index(self) -> usize {
-        StageId::ALL.iter().position(|&s| s == self).expect("ALL is exhaustive")
+        self as usize
     }
 
     /// Stable name, used both as the telemetry span label and as the
@@ -253,8 +250,8 @@ pub fn stage_key(
 }
 
 /// Keys for the whole plan, indexed by [`StageId::index`], without
-/// executing anything. Used by the engine at claim time and by the
-/// key-audit tests.
+/// executing anything. Used by the engine before it runs the plan and by
+/// the key-audit tests.
 pub fn plan_keys(app: &dyn GpuApp, cfg: &FfmConfig) -> [StageKey; STAGE_COUNT] {
     let mut keys = [StageKey(0); STAGE_COUNT];
     for id in StageId::ALL {
@@ -264,71 +261,20 @@ pub fn plan_keys(app: &dyn GpuApp, cfg: &FfmConfig) -> [StageKey; STAGE_COUNT] {
     keys
 }
 
-/// Everything the engine produces: one artifact per stage, `Arc`-shared
-/// with the store so a cache hit costs no deep clone.
-pub struct EngineOut {
-    pub discovery: Arc<Discovery>,
-    pub stage1: Arc<Stage1Result>,
-    pub stage2: Arc<Stage2Result>,
-    pub stage3: Arc<Stage3Result>,
-    pub stage4: Arc<Stage4Result>,
-    pub analysis: Arc<Analysis>,
-}
-
-fn hit_counter(id: StageId) -> &'static str {
-    match id {
-        StageId::Discovery => "cache.discovery.hits",
-        StageId::Stage1 => "cache.stage1.hits",
-        StageId::Stage2 => "cache.stage2.hits",
-        StageId::Stage3a => "cache.stage3a.hits",
-        StageId::Stage3b => "cache.stage3b.hits",
-        StageId::Merge3 => "cache.merge3.hits",
-        StageId::Stage4 => "cache.stage4.hits",
-        StageId::Stage5 => "cache.stage5.hits",
-    }
-}
-
-fn miss_counter(id: StageId) -> &'static str {
-    match id {
-        StageId::Discovery => "cache.discovery.misses",
-        StageId::Stage1 => "cache.stage1.misses",
-        StageId::Stage2 => "cache.stage2.misses",
-        StageId::Stage3a => "cache.stage3a.misses",
-        StageId::Stage3b => "cache.stage3b.misses",
-        StageId::Merge3 => "cache.merge3.misses",
-        StageId::Stage4 => "cache.stage4.misses",
-        StageId::Stage5 => "cache.stage5.misses",
-    }
-}
-
-fn as_stage1(a: &Artifact) -> &Stage1Result {
-    match a {
-        Artifact::Stage1(s) => s,
-        _ => unreachable!("dep order gives stage1 here"),
-    }
-}
-
-fn as_stage3(a: &Artifact) -> &Stage3Result {
-    match a {
-        Artifact::Stage3(s) => s,
-        _ => unreachable!("dep order gives stage3 here"),
-    }
-}
-
-/// Per-stage execution-latency histogram, the source of the
-/// `diogenes_stage_latency_ns{stage=…}` summaries on `/metrics`.
-fn latency_hist(id: StageId) -> &'static str {
-    match id {
-        StageId::Discovery => "stage.discovery.exec_ns",
-        StageId::Stage1 => "stage.stage1.exec_ns",
-        StageId::Stage2 => "stage.stage2.exec_ns",
-        StageId::Stage3a => "stage.stage3a.exec_ns",
-        StageId::Stage3b => "stage.stage3b.exec_ns",
-        StageId::Merge3 => "stage.merge3.exec_ns",
-        StageId::Stage4 => "stage.stage4.exec_ns",
-        StageId::Stage5 => "stage.stage5.exec_ns",
-    }
-}
+/// Each stage's telemetry names, indexed by [`StageId::index`]: its
+/// store hit counter, its store miss counter, and its execution-latency
+/// histogram (the source of the `diogenes_stage_latency_ns{stage=…}`
+/// summaries on `/metrics`).
+const STAGE_METRICS: [[&str; 3]; STAGE_COUNT] = [
+    ["cache.discovery.hits", "cache.discovery.misses", "stage.discovery.exec_ns"],
+    ["cache.stage1.hits", "cache.stage1.misses", "stage.stage1.exec_ns"],
+    ["cache.stage2.hits", "cache.stage2.misses", "stage.stage2.exec_ns"],
+    ["cache.stage3a.hits", "cache.stage3a.misses", "stage.stage3a.exec_ns"],
+    ["cache.stage3b.hits", "cache.stage3b.misses", "stage.stage3b.exec_ns"],
+    ["cache.merge3.hits", "cache.merge3.misses", "stage.merge3.exec_ns"],
+    ["cache.stage4.hits", "cache.stage4.misses", "stage.stage4.exec_ns"],
+    ["cache.stage5.hits", "cache.stage5.misses", "stage.stage5.exec_ns"],
+];
 
 /// Execute one stage for real (cache already missed). `dep_artifacts`
 /// come in [`deps`] order. Opens the stage's telemetry span, so spans
@@ -342,56 +288,44 @@ fn execute(
 ) -> CudaResult<Artifact> {
     let _s = telemetry::span(id.name());
     let t0 = telemetry::collecting().then(std::time::Instant::now);
-    let artifact = match id {
-        StageId::Discovery => {
+    let artifact = match (id, dep_artifacts) {
+        (StageId::Discovery, []) => {
             Artifact::Discovery(Arc::new(identify_sync_function(cfg.cost.clone())?))
         }
-        StageId::Stage1 => Artifact::Stage1(Arc::new(run_stage1(app, &cfg.cost, &cfg.driver)?)),
-        StageId::Stage2 => {
-            let s1 = as_stage1(&dep_artifacts[0]);
+        (StageId::Stage1, []) => {
+            Artifact::Stage1(Arc::new(run_stage1(app, &cfg.cost, &cfg.driver)?))
+        }
+        (StageId::Stage2, [Artifact::Stage1(s1)]) => {
             Artifact::Stage2(Arc::new(run_stage2(app, &cfg.cost, &cfg.driver, s1)?))
         }
-        StageId::Stage3a => {
-            let s1 = as_stage1(&dep_artifacts[0]);
+        (StageId::Stage3a, [Artifact::Stage1(s1)]) => {
             Artifact::Stage3(Arc::new(run_stage3_sync(app, &cfg.cost, &cfg.driver, s1)?))
         }
-        StageId::Stage3b => {
-            let s1 = as_stage1(&dep_artifacts[0]);
+        (StageId::Stage3b, [Artifact::Stage1(s1)]) => {
             Artifact::Stage3(Arc::new(run_stage3_hash(app, &cfg.cost, &cfg.driver, s1)?))
         }
-        StageId::Merge3 => {
-            let sync = as_stage3(&dep_artifacts[0]).clone();
-            let hash = as_stage3(&dep_artifacts[1]).clone();
-            Artifact::Stage3(Arc::new(merge_stage3(sync, hash)))
-        }
-        StageId::Stage4 => {
-            let s1 = as_stage1(&dep_artifacts[0]);
-            let s3a = as_stage3(&dep_artifacts[1]);
+        (StageId::Merge3, [Artifact::Stage3(sync), Artifact::Stage3(hash)]) => Artifact::Stage3(
+            Arc::new(merge_stage3(Stage3Result::clone(sync), Stage3Result::clone(hash))),
+        ),
+        (StageId::Stage4, [Artifact::Stage1(s1), Artifact::Stage3(s3a)]) => {
             Artifact::Stage4(Arc::new(run_stage4(app, &cfg.cost, &cfg.driver, s1, s3a)?))
         }
-        StageId::Stage5 => {
-            let s1 = as_stage1(&dep_artifacts[0]);
-            let s2 = match &dep_artifacts[1] {
-                Artifact::Stage2(s) => s,
-                _ => unreachable!("dep order gives stage2 here"),
-            };
-            let s3 = as_stage3(&dep_artifacts[2]);
-            let s4 = match &dep_artifacts[3] {
-                Artifact::Stage4(s) => s,
-                _ => unreachable!("dep order gives stage4 here"),
-            };
-            Artifact::Analysis(Arc::new(crate::analysis::analyze(
-                s1,
-                s2,
-                s3,
-                s4,
-                &cfg.analysis,
-                jobs,
-            )))
-        }
+        (
+            StageId::Stage5,
+            [Artifact::Stage1(s1), Artifact::Stage2(s2), Artifact::Stage3(s3), Artifact::Stage4(s4)],
+        ) => Artifact::Analysis(Arc::new(crate::analysis::analyze(
+            s1,
+            s2,
+            s3,
+            s4,
+            &cfg.analysis,
+            jobs,
+        ))),
+        _ => unreachable!("{} gets its dep artifacts in `deps` order", id.name()),
     };
     if let Some(t0) = t0 {
-        telemetry::record(latency_hist(id), t0.elapsed().as_nanos() as u64);
+        let [_, _, exec_ns] = STAGE_METRICS[id.index()];
+        telemetry::record(exec_ns, t0.elapsed().as_nanos() as u64);
     }
     Ok(artifact)
 }
@@ -410,11 +344,12 @@ fn obtain(
     dep_artifacts: &[Artifact],
 ) -> CudaResult<Artifact> {
     if let Some(store) = store {
+        let [hits, misses, _] = STAGE_METRICS[id.index()];
         if let Some(artifact) = store.get(key, id.kind()) {
-            telemetry::counter_add(hit_counter(id), 1);
+            telemetry::counter_add(hits, 1);
             return Ok(artifact);
         }
-        telemetry::counter_add(miss_counter(id), 1);
+        telemetry::counter_add(misses, 1);
     }
     let artifact = execute(id, app, cfg, jobs, dep_artifacts)?;
     if let Some(store) = store {
@@ -423,193 +358,21 @@ fn obtain(
     Ok(artifact)
 }
 
-/// Shared scheduler state: one slot per stage.
-struct SchedState {
-    results: Vec<Option<CudaResult<Artifact>>>,
-    claimed: [bool; STAGE_COUNT],
-    /// Transitively dead: a dependency failed or was itself skipped.
-    skipped: [bool; STAGE_COUNT],
-    /// Stages not yet finished (completed, failed, or skipped).
-    remaining: usize,
-}
+/// The fixed stage plan. Phases run one after another. The lanes of a
+/// phase run at once on [`par_map`], and each lane runs its stages in
+/// order, so stage 4 starts as soon as stage 3a lands. A one-lane phase
+/// runs on the caller's thread. Every stage's [`deps`] finish in an
+/// earlier phase or earlier in its own lane (pinned by the
+/// `telemetry_determinism` suite, which checks the spans of a jobs = 4
+/// run against [`deps`]).
+const PLAN: [&[&[StageId]]; 4] = [
+    &[&[StageId::Discovery], &[StageId::Stage1]],
+    &[&[StageId::Stage2], &[StageId::Stage3a, StageId::Stage4], &[StageId::Stage3b]],
+    &[&[StageId::Merge3]],
+    &[&[StageId::Stage5]],
+];
 
-impl SchedState {
-    /// Propagate failure: any unclaimed stage with a failed or skipped
-    /// dependency can never run. Returns whether anything changed.
-    fn propagate_skips(&mut self) {
-        loop {
-            let mut changed = false;
-            for id in StageId::ALL {
-                let i = id.index();
-                if self.claimed[i] || self.skipped[i] {
-                    continue;
-                }
-                let dead = deps(id).iter().any(|d| {
-                    let j = d.index();
-                    self.skipped[j] || matches!(self.results[j], Some(Err(_)))
-                });
-                if dead {
-                    self.skipped[i] = true;
-                    self.remaining -= 1;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return;
-            }
-        }
-    }
-
-    /// First stage in classic order that is unclaimed, not skipped, and
-    /// has all dependencies completed successfully.
-    fn next_ready(&self) -> Option<StageId> {
-        StageId::ALL.into_iter().find(|&id| {
-            let i = id.index();
-            !self.claimed[i]
-                && !self.skipped[i]
-                && deps(id).iter().all(|d| matches!(self.results[d.index()], Some(Ok(_))))
-        })
-    }
-}
-
-/// Execute the DAG and return one artifact slot per stage (`None` for
-/// stages excluded from this run). `jobs <= 1` runs inline on the
-/// caller's thread in classic order; otherwise up to
-/// `min(jobs, MAX_STAGE_WIDTH)` [`par_map`] lanes drain ready stages (a
-/// nested fan-out runs its lanes one after another on one thread, and
-/// the first lane then drains every stage in classic order). Error
-/// semantics match the classic sequential path: when several
-/// independent stages fail, the error of the earliest stage in classic
-/// order is returned.
-///
-/// `include_stage5` is the streaming split: the collection-only run
-/// ([`run_collection`]) pre-skips the analysis stage, and the streaming
-/// driver folds the trace incrementally instead.
-fn run_dag(
-    app: &dyn GpuApp,
-    cfg: &FfmConfig,
-    jobs: usize,
-    store: Option<&ArtifactStore>,
-    include_stage5: bool,
-) -> CudaResult<Vec<Option<Artifact>>> {
-    let keys = plan_keys(app, cfg);
-    let width = jobs.clamp(1, MAX_STAGE_WIDTH);
-
-    let mut skipped = [false; STAGE_COUNT];
-    let mut remaining = STAGE_COUNT;
-    if !include_stage5 {
-        skipped[StageId::Stage5.index()] = true;
-        remaining -= 1;
-    }
-    let state = Mutex::new(SchedState {
-        results: (0..STAGE_COUNT).map(|_| None).collect(),
-        claimed: [false; STAGE_COUNT],
-        skipped,
-        remaining,
-    });
-    let ready_cv = Condvar::new();
-
-    let worker = |_lane: usize| {
-        loop {
-            let mut st = state.lock().unwrap();
-            st.propagate_skips();
-            if st.remaining == 0 {
-                drop(st);
-                ready_cv.notify_all();
-                return;
-            }
-            let Some(id) = st.next_ready() else {
-                // Nothing ready, but unfinished stages remain — their
-                // dependencies are in flight on other workers (a solo
-                // worker never gets here: its own claims complete before
-                // it scans again). Wait for a completion.
-                let _unused = ready_cv.wait(st).unwrap();
-                continue;
-            };
-            let i = id.index();
-            st.claimed[i] = true;
-            // Snapshot dep artifacts (Arc clones) while holding the lock.
-            let dep_artifacts: Vec<Artifact> = deps(id)
-                .iter()
-                .map(|d| match &st.results[d.index()] {
-                    Some(Ok(a)) => a.clone(),
-                    _ => unreachable!("next_ready checked deps"),
-                })
-                .collect();
-            drop(st);
-
-            let result = obtain(id, keys[i], app, cfg, jobs, store, &dep_artifacts);
-
-            let mut st = state.lock().unwrap();
-            st.results[i] = Some(result);
-            st.remaining -= 1;
-            drop(st);
-            ready_cv.notify_all();
-        }
-    };
-
-    if width <= 1 {
-        worker(0);
-    } else {
-        par_map((0..width).collect(), width, worker);
-    }
-
-    let mut st = state.into_inner().unwrap();
-    // Report the earliest failure in classic order, like the old
-    // sequential path did.
-    for id in StageId::ALL {
-        if let Some(Err(_)) = &st.results[id.index()] {
-            match st.results[id.index()].take() {
-                Some(Err(e)) => return Err(e),
-                _ => unreachable!(),
-            }
-        }
-    }
-    Ok(st
-        .results
-        .into_iter()
-        .map(|slot| slot.map(|r| r.expect("failures returned above")))
-        .collect())
-}
-
-/// Run the whole DAG, analysis included.
-pub fn run_stages(
-    app: &dyn GpuApp,
-    cfg: &FfmConfig,
-    jobs: usize,
-    store: Option<&ArtifactStore>,
-) -> CudaResult<EngineOut> {
-    let mut results = run_dag(app, cfg, jobs, store, true)?;
-    let mut take =
-        |id: StageId| -> Artifact { results[id.index()].take().expect("included stages all ran") };
-    let discovery = match take(StageId::Discovery) {
-        Artifact::Discovery(d) => d,
-        _ => unreachable!(),
-    };
-    let stage1 = match take(StageId::Stage1) {
-        Artifact::Stage1(s) => s,
-        _ => unreachable!(),
-    };
-    let stage2 = match take(StageId::Stage2) {
-        Artifact::Stage2(s) => s,
-        _ => unreachable!(),
-    };
-    let stage3 = match take(StageId::Merge3) {
-        Artifact::Stage3(s) => s,
-        _ => unreachable!(),
-    };
-    let stage4 = match take(StageId::Stage4) {
-        Artifact::Stage4(s) => s,
-        _ => unreachable!(),
-    };
-    let analysis = match take(StageId::Stage5) {
-        Artifact::Analysis(a) => a,
-        _ => unreachable!(),
-    };
-    Ok(EngineOut { discovery, stage1, stage2, stage3, stage4, analysis })
-}
-
-/// Everything the collection stages produce — the DAG minus stage 5.
+/// Everything the collection stages produce — the plan minus stage 5.
 /// `stage5_key` is the content address the batch analysis would be (and
 /// the final streaming analysis is) stored under, so a streaming run
 /// seeds the cache for later batch runs of the same plan.
@@ -622,6 +385,78 @@ pub struct CollectOut {
     pub stage5_key: StageKey,
 }
 
+/// Run `phases` of [`PLAN`]; return the collection artifacts, plus the
+/// analysis when the phases include stage 5. When stages fail, the run
+/// stops after the phase they fail in and returns the error of the
+/// earliest failing stage in classic order, the one a sequential run of
+/// [`StageId::ALL`] would report. (The stage 3 merge, which runs after
+/// stage 4 in plan order but before it in classic order, cannot fail.)
+fn run_plan(
+    app: &dyn GpuApp,
+    cfg: &FfmConfig,
+    jobs: usize,
+    store: Option<&ArtifactStore>,
+    phases: &[&[&[StageId]]],
+) -> CudaResult<(CollectOut, Option<Arc<Analysis>>)> {
+    let keys = plan_keys(app, cfg);
+    // Artifacts of the stages run so far, indexed by `StageId::index`.
+    let mut done: [Option<Artifact>; STAGE_COUNT] = Default::default();
+    for lanes in phases {
+        let ran = par_map(lanes.to_vec(), jobs, |lane| {
+            let mut done = done.clone();
+            let mut ran = Vec::new();
+            for &id in lane {
+                // A dep is missing only when it failed earlier in this lane.
+                let Some(dep_artifacts) =
+                    deps(id).iter().map(|d| done[d.index()].clone()).collect::<Option<Vec<_>>>()
+                else {
+                    break;
+                };
+                let result = obtain(id, keys[id.index()], app, cfg, jobs, store, &dep_artifacts);
+                done[id.index()] = result.as_ref().ok().cloned();
+                ran.push((id, result));
+            }
+            ran
+        });
+        let mut ran: Vec<(StageId, CudaResult<Artifact>)> = ran.into_iter().flatten().collect();
+        ran.sort_by_key(|(id, _)| id.index());
+        for (id, result) in ran {
+            done[id.index()] = Some(result?);
+        }
+    }
+    let [discovery, stage1, stage2, _, _, stage3, stage4, stage5] = done;
+    let col = match (discovery, stage1, stage2, stage3, stage4) {
+        (
+            Some(Artifact::Discovery(discovery)),
+            Some(Artifact::Stage1(stage1)),
+            Some(Artifact::Stage2(stage2)),
+            Some(Artifact::Stage3(stage3)),
+            Some(Artifact::Stage4(stage4)),
+        ) => {
+            let stage5_key = keys[StageId::Stage5.index()];
+            CollectOut { discovery, stage1, stage2, stage3, stage4, stage5_key }
+        }
+        _ => unreachable!("the plan runs every collection stage"),
+    };
+    let analysis = match stage5 {
+        Some(Artifact::Analysis(a)) => Some(a),
+        None => None,
+        Some(_) => unreachable!("stage 5 produces the analysis"),
+    };
+    Ok((col, analysis))
+}
+
+/// Run the whole plan: [`run_collection`] plus stage 5.
+pub fn run_stages(
+    app: &dyn GpuApp,
+    cfg: &FfmConfig,
+    jobs: usize,
+    store: Option<&ArtifactStore>,
+) -> CudaResult<(CollectOut, Arc<Analysis>)> {
+    let (col, analysis) = run_plan(app, cfg, jobs, store, &PLAN)?;
+    Ok((col, analysis.expect("the last phase runs stage 5")))
+}
+
 /// Run the collection stages only (discovery, 1–4 with the stage 3
 /// merge), leaving the analysis to the caller — the entry point for the
 /// streaming pipeline, which folds the trace window by window instead of
@@ -632,32 +467,7 @@ pub fn run_collection(
     jobs: usize,
     store: Option<&ArtifactStore>,
 ) -> CudaResult<CollectOut> {
-    let stage5_key = plan_keys(app, cfg)[StageId::Stage5.index()];
-    let mut results = run_dag(app, cfg, jobs, store, false)?;
-    let mut take = |id: StageId| -> Artifact {
-        results[id.index()].take().expect("collection stages all ran")
-    };
-    let discovery = match take(StageId::Discovery) {
-        Artifact::Discovery(d) => d,
-        _ => unreachable!(),
-    };
-    let stage1 = match take(StageId::Stage1) {
-        Artifact::Stage1(s) => s,
-        _ => unreachable!(),
-    };
-    let stage2 = match take(StageId::Stage2) {
-        Artifact::Stage2(s) => s,
-        _ => unreachable!(),
-    };
-    let stage3 = match take(StageId::Merge3) {
-        Artifact::Stage3(s) => s,
-        _ => unreachable!(),
-    };
-    let stage4 = match take(StageId::Stage4) {
-        Artifact::Stage4(s) => s,
-        _ => unreachable!(),
-    };
-    Ok(CollectOut { discovery, stage1, stage2, stage3, stage4, stage5_key })
+    Ok(run_plan(app, cfg, jobs, store, &PLAN[..3])?.0)
 }
 
 /// Content address of one per-window analysis epoch: the stage 5 key
@@ -679,7 +489,7 @@ mod tests {
     use super::*;
     use crate::sweep::{set_field, SWEEPABLE_FIELDS};
     use crate::FfmConfig;
-    use cuda_driver::Cuda;
+    use cuda_driver::{Cuda, CudaError};
     use std::collections::HashSet;
 
     struct Tiny;
@@ -831,13 +641,13 @@ mod tests {
     fn engine_matches_storeless_run() {
         let cfg = FfmConfig { jobs: 1, ..FfmConfig::default() };
         let store = ArtifactStore::in_memory();
-        let plain = run_stages(&Tiny, &cfg, 1, None).expect("plain");
+        let (plain, plain_analysis) = run_stages(&Tiny, &cfg, 1, None).expect("plain");
         let cached = run_stages(&Tiny, &cfg, 1, Some(&store)).expect("cold");
         let warm = run_stages(&Tiny, &cfg, 1, Some(&store)).expect("warm");
-        for out in [&cached, &warm] {
+        for (out, analysis) in [&cached, &warm] {
             assert_eq!(out.stage1.exec_time_ns, plain.stage1.exec_time_ns);
             assert_eq!(out.stage2.calls.len(), plain.stage2.calls.len());
-            assert_eq!(out.analysis.problems.len(), plain.analysis.problems.len());
+            assert_eq!(analysis.problems.len(), plain_analysis.problems.len());
         }
     }
 
@@ -852,12 +662,42 @@ mod tests {
         assert_eq!(col.stage5_key, plan_keys(&Tiny, &cfg)[StageId::Stage5.index()]);
         // A full run over the same store reuses every collection stage
         // and computes only the analysis.
-        let full = run_stages(&Tiny, &cfg, 1, Some(&store)).expect("full");
+        let (full, _) = run_stages(&Tiny, &cfg, 1, Some(&store)).expect("full");
         let warm = store.stats();
         assert_eq!(warm.mem_hits, (STAGE_COUNT - 1) as u64);
         assert_eq!(warm.misses, cold.misses + 1, "only stage5 missed");
         assert_eq!(full.stage1.exec_time_ns, col.stage1.exec_time_ns);
         assert_eq!(full.stage2.calls.len(), col.stage2.calls.len());
+    }
+
+    /// Fails its stage 1 run, so every stage but discovery is unreachable.
+    struct Failing;
+    impl GpuApp for Failing {
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+        fn run(&self, _cuda: &mut Cuda) -> CudaResult<()> {
+            Err(CudaError::InvalidValue { what: "failing app" })
+        }
+    }
+
+    #[test]
+    fn a_failing_app_fails_the_run_with_its_own_error_and_stores_only_discovery() {
+        for jobs in [1, 2, 4] {
+            let cfg = FfmConfig { jobs, ..FfmConfig::default() };
+            let err = crate::run_ffm(&Failing, &cfg).expect_err("the app fails");
+            assert_eq!(err, CudaError::InvalidValue { what: "failing app" }, "jobs={jobs}");
+
+            let store = ArtifactStore::in_memory();
+            let err = crate::run_ffm_with_store(&Failing, &cfg, Some(&store)).expect_err("fails");
+            assert_eq!(err, CudaError::InvalidValue { what: "failing app" }, "jobs={jobs}");
+            assert_eq!(store.stats().puts, 1, "jobs={jobs}: only discovery is stored");
+            let keys = plan_keys(&Failing, &cfg);
+            for id in StageId::ALL {
+                let stored = store.get(keys[id.index()], id.kind()).is_some();
+                assert_eq!(stored, id == StageId::Discovery, "jobs={jobs}: {}", id.name());
+            }
+        }
     }
 
     #[test]

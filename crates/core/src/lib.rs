@@ -87,7 +87,7 @@ pub use codec::{
 };
 pub use engine::{
     declared_fields, deps, epoch_key, plan_keys, run_collection, run_stages, stage_key, CollectOut,
-    EngineOut, StageId,
+    StageId,
 };
 pub use export::{analysis_to_json, report_to_json};
 pub use graph::{Csr, ExecGraph, GraphBuilder, GraphIndex, NType, Node};

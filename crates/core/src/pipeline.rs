@@ -22,17 +22,19 @@
 //! The DAG lives in [`crate::engine`]: each step is a named
 //! [`crate::engine::StageId`] with declared dependencies and a declared
 //! config-field input set, and its output is a content-addressed
-//! [`crate::store::Artifact`]. [`run_ffm`] executes the DAG with no
-//! store; [`run_ffm_with_store`] threads an
-//! [`ArtifactStore`] through, so repeated runs
-//! (sweep cells sharing upstream config, processes sharing a disk
-//! cache) reuse stage outputs instead of recomputing them. Stage 4
-//! deliberately starts as soon as stage 3a lands — it consumes only the
-//! first-use sites, which the hashing run never produces. With
-//! [`FfmConfig::jobs`] ≤ 1 the stages run in the classic sequential
-//! order; either way the report is bit-identical, because every run is a
-//! complete isolated execution whose virtual clock starts at zero, and
-//! cached artifacts are bit-identical to freshly computed ones.
+//! [`crate::store::Artifact`]. The engine runs it on a fixed plan:
+//! discovery ∥ stage 1, then three lanes — stage 2 | 3a → 4 | 3b — then
+//! the stage 3 merge and stage 5 on the caller's thread. Stage 4 starts
+//! as soon as stage 3a lands — it consumes only the first-use sites,
+//! which the hashing run never produces. [`run_ffm`] executes the plan
+//! with no store; [`run_ffm_with_store`] threads an [`ArtifactStore`]
+//! through, so repeated runs (sweep cells sharing upstream config,
+//! processes sharing a disk cache) reuse stage outputs instead of
+//! recomputing them. With [`FfmConfig::jobs`] ≤ 1 every lane runs in
+//! plan order on the caller's thread; either way the report is
+//! bit-identical, because every run is a complete isolated execution
+//! whose virtual clock starts at zero, and cached artifacts are
+//! bit-identical to freshly computed ones.
 
 use std::sync::Arc;
 
@@ -154,16 +156,8 @@ pub fn run_ffm_with_store(
 ) -> CudaResult<FfmReport> {
     let _run_span = telemetry::span_detail("run_ffm", || app.name().to_string());
     let jobs = effective_jobs(cfg.jobs);
-    let out = run_stages(app, cfg, jobs, store)?;
-    let col = CollectOut {
-        discovery: out.discovery,
-        stage1: out.stage1,
-        stage2: out.stage2,
-        stage3: out.stage3,
-        stage4: out.stage4,
-        stage5_key: StageKey(0), // unused by assembly
-    };
-    Ok(assemble_report(app, col, out.analysis))
+    let (col, analysis) = run_stages(app, cfg, jobs, store)?;
+    Ok(assemble_report(app, col, analysis))
 }
 
 /// Build the final report from collection results and the analysis —

@@ -325,8 +325,8 @@ impl SweepMatrix {
 }
 
 /// Run the fleet layer: one closure per member, up to `jobs` concurrent
-/// (`0` = auto via `DIOGENES_JOBS` / core count), on the shared worker
-/// pool. Results come back in member order; on failure the error of the
+/// (`0` = auto via `DIOGENES_JOBS` / core count), on one [`crate::par::par_map`]
+/// fan-out. Results come back in member order; on failure the error of the
 /// earliest member in input order is returned — identical semantics to
 /// the sequential loop. The table/overhead regenerators and
 /// [`run_sweep`] itself are all built on this.

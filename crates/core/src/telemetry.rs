@@ -6,7 +6,7 @@
 //! that at stage granularity, but nothing below the stage level was
 //! visible once `run_ffm` became a concurrent stage DAG on fan-out
 //! threads. This module is the layer that explains where *pipeline*
-//! time goes: hierarchical spans, a metrics registry of counters and
+//! time goes: hierarchical spans, a metrics table of counters and
 //! value histograms, and exporters that render the tool's own execution
 //! as a Chrome trace (one track per `ffm-pool-N` worker) plus a summary
 //! document (`results/TELEMETRY_<app>.json`, written by `--profile`).
@@ -24,22 +24,24 @@
 //!    one relaxed atomic load and an early return — no allocation, no
 //!    locks, no clock reads — so the hot paths in `par.rs` /
 //!    `pipeline.rs` cost nothing on tier-1 runs.
-//! 3. **One span sink, lock-sharded.** Every closed span goes to the
-//!    flight ring, whose lock shards are keyed by track, so worker
-//!    threads recording at once rarely contend. `--profile` runs the
-//!    ring with no byte budget and renders it as `TELEMETRY_<app>.json`
-//!    ([`snapshot`]); `diogenes serve` bounds it and dumps it at
-//!    `GET /trace`. Counters and histograms go to a private per-thread
-//!    shard (registered once, uncontended mutex).
+//! 3. **One span sink, one metrics table.** Every closed span goes to
+//!    the flight ring: one deque behind one lock, owning the whole byte
+//!    budget. Each event carries its thread's track id and name, which
+//!    the thread keeps in a thread-local, so no per-thread state outlives
+//!    the ring. `--profile` runs the ring with no byte budget and renders
+//!    it as `TELEMETRY_<app>.json` ([`snapshot`]); `diogenes serve`
+//!    bounds it and dumps it at `GET /trace`, through the same trace
+//!    renderer. Counters and histograms go to one cumulative table behind
+//!    a second lock.
 //!
 //! Wall-clock timestamps make telemetry output inherently
 //! non-deterministic — which is exactly why it lives in separate
 //! artifacts and never inside `FfmReport` / `SweepMatrix` JSON.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::{Cell, OnceCell};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Synthetic pid for the tool-self trace (the simulated app's traceviz
@@ -123,7 +125,7 @@ impl Drop for TraceScope {
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread shards registered in a global list.
+// Tracks, span events and histograms.
 // ---------------------------------------------------------------------------
 
 /// One recorded span: a named interval on one thread's track.
@@ -160,8 +162,8 @@ impl SpanEvent {
 }
 
 /// A value histogram with power-of-two buckets plus exact count / sum /
-/// min / max. Merging two histograms is bucket-wise addition, so the
-/// result is independent of worker count and merge order.
+/// min / max. Every field is a commutative fold over the recorded
+/// values, so the result is independent of the order threads record in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hist {
     pub count: u64,
@@ -186,23 +188,11 @@ impl Hist {
     pub fn record(&mut self, v: u64) {
         self.count += 1;
         // Saturating: commutative and associative over unsigned values,
-        // so shard merge order still cannot change the result.
+        // so recording order still cannot change the result.
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.buckets[Self::bucket_of(v)] += 1;
-    }
-
-    /// Bucket-wise merge: commutative and associative, so shard order
-    /// cannot influence the result.
-    pub fn merge(&mut self, other: &Hist) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
     }
 
     pub fn mean(&self) -> f64 {
@@ -262,95 +252,35 @@ impl Hist {
     }
 }
 
-/// One thread's track id and metrics shard. Only the owning thread
-/// writes; [`gather_metrics`] locks briefly to take the accumulated data,
-/// so the mutexes are uncontended in steady state.
-struct ThreadShard {
-    /// Owning thread's name. Mutable because shards of dead threads are
-    /// recycled (see [`Registry::free`]) and renamed by their new owner.
-    thread: Mutex<String>,
-    track: u32,
-    counters: Mutex<HashMap<&'static str, u64>>,
-    hists: Mutex<HashMap<&'static str, Hist>>,
-}
-
-struct Registry {
-    epoch: Instant,
-    shards: Mutex<Vec<Arc<ThreadShard>>>,
-    /// Shards whose owning thread exited, available for reuse. Without
-    /// recycling, a thread-per-connection daemon with the flight
-    /// recorder on would register one shard per connection and grow the
-    /// registry without bound; with it, the shard count is bounded by
-    /// the maximum number of concurrently live recording threads.
-    free: Mutex<Vec<Arc<ThreadShard>>>,
-}
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        epoch: Instant::now(),
-        shards: Mutex::new(Vec::new()),
-        free: Mutex::new(Vec::new()),
-    })
-}
-
 fn now_ns() -> u64 {
-    registry().epoch.elapsed().as_nanos() as u64
-}
-
-/// Thread-local half: the shard handle plus the span nesting depth.
-struct Local {
-    shard: Arc<ThreadShard>,
-    depth: u32,
-}
-
-impl Local {
-    fn register() -> Local {
-        let reg = registry();
-        if let Some(shard) = reg.free.lock().unwrap().pop() {
-            // Recycle a dead thread's shard: same track id, new name.
-            let name = std::thread::current()
-                .name()
-                .map(|n| n.to_string())
-                .unwrap_or_else(|| format!("thread-{}", shard.track));
-            *shard.thread.lock().unwrap() = name;
-            return Local { shard, depth: 0 };
-        }
-        let mut shards = reg.shards.lock().unwrap();
-        let track = shards.len() as u32;
-        let thread = std::thread::current()
-            .name()
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| format!("thread-{track}"));
-        let shard = Arc::new(ThreadShard {
-            thread: Mutex::new(thread),
-            track,
-            counters: Mutex::new(HashMap::new()),
-            hists: Mutex::new(HashMap::new()),
-        });
-        shards.push(Arc::clone(&shard));
-        Local { shard, depth: 0 }
-    }
-}
-
-impl Drop for Local {
-    fn drop(&mut self) {
-        // Return the shard for reuse by the next registering thread. Any
-        // not-yet-gathered metrics stay on the shard and are counted as
-        // usual.
-        registry().free.lock().unwrap().push(Arc::clone(&self.shard));
-    }
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 thread_local! {
-    static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
+    /// Nesting depth of this thread's open spans.
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// This thread's track id and name, assigned when it first closes a
+    /// span and shared with every span it records.
+    static TRACK: OnceCell<(u32, Arc<str>)> = const { OnceCell::new() };
 }
 
-fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> Option<R> {
-    LOCAL
-        .try_with(|cell| {
-            let mut opt = cell.borrow_mut();
-            f(opt.get_or_insert_with(Local::register))
+/// The current thread's track: a process-unique id, handed out in the
+/// order threads first record and never reused, and the thread's name
+/// (`thread-<id>` for an unnamed thread). `None` while thread-locals are
+/// torn down.
+fn this_track() -> Option<(u32, Arc<str>)> {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    TRACK
+        .try_with(|t| {
+            t.get_or_init(|| {
+                let id = NEXT.fetch_add(1, Ordering::Relaxed);
+                let name = std::thread::current()
+                    .name()
+                    .map_or_else(|| format!("thread-{id}"), str::to_string);
+                (id, name.into())
+            })
+            .clone()
         })
         .ok()
 }
@@ -392,7 +322,7 @@ pub fn span_detail(name: &'static str, detail: impl FnOnce() -> String) -> Span 
 }
 
 fn open_span(name: &'static str, detail: Option<String>) -> Span {
-    with_local(|l| l.depth += 1);
+    let _ = DEPTH.try_with(|d| d.set(d.get() + 1));
     Span { active: Some(ActiveSpan { name, detail, start_ns: now_ns() }) }
 }
 
@@ -400,50 +330,62 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(a) = self.active.take() else { return };
         let end = now_ns();
-        let trace = current_trace().map_or(0, |t| t.0);
-        with_local(move |l| {
-            l.depth = l.depth.saturating_sub(1);
-            let ev = SpanEvent {
-                name: a.name,
-                detail: a.detail,
-                start_ns: a.start_ns,
-                dur_ns: end.saturating_sub(a.start_ns),
-                depth: l.depth,
-                trace,
-            };
-            // Spans close child-before-parent, so the ring receives a
-            // post-order stream: this is what lets its drop-oldest
-            // policy preserve well-formed nesting (evicting a prefix
-            // removes children before their parents).
-            flight_push(l.shard.track, ev);
-        });
+        let Ok(depth) = DEPTH.try_with(|d| {
+            d.set(d.get().saturating_sub(1));
+            d.get()
+        }) else {
+            return;
+        };
+        let Some((track, thread)) = this_track() else { return };
+        let event = SpanEvent {
+            name: a.name,
+            detail: a.detail,
+            start_ns: a.start_ns,
+            dur_ns: end.saturating_sub(a.start_ns),
+            depth,
+            trace: current_trace().map_or(0, |t| t.0),
+        };
+        // Spans close child-before-parent, so the ring receives a
+        // post-order stream: this is what lets its drop-oldest policy
+        // preserve well-formed nesting (evicting a prefix removes
+        // children before their parents).
+        flight_push(FlightEvent { track, thread, event });
     }
 }
 
 // ---------------------------------------------------------------------------
-// Metrics registry.
+// Metrics table.
 // ---------------------------------------------------------------------------
 
-/// Add `n` to the named counter on this thread's shard. Counters from
-/// all shards are summed by [`gather_metrics`] (addition commutes, so the
-/// merged value is worker-count independent).
+/// The cumulative counters and histograms since process start.
+static METRICS: Mutex<MetricsTotals> =
+    Mutex::new(MetricsTotals { counters: BTreeMap::new(), hists: BTreeMap::new() });
+
+/// Lock the metrics table. No update leaves it half-done, so a lock
+/// poisoned by a panic elsewhere still guards valid totals.
+fn metrics() -> MutexGuard<'static, MetricsTotals> {
+    METRICS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Add `n` to the named counter (addition commutes, so the total is
+/// worker-count independent).
 #[inline]
 pub fn counter_add(name: &'static str, n: u64) {
     if !collecting() {
         return;
     }
-    with_local(|l| *l.shard.counters.lock().unwrap().entry(name).or_insert(0) += n);
+    *metrics().counters.entry(name).or_insert(0) += n;
 }
 
-/// Record a value into the named histogram on this thread's shard.
-/// Values are durations in nanoseconds for `*_ns` metrics and plain
-/// magnitudes otherwise (queue depth, batch size).
+/// Record a value into the named histogram. Values are durations in
+/// nanoseconds for `*_ns` metrics and plain magnitudes otherwise (queue
+/// depth, batch size).
 #[inline]
 pub fn record(name: &'static str, value: u64) {
     if !collecting() {
         return;
     }
-    with_local(|l| l.shard.hists.lock().unwrap().entry(name).or_default().record(value));
+    metrics().hists.entry(name).or_default().record(value);
 }
 
 // ---------------------------------------------------------------------------
@@ -467,14 +409,14 @@ impl TrackSnapshot {
 }
 
 /// Everything collected so far: the ring's spans by thread, plus the
-/// per-thread metric shards merged into order-independent totals.
+/// cumulative metrics.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
-    /// Per-thread span tracks, in registration order.
+    /// Per-thread span tracks, in track order.
     pub tracks: Vec<TrackSnapshot>,
-    /// Counters summed across shards.
+    /// Cumulative counters.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Histograms merged bucket-wise across shards.
+    /// Cumulative histograms.
     pub hists: BTreeMap<&'static str, Hist>,
 }
 
@@ -511,44 +453,19 @@ impl TelemetrySnapshot {
     }
 }
 
-/// The resident spans grouped into per-thread tracks (registration
-/// order), plus [`gather_metrics`]' cumulative totals — what `--profile`
-/// renders as `TELEMETRY_<app>.json` after turning collection off.
+/// The resident spans grouped into per-thread tracks, plus
+/// [`gather_metrics`]' cumulative totals — what `--profile` renders as
+/// `TELEMETRY_<app>.json` after turning collection off.
 pub fn snapshot() -> TelemetrySnapshot {
-    let names = track_names();
-    let mut tracks: Vec<TrackSnapshot> = Vec::new();
-    for (track, event) in flight_events() {
-        match tracks.last_mut() {
-            Some(t) if t.track == track => t.events.push(event),
-            _ => tracks.push(TrackSnapshot {
-                thread: track_label(&names, track),
-                track,
-                events: vec![event],
-            }),
-        }
-    }
     let MetricsTotals { counters, hists } = gather_metrics();
-    TelemetrySnapshot { tracks, counters, hists }
+    TelemetrySnapshot { tracks: flight_tracks(), counters, hists }
 }
 
-/// Fold every shard's accumulated counters and histograms into a
-/// process-global running total and return a copy. The running total is
-/// left in place, so repeated `/metrics` scrapes see monotone counters —
+/// A copy of the cumulative counter and histogram totals. The table is
+/// never reset, so repeated `/metrics` scrapes see monotone counters —
 /// the Prometheus contract.
 pub fn gather_metrics() -> MetricsTotals {
-    static TOTALS: OnceLock<Mutex<MetricsTotals>> = OnceLock::new();
-    let totals = TOTALS.get_or_init(|| Mutex::new(MetricsTotals::default()));
-    let shards: Vec<Arc<ThreadShard>> = registry().shards.lock().unwrap().clone();
-    let mut totals = totals.lock().unwrap();
-    for shard in shards {
-        for (name, v) in std::mem::take(&mut *shard.counters.lock().unwrap()) {
-            *totals.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, h) in std::mem::take(&mut *shard.hists.lock().unwrap()) {
-            totals.hists.entry(name).or_default().merge(&h);
-        }
-    }
-    totals.clone()
+    metrics().clone()
 }
 
 /// Cumulative counter / histogram totals since process start (the
@@ -563,72 +480,75 @@ pub struct MetricsTotals {
 // Flight recorder: a bounded ring of the most recent spans.
 // ---------------------------------------------------------------------------
 
-/// Lock shards for the flight ring. Tracks map to shards by modulo, so
-/// one track's events always live in one shard in push (= post-) order.
-const FLIGHT_SHARDS: usize = 8;
-
+/// One closed span on its thread's track.
 struct FlightEvent {
     track: u32,
+    thread: Arc<str>,
     event: SpanEvent,
 }
 
 impl FlightEvent {
     /// Bytes this entry is charged against the ring budget: the inline
-    /// struct plus the heap detail string. (`VecDeque` slack and the
-    /// small per-shard fixed overhead are not charged; the budget bounds
-    /// the dominant, workload-proportional cost.)
+    /// struct, the heap detail string, and the thread name (shared by a
+    /// track's events, and charged to each so that the name of a thread
+    /// that has exited stays within budget too). `VecDeque` slack is not
+    /// charged; the budget bounds the dominant, workload-proportional
+    /// cost.
     fn cost(&self) -> usize {
-        std::mem::size_of::<FlightEvent>() + self.event.detail.as_ref().map_or(0, |d| d.len())
+        std::mem::size_of::<FlightEvent>()
+            + self.event.detail.as_ref().map_or(0, |d| d.len())
+            + self.thread.len()
     }
 }
 
-#[derive(Default)]
-struct FlightShard {
-    ring: VecDeque<FlightEvent>,
+struct Ring {
+    events: VecDeque<FlightEvent>,
     bytes: usize,
     overwritten: u64,
 }
 
-fn flight_shards() -> &'static [Mutex<FlightShard>; FLIGHT_SHARDS] {
-    static SHARDS: OnceLock<[Mutex<FlightShard>; FLIGHT_SHARDS]> = OnceLock::new();
-    SHARDS.get_or_init(|| std::array::from_fn(|_| Mutex::new(FlightShard::default())))
+/// The flight ring: every closed span of every thread, oldest first.
+static RING: Mutex<Ring> = Mutex::new(Ring { events: VecDeque::new(), bytes: 0, overwritten: 0 });
+
+/// Lock the ring. No update leaves it half-done, so a lock poisoned by a
+/// panic elsewhere still guards a valid ring; taking it keeps
+/// `Span::drop` from panicking.
+fn ring() -> MutexGuard<'static, Ring> {
+    RING.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Append one closed span to its track's ring shard, evicting the
-/// oldest entries past the per-shard byte budget. Spans arrive in
-/// post-order (children close before parents), so eviction removes
-/// children before their parents and each track's surviving suffix
-/// still passes [`spans_well_formed`] once all its open spans close.
-fn flight_push(track: u32, event: SpanEvent) {
-    let total = FLIGHT_BYTES.load(Ordering::Relaxed);
-    if total == 0 {
+/// Append one closed span, evicting the oldest entries past the byte
+/// budget. Each track's spans arrive in post-order (children close
+/// before parents), so eviction removes children before their parents
+/// and each track's surviving suffix still passes [`spans_well_formed`]
+/// once all its open spans close.
+fn flight_push(ev: FlightEvent) {
+    let budget = FLIGHT_BYTES.load(Ordering::Relaxed);
+    if budget == 0 {
         // The ring was turned off while this span was open: drop the
-        // span instead of evicting its shard down to a zero budget.
+        // span instead of evicting the ring down to a zero budget.
         return;
     }
-    let budget = (total / FLIGHT_SHARDS).max(1);
-    let mut s = flight_shards()[track as usize % FLIGHT_SHARDS].lock().unwrap();
-    let ev = FlightEvent { track, event };
-    s.bytes += ev.cost();
-    s.ring.push_back(ev);
-    while s.bytes > budget {
+    let mut ring = ring();
+    ring.bytes += ev.cost();
+    ring.events.push_back(ev);
+    while ring.bytes > budget {
         // Guaranteed to terminate: the ring is non-empty (we just
         // pushed) and popping the last entry takes bytes to zero — an
         // oversized single event evicts itself.
-        let old = s.ring.pop_front().expect("bytes > 0 implies a resident event");
-        s.bytes -= old.cost();
-        s.overwritten += 1;
+        let old = ring.events.pop_front().expect("bytes > 0 implies a resident event");
+        ring.bytes -= old.cost();
+        ring.overwritten += 1;
     }
 }
 
 /// Flight-recorder occupancy, for `/metrics`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FlightStats {
-    /// Resident bytes across all shards (always ≤ `budget_bytes` once
-    /// the budget is ≥ [`FLIGHT_SHARDS`], the practical regime).
+    /// Resident bytes, always ≤ `budget_bytes`.
     pub bytes: usize,
-    /// The configured total budget ([`flight_configure`]; `usize::MAX`
-    /// under [`set_enabled`]).
+    /// The configured budget ([`flight_configure`]; `usize::MAX` under
+    /// [`set_enabled`]).
     pub budget_bytes: usize,
     /// Spans currently resident.
     pub events: usize,
@@ -637,68 +557,59 @@ pub struct FlightStats {
 }
 
 pub fn flight_stats() -> FlightStats {
-    let mut st = FlightStats {
+    let ring = ring();
+    FlightStats {
+        bytes: ring.bytes,
         budget_bytes: FLIGHT_BYTES.load(Ordering::Relaxed),
-        ..FlightStats::default()
-    };
-    for shard in flight_shards() {
-        let s = shard.lock().unwrap();
-        st.bytes += s.bytes;
-        st.events += s.ring.len();
-        st.overwritten += s.overwritten;
+        events: ring.events.len(),
+        overwritten: ring.overwritten,
     }
-    st
 }
 
 /// Empty the ring (tests; the daemon never clears it).
 pub fn flight_clear() {
-    for shard in flight_shards() {
-        let mut s = shard.lock().unwrap();
-        s.ring.clear();
-        s.bytes = 0;
-        s.overwritten = 0;
+    let mut ring = ring();
+    ring.events.clear();
+    ring.bytes = 0;
+    ring.overwritten = 0;
+}
+
+/// The resident spans grouped into per-thread tracks in track order,
+/// each track's spans ordered for the nesting validator:
+/// `(start, Reverse(end), depth)`.
+fn flight_tracks() -> Vec<TrackSnapshot> {
+    let mut all: Vec<(u32, Arc<str>, SpanEvent)> = ring()
+        .events
+        .iter()
+        .map(|fe| (fe.track, Arc::clone(&fe.thread), fe.event.clone()))
+        .collect();
+    all.sort_by_key(|(track, _, e)| (*track, e.start_ns, std::cmp::Reverse(e.end_ns()), e.depth));
+    let mut tracks: Vec<TrackSnapshot> = Vec::new();
+    for (track, thread, event) in all {
+        match tracks.last_mut() {
+            Some(t) if t.track == track => t.events.push(event),
+            _ => tracks.push(TrackSnapshot {
+                thread: thread.to_string(),
+                track,
+                events: vec![event],
+            }),
+        }
     }
+    tracks
 }
 
 /// Copy out the resident spans, grouped by track and ordered for the
 /// nesting validator: `(track, start, Reverse(end), depth)`.
 pub fn flight_events() -> Vec<(u32, SpanEvent)> {
-    let mut all = Vec::new();
-    for shard in flight_shards() {
-        let s = shard.lock().unwrap();
-        all.extend(s.ring.iter().map(|fe| (fe.track, fe.event.clone())));
-    }
-    all.sort_by(|(ta, a), (tb, b)| {
-        (ta, a.start_ns, std::cmp::Reverse(a.end_ns()), a.depth).cmp(&(
-            tb,
-            b.start_ns,
-            std::cmp::Reverse(b.end_ns()),
-            b.depth,
-        ))
-    });
-    all
-}
-
-/// Thread names for every registered track (recycled shards report
-/// their current owner).
-fn track_names() -> HashMap<u32, String> {
-    registry()
-        .shards
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|s| (s.track, s.thread.lock().unwrap().clone()))
+    flight_tracks()
+        .into_iter()
+        .flat_map(|t| t.events.into_iter().map(move |e| (t.track, e)))
         .collect()
-}
-
-fn track_label(names: &HashMap<u32, String>, track: u32) -> String {
-    names.get(&track).cloned().unwrap_or_else(|| format!("track-{track}"))
 }
 
 /// Render the flight ring as a Perfetto-openable Chrome trace document
 /// (`GET /trace`). With `filter`, only spans carrying that request id
-/// are included (`/trace?job=<id>`). Each event carries its nesting
-/// depth and request id in `args`.
+/// are included (`/trace?job=<id>`).
 ///
 /// Spans are recorded when they *close*, so a dump taken while requests
 /// or jobs are mid-flight can contain child spans whose still-open
@@ -706,35 +617,44 @@ fn track_label(names: &HashMap<u32, String>, track: u32) -> String {
 /// [`spans_well_formed`] per track (what `diogenes trace-check`
 /// verifies).
 pub fn flight_trace_json(filter: Option<TraceId>) -> Json {
-    let names = track_names();
-    let mut events =
-        vec![chrome_metadata_event("process_name", SELF_TRACE_PID, 0, "diogenes-serve")];
-    let mut last_track = None;
-    for (track, e) in flight_events() {
-        if let Some(f) = filter {
-            if e.trace != f.0 {
-                continue;
-            }
-        }
-        if last_track != Some(track) {
-            last_track = Some(track);
-            let label = track_label(&names, track);
-            events.push(chrome_metadata_event("thread_name", SELF_TRACE_PID, track, &label));
-        }
-        events.push(chrome_duration_event_args(
-            e.label(),
-            "flight",
-            SELF_TRACE_PID,
-            track,
-            e.start_ns as f64 / 1_000.0,
-            (e.dur_ns.max(1)) as f64 / 1_000.0,
-            Json::obj([
-                ("depth", Json::Int(e.depth as i128)),
-                ("trace", Json::Str(format!("{:016x}", e.trace))),
-            ]),
-        ));
-    }
+    let events = chrome_trace_events("diogenes-serve", &flight_tracks(), filter);
     Json::obj([("traceEvents", Json::Arr(events)), ("displayTimeUnit", "ns".into())])
+}
+
+/// The tool's own spans as Chrome trace events: the `process` name, then
+/// one track per thread (`main`, `ffm-pool-N`, …) labeled with a
+/// metadata event. Each event carries its nesting depth and request id
+/// in `args`. With `filter`, only spans carrying that request id are
+/// kept, and tracks left empty are dropped. The one renderer behind
+/// `GET /trace` and `--profile`'s `traceEvents`.
+fn chrome_trace_events(
+    process: &str,
+    tracks: &[TrackSnapshot],
+    filter: Option<TraceId>,
+) -> Vec<Json> {
+    let mut out = vec![chrome_metadata_event("process_name", SELF_TRACE_PID, 0, process)];
+    for t in tracks {
+        let mut kept = t.events.iter().filter(|e| filter.is_none_or(|f| e.trace == f.0)).peekable();
+        if kept.peek().is_none() {
+            continue;
+        }
+        out.push(chrome_metadata_event("thread_name", SELF_TRACE_PID, t.track, &t.thread));
+        out.extend(kept.map(|e| {
+            chrome_duration_event_args(
+                e.label(),
+                "flight",
+                SELF_TRACE_PID,
+                t.track,
+                e.start_ns as f64 / 1_000.0,
+                (e.dur_ns.max(1)) as f64 / 1_000.0,
+                Json::obj([
+                    ("depth", Json::Int(e.depth as i128)),
+                    ("trace", Json::Str(format!("{:016x}", e.trace))),
+                ]),
+            )
+        }));
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -841,30 +761,8 @@ pub fn chrome_metadata_event(what: &str, pid: u32, tid: u32, label: &str) -> Jso
     ])
 }
 
-/// The tool's own execution as Chrome trace events: one track per
-/// recorded thread (`main`, `ffm-pool-N`, …), labeled with metadata
-/// events.
-pub fn self_trace_events(snap: &TelemetrySnapshot) -> Vec<Json> {
-    let mut events =
-        vec![chrome_metadata_event("process_name", SELF_TRACE_PID, 0, "diogenes-self")];
-    for t in &snap.tracks {
-        events.push(chrome_metadata_event("thread_name", SELF_TRACE_PID, t.track, &t.thread));
-        for e in &t.events {
-            events.push(chrome_duration_event(
-                e.label(),
-                "tool",
-                SELF_TRACE_PID,
-                t.track,
-                e.start_ns as f64 / 1_000.0,
-                (e.dur_ns.max(1)) as f64 / 1_000.0,
-            ));
-        }
-    }
-    events
-}
-
 /// Render a snapshot as the `results/TELEMETRY_<app>.json` document:
-/// span rollups, merged metrics, per-worker utilization, and the full
+/// span rollups, cumulative metrics, per-worker utilization, and the full
 /// tool-self Chrome trace under the standard `traceEvents` key (so the
 /// artifact itself opens in Perfetto).
 pub fn snapshot_to_json(app: &str, workload: &str, jobs: usize, snap: &TelemetrySnapshot) -> Json {
@@ -930,7 +828,7 @@ pub fn snapshot_to_json(app: &str, workload: &str, jobs: usize, snap: &Telemetry
         ("counters", Json::Obj(counters)),
         ("histograms", Json::Obj(hists)),
         ("workers", Json::Arr(workers)),
-        ("traceEvents", Json::Arr(self_trace_events(snap))),
+        ("traceEvents", Json::Arr(chrome_trace_events("diogenes-self", &snap.tracks, None))),
         ("displayTimeUnit", "ns".into()),
     ])
 }
@@ -1004,26 +902,18 @@ mod tests {
         let _g = test_lock();
         set_enabled(true);
         flight_clear();
-        // Keep the worker alive across the snapshot: a dead thread's shard
-        // enters the recycling free list and may be renamed by its next
-        // owner, so the name is only stable while the thread lives.
-        let (recorded_tx, recorded_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let worker = std::thread::Builder::new()
+        // The worker exits before the snapshot: its events carry its
+        // track id and name, so the track outlives the thread.
+        std::thread::Builder::new()
             .name("tele-worker".to_string())
-            .spawn(move || {
-                {
-                    let _s = span("tele.on_worker");
-                }
-                recorded_tx.send(()).unwrap();
-                release_rx.recv().unwrap();
+            .spawn(|| {
+                let _s = span("tele.on_worker");
             })
+            .unwrap()
+            .join()
             .unwrap();
-        recorded_rx.recv().unwrap();
         set_enabled(false);
         let snap = snapshot();
-        release_tx.send(()).unwrap();
-        worker.join().unwrap();
         let track = snap
             .tracks
             .iter()
@@ -1031,31 +921,6 @@ mod tests {
             .expect("worker span recorded");
         assert_eq!(track.thread, "tele-worker");
         spans_well_formed(&track.events).unwrap();
-    }
-
-    #[test]
-    fn hist_merge_is_order_independent() {
-        let values_a = [0u64, 1, 5, 1023, 1024, u64::MAX];
-        let values_b = [3u64, 3, 3, 1 << 40];
-        let mut a = Hist::default();
-        let mut b = Hist::default();
-        for v in values_a {
-            a.record(v);
-        }
-        for v in values_b {
-            b.record(v);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge must commute");
-        // And both equal recording everything into one histogram.
-        let mut one = Hist::default();
-        for v in values_a.iter().chain(values_b.iter()) {
-            one.record(*v);
-        }
-        assert_eq!(ab, one, "merge must equal single-shard recording");
     }
 
     #[test]
@@ -1138,6 +1003,7 @@ mod tests {
         assert!(st.bytes <= budget, "resident {} bytes exceed the {budget} budget", st.bytes);
         assert!(st.overwritten > 0, "8000 spans into 16KiB must wrap");
         assert!(st.events > 0, "the ring retains a recent suffix");
+        assert!(st.bytes > budget / 2, "one thread's spans may use the whole budget: {st:?}");
         // The surviving suffix of the test thread's track is still a
         // well-formed hierarchy, and every span carries its trace id.
         let evs: Vec<SpanEvent> = flight_events()
@@ -1148,6 +1014,32 @@ mod tests {
         assert!(!evs.is_empty());
         spans_well_formed(&evs).unwrap();
         assert!(evs.iter().all(|e| e.trace != 0), "spans inherit the installed trace id");
+        // A few hundred short-lived threads, started and joined one at a
+        // time, stay within the same budget and leave one well-formed
+        // track each under their own names.
+        for k in 0..300 {
+            std::thread::Builder::new()
+                .name(format!("flight-short-{k}"))
+                .spawn(|| {
+                    let _outer = span("flight.short");
+                    let _inner = span("flight.inner");
+                })
+                .unwrap()
+                .join()
+                .unwrap();
+        }
+        let st = flight_stats();
+        assert!(st.bytes <= budget, "resident {} bytes exceed the {budget} budget", st.bytes);
+        let tracks = snapshot().tracks;
+        let short: Vec<&TrackSnapshot> =
+            tracks.iter().filter(|t| t.thread.starts_with("flight-short-")).collect();
+        assert!(short.len() > 1, "the ring keeps the recent threads' tracks");
+        let names: std::collections::HashSet<&str> =
+            short.iter().map(|t| t.thread.as_str()).collect();
+        assert_eq!(names.len(), short.len(), "one track per thread");
+        for t in &short {
+            spans_well_formed(&t.events).unwrap();
+        }
         // A span that closes after the ring is turned off is dropped; it
         // must not evict what the ring holds.
         let late = span("flight.late");

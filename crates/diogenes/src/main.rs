@@ -420,6 +420,13 @@ fn main() {
         i += 1;
     }
 
+    if !matches!(view.as_str(), "overview" | "sequence" | "fold" | "compare") {
+        usage();
+    }
+    let Some(fold_api) = ApiFn::from_name(&fold_api) else {
+        log_error!("unknown API function {fold_api}");
+        std::process::exit(2);
+    };
     let Some(app) = build_app(&app_name, scale_paper) else { usage() };
     if view == "compare" {
         // The Table 2 view: profile with all three tools and compare
@@ -489,14 +496,8 @@ fn main() {
                 print!("{}", render_subsequence(&result, seq_idx, f, t));
             }
         }
-        "fold" => match ApiFn::from_name(&fold_api) {
-            Some(api) => print!("{}", render_fold_expansion(&result, api)),
-            None => {
-                log_error!("unknown API function {fold_api}");
-                std::process::exit(2);
-            }
-        },
-        _ => usage(),
+        "fold" => print!("{}", render_fold_expansion(&result, fold_api)),
+        _ => unreachable!("the view was checked before the run"),
     }
 
     if autoseq {

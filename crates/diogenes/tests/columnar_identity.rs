@@ -2,7 +2,7 @@
 //! grouping tables, the non-mutating benefit pass) must not change a
 //! single byte of any exported artifact. The reports under `results/`
 //! were committed before the columnar layout landed; these tests replay
-//! the same runs — sequentially and with a worker pool — and compare
+//! the same runs — sequentially and fanned out over threads — and compare
 //! the serialized documents against the pinned files.
 //!
 //! Symbol ids and CSR offsets are in-memory coordinates only: labels

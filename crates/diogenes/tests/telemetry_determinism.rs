@@ -2,7 +2,8 @@
 //! `FfmReport` and sweep JSON must be byte-identical with profiling on
 //! vs off, at `jobs = 1` and `jobs = 8` — and while it is on, what it
 //! records must be a well-formed span hierarchy with the documented
-//! taxonomy and pool metrics.
+//! taxonomy and pool metrics, in which no stage starts before its
+//! dependencies have ended.
 //!
 //! Everything lives in ONE `#[test]`: the enabled flag and the span
 //! ring are process-global, and the Rust test harness runs `#[test]`
@@ -14,7 +15,8 @@ use std::collections::HashSet;
 use cuda_driver::GpuApp;
 use diogenes_apps::{AlsConfig, CumfAls};
 use ffm_core::{
-    report_to_json, run_ffm, run_sweep, sweep_to_json, telemetry, FfmConfig, SweepSpec,
+    deps, report_to_json, run_ffm, run_sweep, sweep_to_json, telemetry, FfmConfig, SpanEvent,
+    StageId, SweepSpec,
 };
 
 fn report_json(app: &dyn GpuApp, jobs: usize) -> String {
@@ -53,6 +55,12 @@ fn profiling_changes_no_report_bytes_and_records_well_formed_telemetry() {
     telemetry::set_enabled(true);
     let report_on_1 = report_json(&app, 1);
     let report_on_8 = report_json(&app, 8);
+    // A jobs = 4 run under its own request id, so its stage spans can be
+    // told apart from the other runs' (fan-out helpers inherit the id).
+    let report_on_4 = {
+        let _scope = telemetry::trace_scope(Some(telemetry::TraceId(4)));
+        report_json(&app, 4)
+    };
     let sweep_on_1 = sweep_json(&app, 1);
     let sweep_on_8 = sweep_json(&app, 8);
     telemetry::set_enabled(false);
@@ -60,6 +68,7 @@ fn profiling_changes_no_report_bytes_and_records_well_formed_telemetry() {
 
     assert_eq!(report_on_1, report_off_1, "profiling changed the jobs=1 report");
     assert_eq!(report_on_8, report_off_8, "profiling changed the jobs=8 report");
+    assert_eq!(report_on_4, report_off_1, "profiling changed the jobs=4 report");
     assert_eq!(sweep_on_1, sweep_off_1, "profiling changed the jobs=1 sweep");
     assert_eq!(sweep_on_8, sweep_off_8, "profiling changed the jobs=8 sweep");
 
@@ -88,6 +97,33 @@ fn profiling_changes_no_report_bytes_and_records_well_formed_telemetry() {
     for track in &snap.tracks {
         telemetry::spans_well_formed(&track.events)
             .unwrap_or_else(|e| panic!("track {:?} malformed: {e}", track.thread));
+    }
+
+    // The stage plan honours the stage keys: in the jobs = 4 run, every
+    // stage starts only after all of its dependencies have ended.
+    let stage_span = |id: StageId| {
+        let spans: Vec<&SpanEvent> = snap
+            .tracks
+            .iter()
+            .flat_map(|t| &t.events)
+            .filter(|e| e.trace == 4 && e.name == id.name())
+            .collect();
+        assert_eq!(spans.len(), 1, "one {} span in the jobs = 4 run", id.name());
+        spans[0]
+    };
+    for id in StageId::ALL {
+        let span = stage_span(id);
+        for &dep in deps(id) {
+            let dep_span = stage_span(dep);
+            assert!(
+                dep_span.end_ns() <= span.start_ns,
+                "{} started at {} before its dependency {} ended at {}",
+                id.name(),
+                span.start_ns,
+                dep.name(),
+                dep_span.end_ns()
+            );
+        }
     }
 
     // The jobs=8 runs fanned out: helper threads ran tasks on their own

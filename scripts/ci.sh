@@ -61,6 +61,16 @@ phs = {e['ph'] for e in d['traceEvents']}
 assert {'M', 'X'} <= phs, f'trace needs metadata + duration events, got {phs}'
 assert any(w['thread'].startswith('ffm-pool-') for w in d['workers']), \
     f"no pool-worker track: {[w['thread'] for w in d['workers']]}"
+# Worker busy time is honest: a pool task spends at most 1 ms + 10% of
+# its length outside the stage spans it contains (no waiting inside).
+stages = expected | {'discovery', 'stage3-merge'}
+xs = [e for e in d['traceEvents'] if e['ph'] == 'X']
+for t in (e for e in xs if e['name'] == 'pool.task'):
+    lo, hi = t['ts'], t['ts'] + t['dur']
+    inside = sum(e['dur'] for e in xs if e['tid'] == t['tid'] and e['name'] in stages
+                 and lo <= e['ts'] and e['ts'] + e['dur'] <= hi)
+    assert t['dur'] - inside <= 1000 + 0.1 * t['dur'], \
+        f"pool.task on track {t['tid']}: {t['dur'] - inside:.0f} of {t['dur']:.0f} us outside stages"
 print(f"telemetry smoke ok: {len(d['traceEvents'])} trace events, "
       f"{len(d['workers'])} worker tracks, {len(d['counters'])} counters")
 EOF
@@ -92,17 +102,25 @@ fi
 rm -rf "$SMOKE"
 echo "concurrent sweep smoke ok"
 
-echo "== bad arguments exit 2 (unknown scale, a sweep field named by two axes) =="
+echo "== bad arguments exit 2 before any work (scale, view, fold, a sweep field named by two axes) =="
+BAD_STDERR=$(mktemp)
 expect_exit_2() {
     set +e
-    "$@" > /dev/null 2>&1
+    "$@" > /dev/null 2> "$BAD_STDERR"
     status=$?
     set -e
     [ "$status" -eq 2 ] || { echo "expected exit 2, got $status: $*"; exit 1; }
+    if grep -q "collection took" "$BAD_STDERR"; then
+        echo "ran the pipeline before rejecting: $*"
+        exit 1
+    fi
 }
 expect_exit_2 ./target/release/diogenes als --scale papr
+expect_exit_2 ./target/release/diogenes als --view bogus
+expect_exit_2 ./target/release/diogenes als --view fold --fold cudaFreee
 expect_exit_2 ./target/release/diogenes sweep gaussian --no-cache \
     --axis cost.free_base_ns=1000,2000 --axis cost.free_base_ns=3000
+rm -f "$BAD_STDERR"
 echo "bad-argument checks ok"
 
 echo "== serve smoke (daemon report byte-identical to CLI, /metrics + /trace live, clean drain) =="
