@@ -27,7 +27,7 @@ use crate::workloads::RatingsMatrix;
 
 /// Which of the paper's fixes are applied (the "fixed" build measured in
 /// Table 1).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Hash)]
 pub struct AlsFixes {
     /// Hoist the scratch `cudaMalloc`/`cudaFree` pairs out of the loop
     /// (the paper's fix for the `cudaFree` synchronizations).
@@ -48,7 +48,7 @@ impl AlsFixes {
 }
 
 /// Configuration for the synthetic cumf_als.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct AlsConfig {
     /// Solve iterations (the paper ran 5000; scaled down by default).
     pub iters: u32,
@@ -122,26 +122,7 @@ impl GpuApp for CumfAls {
     }
 
     fn input_digest(&self) -> u64 {
-        // The workload string omits most of the config (kernel costs,
-        // chunk/scratch sizes, fixes), so digest every field that shapes
-        // the driver-call sequence. The ratings matrix is generated from
-        // fixed parameters plus `chunk_bytes`, so it is covered too.
-        let c = &self.cfg;
-        cuda_driver::digest_fields(
-            self.name(),
-            &[
-                ("iters", c.iters as u64),
-                ("chunk_bytes", c.chunk_bytes as u64),
-                ("batch_kernel_ns", c.batch_kernel_ns),
-                ("churn_work_ns", c.churn_work_ns),
-                ("batch2_ns", c.batch2_ns),
-                ("assemble_ns", c.assemble_ns),
-                ("scratch_bytes", c.scratch_bytes),
-                ("fix.hoist_alloc_free", c.fixes.hoist_alloc_free as u64),
-                ("fix.upload_once", c.fixes.upload_once as u64),
-                ("fix.remove_device_syncs", c.fixes.remove_device_syncs as u64),
-            ],
-        )
+        cuda_driver::digest_config(self.name(), &self.cfg)
     }
 
     fn run(&self, cuda: &mut Cuda) -> CudaResult<()> {

@@ -14,7 +14,7 @@ use gpu_sim::{HostPtr, Ns, SourceLoc};
 use crate::workloads::StencilMatrix;
 
 /// The paper's fix.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Hash)]
 pub struct AmgFixes {
     /// Replace the unified-memory `cudaMemset` with a host `memset`.
     pub host_memset: bool,
@@ -27,7 +27,7 @@ impl AmgFixes {
 }
 
 /// Configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct AmgConfig {
     pub matrix: StencilMatrix,
     /// GPU time of one SpMV at the finest level.
@@ -89,21 +89,7 @@ impl GpuApp for Amg {
     }
 
     fn input_digest(&self) -> u64 {
-        // The workload string omits the timing knobs and the fix flag;
-        // digest every field that shapes the driver-call sequence.
-        let c = &self.cfg;
-        cuda_driver::digest_fields(
-            self.name(),
-            &[
-                ("matrix.n", c.matrix.n as u64),
-                ("matrix.levels", c.matrix.levels as u64),
-                ("matrix.cycles", c.matrix.cycles as u64),
-                ("spmv_ns", c.spmv_ns),
-                ("host_work_ns", c.host_work_ns),
-                ("setup_work_ns", c.setup_work_ns),
-                ("fix.host_memset", c.fixes.host_memset as u64),
-            ],
-        )
+        cuda_driver::digest_config(self.name(), &self.cfg)
     }
 
     fn run(&self, cuda: &mut Cuda) -> CudaResult<()> {

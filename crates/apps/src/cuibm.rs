@@ -25,7 +25,7 @@ use crate::workloads::CavityConfig;
 
 /// The paper's fix: a small memory manager that reuses temporary device
 /// regions instead of allocating/freeing through Thrust each call.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Hash)]
 pub struct CuibmFixes {
     /// Reuse temporaries via a pool (eliminates the `cudaFree` syncs AND
     /// the malloc/free churn — which is why the real fix recovered *more*
@@ -43,7 +43,7 @@ impl CuibmFixes {
 }
 
 /// Configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct CuibmConfig {
     pub cavity: CavityConfig,
     /// GPU time of one solver kernel.
@@ -154,24 +154,7 @@ impl GpuApp for CuIbm {
     }
 
     fn input_digest(&self) -> u64 {
-        // The workload string omits the timing knobs and fixes; digest
-        // every field that shapes the driver-call sequence.
-        let c = &self.cfg;
-        cuda_driver::digest_fields(
-            self.name(),
-            &[
-                ("cavity.reynolds", c.cavity.reynolds as u64),
-                ("cavity.nx", c.cavity.nx as u64),
-                ("cavity.ny", c.cavity.ny as u64),
-                ("cavity.steps", c.cavity.steps as u64),
-                ("cavity.solver_iters", c.cavity.solver_iters as u64),
-                ("kernel_ns", c.kernel_ns),
-                ("host_work_ns", c.host_work_ns),
-                ("outer_work_ns", c.outer_work_ns),
-                ("fix.pool_temporaries", c.fixes.pool_temporaries as u64),
-                ("fix.pinned_monitor_buffers", c.fixes.pinned_monitor_buffers as u64),
-            ],
-        )
+        cuda_driver::digest_config(self.name(), &self.cfg)
     }
 
     fn run(&self, cuda: &mut Cuda) -> CudaResult<()> {

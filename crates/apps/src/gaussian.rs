@@ -16,7 +16,7 @@ use gpu_sim::{Ns, SourceLoc, StreamId};
 use crate::workloads::DenseSystem;
 
 /// The paper's fix.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Hash)]
 pub struct GaussianFixes {
     /// Comment out the per-row `cudaThreadSynchronize`.
     pub remove_thread_sync: bool,
@@ -29,7 +29,7 @@ impl GaussianFixes {
 }
 
 /// Configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct GaussianConfig {
     /// Matrix dimension (rows eliminated).
     pub n: u32,
@@ -87,20 +87,7 @@ impl GpuApp for Gaussian {
     }
 
     fn input_digest(&self) -> u64 {
-        // The workload string only carries `n`; digest every field that
-        // shapes the driver-call sequence (the dense system is generated
-        // from `n` plus a fixed seed, so it is covered too).
-        let c = &self.cfg;
-        cuda_driver::digest_fields(
-            self.name(),
-            &[
-                ("n", c.n as u64),
-                ("fan1_ns", c.fan1_ns),
-                ("fan2_ns", c.fan2_ns),
-                ("host_ns", c.host_ns),
-                ("fix.remove_thread_sync", c.fixes.remove_thread_sync as u64),
-            ],
-        )
+        cuda_driver::digest_config(self.name(), &self.cfg)
     }
 
     fn run(&self, cuda: &mut Cuda) -> CudaResult<()> {

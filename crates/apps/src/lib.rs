@@ -32,23 +32,3 @@ pub use amg::{Amg, AmgConfig, AmgFixes};
 pub use cuibm::{CuIbm, CuibmConfig, CuibmFixes};
 pub use gaussian::{Gaussian, GaussianConfig, GaussianFixes};
 pub use pipelined::{Pipelined, PipelinedConfig};
-
-/// The four applications at test scale, boxed for harness iteration.
-pub fn all_apps_test_scale() -> Vec<Box<dyn cuda_driver::GpuApp>> {
-    vec![
-        Box::new(CumfAls::new(AlsConfig::test_scale())),
-        Box::new(CuIbm::new(CuibmConfig::test_scale())),
-        Box::new(Amg::new(AmgConfig::test_scale())),
-        Box::new(Gaussian::new(GaussianConfig::test_scale())),
-    ]
-}
-
-/// The four applications at experiment (paper) scale.
-pub fn all_apps_paper_scale() -> Vec<Box<dyn cuda_driver::GpuApp>> {
-    vec![
-        Box::new(CumfAls::new(AlsConfig::paper_scale())),
-        Box::new(CuIbm::new(CuibmConfig::paper_scale())),
-        Box::new(Amg::new(AmgConfig::paper_scale())),
-        Box::new(Gaussian::new(GaussianConfig::paper_scale())),
-    ]
-}

@@ -12,7 +12,7 @@ use cuda_driver::{Cuda, CudaResult, GpuApp, KernelDesc};
 use gpu_sim::{Ns, SourceLoc};
 
 /// Configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct PipelinedConfig {
     /// Number of input chunks streamed through.
     pub chunks: u32,
@@ -61,18 +61,7 @@ impl GpuApp for Pipelined {
     }
 
     fn input_digest(&self) -> u64 {
-        // The workload string omits the timing knobs (and rounds
-        // chunk_bytes to KiB); digest every field.
-        let c = &self.cfg;
-        cuda_driver::digest_fields(
-            self.name(),
-            &[
-                ("chunks", c.chunks as u64),
-                ("chunk_bytes", c.chunk_bytes),
-                ("kernel_ns", c.kernel_ns),
-                ("prep_ns", c.prep_ns),
-            ],
-        )
+        cuda_driver::digest_config(self.name(), &self.cfg)
     }
 
     fn run(&self, cuda: &mut Cuda) -> CudaResult<()> {

@@ -36,7 +36,7 @@ impl RatingsMatrix {
 
 /// A lid-driven-cavity CFD configuration (cuIBM's
 /// `lidDrivenCavityRe5000`): grid dimensions and iteration structure.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct CavityConfig {
     pub nx: u32,
     pub ny: u32,
@@ -61,7 +61,7 @@ impl CavityConfig {
 
 /// An `ij`-style sparse matrix description for the AMG benchmark: a
 /// 27-point stencil on an `n³` grid.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct StencilMatrix {
     pub n: u32,
     pub levels: u32,

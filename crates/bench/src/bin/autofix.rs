@@ -8,8 +8,8 @@
 
 use cuda_driver::uninstrumented_exec_time;
 use diogenes::experiments::paper_subjects;
+use diogenes::experiments::secs;
 use diogenes::{autocorrect, AutofixConfig};
-use diogenes_bench::secs;
 use ffm_core::{effective_jobs, try_par_map};
 use gpu_sim::CostModel;
 

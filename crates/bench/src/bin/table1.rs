@@ -2,8 +2,8 @@
 //! benefit for the fixed issues vs. the actual runtime reduction of the
 //! fixed build.
 
-use diogenes::experiments::{paper_subjects, table1_rows};
-use diogenes_bench::{paper_scale_from_env, render_table1};
+use diogenes::experiments::{paper_subjects, render_table1, table1_rows};
+use diogenes_bench::paper_scale_from_env;
 use gpu_sim::CostModel;
 
 fn main() {

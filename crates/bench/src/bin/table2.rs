@@ -1,8 +1,8 @@
 //! Regenerate paper Table 2: per-CUDA-call comparison of NVProf,
 //! HPCToolkit, and Diogenes' expected savings, for all four applications.
 
-use diogenes::experiments::{paper_subjects, table2_all};
-use diogenes_bench::{paper_scale_from_env, render_table2};
+use diogenes::experiments::{paper_subjects, render_table2, table2_all};
+use diogenes_bench::paper_scale_from_env;
 use gpu_sim::CostModel;
 
 fn main() {

@@ -9,7 +9,7 @@
 //! ```text
 //! key(stage) = H(stage name, SCHEMA_VERSION,
 //!               app.input_digest()      [stages that run the app],
-//!               declared config fields  [read via sweep::get_field],
+//!               declared config fields  [read via sweep::CONFIG_FIELDS],
 //!               key(dep) for each dependency)
 //! ```
 //!
@@ -26,17 +26,20 @@
 //!   config field when the stage provably cannot read it (e.g. the hash
 //!   cost fields are charged exclusively in the stage 3 hashing run).
 //!   When in doubt a field is included: over-keying costs a cache miss,
-//!   under-keying corrupts reports.
+//!   under-keying corrupts reports. The `cache_determinism` suite re-runs
+//!   every collection stage with each field it omits perturbed and
+//!   requires the same artifact bytes.
 //! - **Dep keys propagate invalidation.** Changing a field re-keys the
 //!   stages that read it *and* everything downstream of them.
 //!
 //! [`run_stages`] runs the stages on a fixed plan (`PLAN`): discovery
-//! ∥ stage 1, then three lanes — stage 2 | 3a → 4 | 3b — on [`crate::par`]
-//! fan-out threads, then the stage 3 merge and stage 5 on the caller's
-//! thread. Each stage consults an optional [`ArtifactStore`] before it
-//! executes, recording per-stage hit/miss counters in telemetry. With
-//! `jobs <= 1`, or inside a running fan-out such as a sweep cell, every
-//! lane runs inline on the caller's thread in plan order.
+//! then stage 1 on the caller's thread, then three lanes — stage 2 |
+//! 3a → 4 | 3b — on [`crate::par`] fan-out threads, then the stage 3
+//! merge and stage 5 on the caller's thread. Each stage consults an
+//! optional [`ArtifactStore`] before it executes, recording per-stage
+//! hit/miss counters in telemetry. With `jobs <= 1`, or inside a running
+//! fan-out such as a sweep cell, every lane runs inline on the caller's
+//! thread in plan order.
 
 use std::sync::Arc;
 
@@ -51,7 +54,7 @@ use crate::stages::{
     merge_stage3, run_stage1, run_stage2, run_stage3_hash, run_stage3_sync, run_stage4,
 };
 use crate::store::{Artifact, ArtifactKind, ArtifactStore, KeyHasher, StageKey};
-use crate::sweep::get_field;
+use crate::sweep::{ConfigField, CONFIG_FIELDS};
 use crate::telemetry;
 use instrument::Discovery;
 
@@ -145,85 +148,14 @@ pub fn deps(id: StageId) -> &'static [StageId] {
     }
 }
 
-/// Cost-model fields every simulated run reads (everything except the
-/// hash and load/store instrumentation costs, which only specific runs
-/// charge).
-const COST_COMMON: &[&str] = &[
-    "cost.driver_call_ns",
-    "cost.kernel_launch_ns",
-    "cost.transfer_setup_ns",
-    "cost.pageable_bw_bytes_per_us",
-    "cost.pinned_bw_bytes_per_us",
-    "cost.dtod_bw_bytes_per_us",
-    "cost.transfer_latency_ns",
-    "cost.sync_entry_ns",
-    "cost.alloc_base_ns",
-    "cost.alloc_per_mib_ns",
-    "cost.free_base_ns",
-    "cost.memset_bw_bytes_per_us",
-    "cost.memset_base_ns",
-    "cost.query_call_ns",
-    "cost.probe_overhead_ns",
-    "cost.stackwalk_frame_ns",
-    "cost.jitter_ppm",
-];
-
-/// Driver-config fields; every run that executes the app under the
-/// simulated driver reads all of them.
-const DRIVER_ALL: &[&str] = &[
-    "driver.free_implicit_sync",
-    "driver.memcpy_implicit_sync",
-    "driver.async_dtoh_pageable_sync",
-    "driver.memset_unified_sync",
-    "driver.unified_memset_penalty",
-    "driver.device_memory_bytes",
-    "driver.private_api_discount",
-];
-
-/// The config fields each stage reads — its declared input set. These
-/// lists are the product of auditing the stage implementations
-/// (`stages.rs`, `instrument::discovery`, `analysis::analyze`):
-///
-/// - Discovery builds `Cuda::new(cost)` with the *default* driver config
-///   and never runs the app → cost only, no driver, no app digest.
-/// - Stages 1–4 all run the app under the configured driver → common
-///   cost + all driver fields.
-/// - `cost.loadstore_overhead_ns` is charged only where a
-///   `LoadStoreWatcher` is installed: the stage 3 memory-tracing run and
-///   the stage 4 first-use run.
-/// - `cost.hash_bw_bytes_per_us` / `cost.hash_base_ns` are charged only
-///   in the stage 3 hashing run (`CostModel::hash_ns` has no other
-///   caller in the pipeline).
-/// - The merge is a pure union of its two inputs → keyed on dep keys
-///   alone.
-/// - The analysis reads only the two analysis knobs; everything else it
-///   consumes arrives through its dep artifacts.
-pub fn declared_fields(id: StageId) -> Vec<&'static str> {
-    let mut fields: Vec<&'static str> = Vec::new();
-    match id {
-        StageId::Discovery => fields.extend(COST_COMMON),
-        StageId::Stage1 | StageId::Stage2 => {
-            fields.extend(COST_COMMON);
-            fields.extend(DRIVER_ALL);
-        }
-        StageId::Stage3a | StageId::Stage4 => {
-            fields.extend(COST_COMMON);
-            fields.push("cost.loadstore_overhead_ns");
-            fields.extend(DRIVER_ALL);
-        }
-        StageId::Stage3b => {
-            fields.extend(COST_COMMON);
-            fields.push("cost.hash_bw_bytes_per_us");
-            fields.push("cost.hash_base_ns");
-            fields.extend(DRIVER_ALL);
-        }
-        StageId::Merge3 => {}
-        StageId::Stage5 => {
-            fields.push("analysis.misplaced_threshold_ns");
-            fields.push("analysis.clamp_misplaced");
-        }
-    }
-    fields
+/// The config fields a stage reads — its declared input set: the
+/// entries of [`CONFIG_FIELDS`] that name the stage among their readers,
+/// in table order. Each reader set in [`crate::sweep`] states why the
+/// stages outside it cannot read its fields. The stage 3 merge is a pure
+/// union of its two inputs, so it reads none and is keyed on its dep keys
+/// alone.
+pub fn declared_fields(id: StageId) -> impl Iterator<Item = &'static ConfigField> {
+    CONFIG_FIELDS.iter().filter(move |f| f.readers.contains(&id))
 }
 
 /// Content-address of one stage's output. See the module docs for the
@@ -240,8 +172,8 @@ pub fn stage_key(
         h.push_u64(app.input_digest());
     }
     for field in declared_fields(id) {
-        h.push_str(field);
-        h.push_u64(get_field(cfg, field).expect("declared fields are sweepable"));
+        h.push_str(field.path);
+        h.push_u64(field.get(cfg));
     }
     for &k in dep_keys {
         h.push_key(k);
@@ -276,10 +208,10 @@ const STAGE_METRICS: [[&str; 3]; STAGE_COUNT] = [
     ["cache.stage5.hits", "cache.stage5.misses", "stage.stage5.exec_ns"],
 ];
 
-/// Execute one stage for real (cache already missed). `dep_artifacts`
-/// come in [`deps`] order. Opens the stage's telemetry span, so spans
-/// appear exactly when work happens — a cache hit leaves no span.
-fn execute(
+/// Execute one stage for real, with no store. `dep_artifacts` come in
+/// [`deps`] order. Opens the stage's telemetry span, so spans appear
+/// exactly when work happens — a cache hit leaves no span.
+pub fn execute(
     id: StageId,
     app: &dyn GpuApp,
     cfg: &FfmConfig,
@@ -364,9 +296,11 @@ fn obtain(
 /// runs on the caller's thread. Every stage's [`deps`] finish in an
 /// earlier phase or earlier in its own lane (pinned by the
 /// `telemetry_determinism` suite, which checks the spans of a jobs = 4
-/// run against [`deps`]).
+/// run against [`deps`]). Discovery takes tens of microseconds and no
+/// stage depends on it, so it shares stage 1's lane rather than a helper
+/// thread of its own.
 const PLAN: [&[&[StageId]]; 4] = [
-    &[&[StageId::Discovery], &[StageId::Stage1]],
+    &[&[StageId::Discovery, StageId::Stage1]],
     &[&[StageId::Stage2], &[StageId::Stage3a, StageId::Stage4], &[StageId::Stage3b]],
     &[&[StageId::Merge3]],
     &[&[StageId::Stage5]],
@@ -470,24 +404,10 @@ pub fn run_collection(
     Ok(run_plan(app, cfg, jobs, store, &PLAN[..3])?.0)
 }
 
-/// Content address of one per-window analysis epoch: the stage 5 key
-/// (which already folds in the app digest, analysis knobs and every
-/// upstream dep key) extended with the window size and epoch ordinal.
-/// Distinct windowings address distinct epoch chains; the final analysis
-/// itself lives at the plain stage 5 key, since it is byte-identical to
-/// the batch artifact regardless of windowing.
-pub fn epoch_key(stage5: StageKey, window: usize, epoch: usize) -> StageKey {
-    let mut h = KeyHasher::new("stage5-epoch");
-    h.push_key(stage5);
-    h.push_u64(window as u64);
-    h.push_u64(epoch as u64);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{set_field, SWEEPABLE_FIELDS};
+    use crate::sweep::SWEEPABLE_FIELDS;
     use crate::FfmConfig;
     use cuda_driver::{Cuda, CudaError};
     use std::collections::HashSet;
@@ -512,21 +432,13 @@ mod tests {
         }
     }
 
-    fn changed_stages(field: &str) -> Vec<StageId> {
+    fn changed_stages(path: &str) -> Vec<StageId> {
+        let field = CONFIG_FIELDS.iter().find(|f| f.path == path).expect("a table field");
         let base = FfmConfig::default();
         let mut perturbed = base.clone();
-        // Flip the field away from its default; +1 works for integers,
-        // and for booleans the XOR keeps the value in {0, 1}.
-        let current = get_field(&base, field).unwrap();
-        let next = if field.ends_with("_sync")
-            || field.ends_with("discount")
-            || field.ends_with("clamp_misplaced")
-        {
-            current ^ 1
-        } else {
-            current + 1
-        };
-        set_field(&mut perturbed, field, next).unwrap();
+        // Move the field off its default: flags flip, integers step by one.
+        let current = field.get(&base);
+        field.set(&mut perturbed, if field.flag { current ^ 1 } else { current + 1 }).unwrap();
         let a = plan_keys(&Tiny, &base);
         let b = plan_keys(&Tiny, &perturbed);
         StageId::ALL.into_iter().filter(|id| a[id.index()] != b[id.index()]).collect()
@@ -577,7 +489,7 @@ mod tests {
     fn driver_fields_rekey_everything_except_discovery() {
         // identify_sync_function never sees DriverConfig, so discovery
         // artifacts are shared across driver sweeps.
-        for field in DRIVER_ALL {
+        for field in CONFIG_FIELDS.iter().map(|f| f.path).filter(|p| p.starts_with("driver.")) {
             let changed = changed_stages(field);
             assert!(!changed.contains(&StageId::Discovery), "{field} must not rekey discovery");
             let expect: Vec<StageId> =
@@ -698,20 +610,5 @@ mod tests {
                 assert_eq!(stored, id == StageId::Discovery, "jobs={jobs}: {}", id.name());
             }
         }
-    }
-
-    #[test]
-    fn epoch_keys_are_distinct_and_anchored_to_stage5() {
-        let cfg = FfmConfig::default();
-        let s5 = plan_keys(&Tiny, &cfg)[StageId::Stage5.index()];
-        let mut seen = HashSet::new();
-        seen.insert(s5);
-        for window in [64usize, 256] {
-            for epoch in 0..4 {
-                assert!(seen.insert(epoch_key(s5, window, epoch)), "w={window} e={epoch}");
-            }
-        }
-        let other = plan_keys(&Tiny2, &cfg)[StageId::Stage5.index()];
-        assert_ne!(epoch_key(s5, 64, 0), epoch_key(other, 64, 0));
     }
 }

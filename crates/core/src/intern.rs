@@ -77,10 +77,6 @@ impl SymTable {
     fn resolve(&self, sym: Sym) -> &'static str {
         self.strings.read().unwrap()[sym.0 as usize]
     }
-
-    fn len(&self) -> usize {
-        self.strings.read().unwrap().len()
-    }
 }
 
 fn table() -> &'static SymTable {
@@ -112,12 +108,6 @@ pub fn intern_static(s: &'static str) -> Sym {
     strings.push(s);
     map.insert(s, id);
     Sym(id)
-}
-
-/// Number of distinct strings interned so far. Dense side tables indexed by
-/// `Sym::index` should be sized with this.
-pub fn table_len() -> usize {
-    table().len()
 }
 
 #[cfg(test)]

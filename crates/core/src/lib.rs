@@ -11,9 +11,10 @@
 //!    internal sync funnel; learn *which* API functions synchronize.
 //! 2. [`stages::run_stage2`] — detailed tracing of those functions plus
 //!    documented transfer functions: stacks, call time, funnel time.
-//! 3. [`stages::run_stage3`] — memory tracing and data hashing: which
-//!    syncs protect data the CPU actually uses; which transfers carry
-//!    already-transferred payloads.
+//! 3. [`stages::run_stage3_sync`] and [`stages::run_stage3_hash`],
+//!    joined by [`stages::merge_stage3`] — memory tracing and data
+//!    hashing: which syncs protect data the CPU actually uses; which
+//!    transfers carry already-transferred payloads.
 //! 4. [`stages::run_stage4`] — sync-use analysis: time from sync
 //!    completion to first use of protected data.
 //! 5. [`analysis::analyze`] — classification ([`problem`]), the
@@ -86,8 +87,7 @@ pub use codec::{
     FrameRow, Stage2Cols, StrTable, KIND_DOC,
 };
 pub use engine::{
-    declared_fields, deps, epoch_key, plan_keys, run_collection, run_stages, stage_key, CollectOut,
-    StageId,
+    declared_fields, deps, plan_keys, run_collection, run_stages, stage_key, CollectOut, StageId,
 };
 pub use export::{analysis_to_json, report_to_json};
 pub use graph::{Csr, ExecGraph, GraphBuilder, GraphIndex, NType, Node};
@@ -116,8 +116,8 @@ pub use store::{
 };
 pub use sweep::{
     get_field, run_fleet, run_sweep, run_sweep_with_store, set_field, sweep_to_json, Axis,
-    AxisLayout, CacheMode, SweepCell, SweepMatrix, SweepPoint, SweepSpec, SweepSummary,
-    MAX_SWEEP_CELLS, SWEEPABLE_FIELDS,
+    AxisLayout, CacheMode, ConfigField, SweepCell, SweepMatrix, SweepPoint, SweepSpec,
+    SweepSummary, CONFIG_FIELDS, MAX_SWEEP_CELLS, SWEEPABLE_FIELDS,
 };
 pub use telemetry::{
     chrome_duration_event, chrome_duration_event_args, chrome_metadata_event, snapshot_to_json,

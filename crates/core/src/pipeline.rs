@@ -23,8 +23,8 @@
 //! [`crate::engine::StageId`] with declared dependencies and a declared
 //! config-field input set, and its output is a content-addressed
 //! [`crate::store::Artifact`]. The engine runs it on a fixed plan:
-//! discovery ∥ stage 1, then three lanes — stage 2 | 3a → 4 | 3b — then
-//! the stage 3 merge and stage 5 on the caller's thread. Stage 4 starts
+//! discovery then stage 1, then three lanes — stage 2 | 3a → 4 | 3b —
+//! then the stage 3 merge and stage 5 on the caller's thread. Stage 4 starts
 //! as soon as stage 3a lands — it consumes only the first-use sites,
 //! which the hashing run never produces. [`run_ffm`] executes the plan
 //! with no store; [`run_ffm_with_store`] threads an [`ArtifactStore`]
@@ -43,13 +43,13 @@ use gpu_sim::{CostModel, Ns};
 use instrument::Discovery;
 
 use crate::analysis::{Analysis, AnalysisConfig};
-use crate::engine::{epoch_key, run_collection, run_stages, CollectOut};
+use crate::engine::{run_collection, run_stages, CollectOut};
 use crate::graph::GraphBuilder;
 use crate::grouping::IncrementalAnalysis;
 use crate::par::effective_jobs;
 use crate::problem::classify_range;
 use crate::records::{Stage1Result, Stage2Result, Stage3Result, Stage4Result};
-use crate::store::{Artifact, ArtifactStore, StageKey};
+use crate::store::{Artifact, ArtifactStore};
 use crate::telemetry;
 
 /// Pipeline configuration.
@@ -225,8 +225,6 @@ pub struct EpochSnapshot<'a> {
     pub calls_consumed: usize,
     /// Graph nodes materialized so far.
     pub nodes: usize,
-    /// Content address of this epoch ([`epoch_key`]).
-    pub key: StageKey,
     /// The analysis of everything folded so far.
     pub analysis: &'a Analysis,
 }
@@ -245,10 +243,10 @@ pub fn run_ffm_streaming(
 
 /// The streaming driver: run the collection stages, then interleave
 /// graph building with windowed incremental analysis, publishing an
-/// [`EpochSnapshot`] (and a content-addressed store entry) after every
-/// `window` consumed stage 2 calls. The final epoch carries the finished
-/// analysis, which is also stored under the plain stage 5 key — so a
-/// later batch run of the same plan is a warm cache hit.
+/// [`EpochSnapshot`] after every `window` consumed stage 2 calls. The
+/// final epoch carries the finished analysis, which is stored under the
+/// plain stage 5 key — so a later batch run of the same plan is a warm
+/// cache hit. Epochs themselves are not stored: nothing looks them up.
 pub fn run_ffm_streaming_with_store(
     app: &dyn GpuApp,
     cfg: &FfmConfig,
@@ -269,9 +267,6 @@ pub fn run_ffm_streaming_with_store(
     let mut epoch = 0usize;
     let mut publish = |snapshot: &EpochSnapshot<'_>| {
         telemetry::counter_add("stream.epochs", 1);
-        if let Some(store) = store {
-            store.put(snapshot.key, Artifact::Analysis(Arc::new(snapshot.analysis.clone())));
-        }
         on_epoch(snapshot);
     };
     let mut consumed = 0usize;
@@ -295,7 +290,6 @@ pub fn run_ffm_streaming_with_store(
                 epoch,
                 calls_consumed: consumed,
                 nodes: analysis.graph.nodes.len(),
-                key: epoch_key(col.stage5_key, window, epoch),
                 analysis: &analysis,
             });
             epoch += 1;
@@ -313,7 +307,6 @@ pub fn run_ffm_streaming_with_store(
         epoch,
         calls_consumed: calls.len(),
         nodes: analysis.graph.nodes.len(),
-        key: epoch_key(col.stage5_key, window, epoch),
         analysis: &analysis,
     });
     drop(_fold_span);

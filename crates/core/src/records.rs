@@ -115,13 +115,6 @@ pub struct Stage2Result {
     pub calls: Vec<TracedCall>,
 }
 
-impl Stage2Result {
-    /// Calls that performed a synchronization.
-    pub fn sync_calls(&self) -> impl Iterator<Item = &TracedCall> {
-        self.calls.iter().filter(|c| c.performed_sync())
-    }
-}
-
 /// A protected-data access observed in stage 3.
 #[derive(Debug, Clone)]
 pub struct ProtectedAccess {

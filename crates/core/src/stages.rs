@@ -467,19 +467,6 @@ pub fn merge_stage3(sync: Stage3Result, hash: Stage3Result) -> Stage3Result {
     }
 }
 
-/// Run both stage 3 collections (memory tracing, then data hashing — two
-/// separate runs, as Diogenes performs them) and merge the evidence.
-pub fn run_stage3(
-    app: &dyn GpuApp,
-    cost: &CostModel,
-    cfg: &DriverConfig,
-    s1: &Stage1Result,
-) -> CudaResult<Stage3Result> {
-    let sync = run_stage3_sync(app, cost, cfg, s1)?;
-    let hash = run_stage3_hash(app, cost, cfg, s1)?;
-    Ok(merge_stage3(sync, hash))
-}
-
 // ---------------------------------------------------------------------------
 // Stage 4 — sync-use analysis
 // ---------------------------------------------------------------------------

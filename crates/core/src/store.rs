@@ -253,10 +253,6 @@ impl ArtifactStore {
         s
     }
 
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_deref()
-    }
-
     /// The disk layer for `kind`: `None` without one, and for
     /// memory-only kinds.
     fn disk_for(&self, kind: ArtifactKind) -> Option<&Path> {

@@ -21,14 +21,18 @@
 //!
 //! A path is `section.field`, with sections `cost` ([`CostModel`]),
 //! `driver` ([`DriverConfig`]) and `analysis` ([`AnalysisConfig`]).
-//! Values are plain `u64`; boolean fields take `0`/`1`. The full list
-//! is in [`SWEEPABLE_FIELDS`].
+//! Values are plain `u64`; boolean fields take `0`/`1`. One table,
+//! [`CONFIG_FIELDS`], names each field once: its path, the struct field
+//! it reads and writes, its type and the stages that read it. Sweep axes
+//! write through it, stage keys read through it, and [`SWEEPABLE_FIELDS`]
+//! lists its paths.
 
 use std::path::PathBuf;
 
 use cuda_driver::{CudaResult, GpuApp};
 use gpu_sim::Ns;
 
+use crate::engine::StageId;
 use crate::json::Json;
 use crate::par::{effective_jobs, try_par_map};
 use crate::pipeline::{run_ffm_with_store, FfmConfig, FfmReport};
@@ -464,137 +468,167 @@ pub fn sweep_to_json(m: &SweepMatrix) -> Json {
     ])
 }
 
-/// Every sweepable field path, for `--list-fields` style help output.
-pub const SWEEPABLE_FIELDS: &[&str] = &[
-    "cost.driver_call_ns",
-    "cost.kernel_launch_ns",
-    "cost.transfer_setup_ns",
-    "cost.pageable_bw_bytes_per_us",
-    "cost.pinned_bw_bytes_per_us",
-    "cost.dtod_bw_bytes_per_us",
-    "cost.transfer_latency_ns",
-    "cost.sync_entry_ns",
-    "cost.alloc_base_ns",
-    "cost.alloc_per_mib_ns",
-    "cost.free_base_ns",
-    "cost.memset_bw_bytes_per_us",
-    "cost.memset_base_ns",
-    "cost.query_call_ns",
-    "cost.probe_overhead_ns",
-    "cost.stackwalk_frame_ns",
-    "cost.loadstore_overhead_ns",
-    "cost.hash_bw_bytes_per_us",
-    "cost.hash_base_ns",
-    "cost.jitter_ppm",
-    "driver.free_implicit_sync",
-    "driver.memcpy_implicit_sync",
-    "driver.async_dtoh_pageable_sync",
-    "driver.memset_unified_sync",
-    "driver.unified_memset_penalty",
-    "driver.device_memory_bytes",
-    "driver.private_api_discount",
-    "analysis.misplaced_threshold_ns",
-    "analysis.clamp_misplaced",
+/// Every simulated run, discovery included: the cost-model fields that
+/// price driver calls, transfers, syncs, allocations, probes and jitter.
+const EVERY_RUN: &[StageId] = &[
+    StageId::Discovery,
+    StageId::Stage1,
+    StageId::Stage2,
+    StageId::Stage3a,
+    StageId::Stage3b,
+    StageId::Stage4,
 ];
 
-fn as_bool(field: &str, value: u64) -> Result<bool, String> {
-    match value {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(format!("field {field:?} is boolean; use 0 or 1, got {value}")),
+/// Stages 1–4, the runs that execute the app under the configured driver.
+/// Discovery builds `Cuda::new(cost)` with the *default* driver config and
+/// never runs the app, so it reads no driver field.
+const APP_RUNS: &[StageId] =
+    &[StageId::Stage1, StageId::Stage2, StageId::Stage3a, StageId::Stage3b, StageId::Stage4];
+
+/// Stages 3a and 4: only they install a `LoadStoreWatcher`, the one
+/// charger of the load/store instrumentation cost.
+const WATCHER_RUNS: &[StageId] = &[StageId::Stage3a, StageId::Stage4];
+
+/// Stage 3b: only the hashing run hashes payloads (`CostModel::hash_ns`
+/// has no other caller in the pipeline).
+const HASH_RUN: &[StageId] = &[StageId::Stage3b];
+
+/// Stage 5: the analysis reads its two knobs; everything else it consumes
+/// arrives through its dep artifacts.
+const ANALYSIS: &[StageId] = &[StageId::Stage5];
+
+/// One sweepable config field: its `section.field` path, the stages that
+/// read it, and accessors that carry its value as the `u64` sweep axes
+/// and stage keys use.
+pub struct ConfigField {
+    pub path: &'static str,
+    /// The stages whose key folds this field in (see [`crate::engine::declared_fields`]).
+    pub readers: &'static [StageId],
+    /// Flags take only `0` and `1`.
+    pub flag: bool,
+    read: fn(&FfmConfig) -> u64,
+    write: fn(&mut FfmConfig, u64) -> Result<(), String>,
+}
+
+impl ConfigField {
+    /// The field's value in `cfg` (flags read as `0`/`1`).
+    pub fn get(&self, cfg: &FfmConfig) -> u64 {
+        (self.read)(cfg)
+    }
+
+    /// Write `value` into `cfg`, rejecting values the field's type cannot hold.
+    pub fn set(&self, cfg: &mut FfmConfig, value: u64) -> Result<(), String> {
+        (self.write)(cfg, value)
     }
 }
 
-/// Read one `section.field` value from a configuration — the exact
-/// inverse of [`set_field`] (booleans read back as `0`/`1`). The stage
-/// engine keys artifacts on the fields a stage declares, read through
-/// this single accessor, so the keyed value and the swept value can
-/// never diverge.
-pub fn get_field(cfg: &FfmConfig, field: &str) -> Result<u64, String> {
-    Ok(match field {
-        "cost.driver_call_ns" => cfg.cost.driver_call_ns,
-        "cost.kernel_launch_ns" => cfg.cost.kernel_launch_ns,
-        "cost.transfer_setup_ns" => cfg.cost.transfer_setup_ns,
-        "cost.pageable_bw_bytes_per_us" => cfg.cost.pageable_bw_bytes_per_us,
-        "cost.pinned_bw_bytes_per_us" => cfg.cost.pinned_bw_bytes_per_us,
-        "cost.dtod_bw_bytes_per_us" => cfg.cost.dtod_bw_bytes_per_us,
-        "cost.transfer_latency_ns" => cfg.cost.transfer_latency_ns,
-        "cost.sync_entry_ns" => cfg.cost.sync_entry_ns,
-        "cost.alloc_base_ns" => cfg.cost.alloc_base_ns,
-        "cost.alloc_per_mib_ns" => cfg.cost.alloc_per_mib_ns,
-        "cost.free_base_ns" => cfg.cost.free_base_ns,
-        "cost.memset_bw_bytes_per_us" => cfg.cost.memset_bw_bytes_per_us,
-        "cost.memset_base_ns" => cfg.cost.memset_base_ns,
-        "cost.query_call_ns" => cfg.cost.query_call_ns,
-        "cost.probe_overhead_ns" => cfg.cost.probe_overhead_ns,
-        "cost.stackwalk_frame_ns" => cfg.cost.stackwalk_frame_ns,
-        "cost.loadstore_overhead_ns" => cfg.cost.loadstore_overhead_ns,
-        "cost.hash_bw_bytes_per_us" => cfg.cost.hash_bw_bytes_per_us,
-        "cost.hash_base_ns" => cfg.cost.hash_base_ns,
-        "cost.jitter_ppm" => cfg.cost.jitter_ppm as u64,
-        "driver.free_implicit_sync" => cfg.driver.free_implicit_sync as u64,
-        "driver.memcpy_implicit_sync" => cfg.driver.memcpy_implicit_sync as u64,
-        "driver.async_dtoh_pageable_sync" => cfg.driver.async_dtoh_pageable_sync as u64,
-        "driver.memset_unified_sync" => cfg.driver.memset_unified_sync as u64,
-        "driver.unified_memset_penalty" => cfg.driver.unified_memset_penalty,
-        "driver.device_memory_bytes" => cfg.driver.device_memory_bytes,
-        "driver.private_api_discount" => cfg.driver.private_api_discount as u64,
-        "analysis.misplaced_threshold_ns" => cfg.analysis.classify.misplaced_threshold_ns,
-        "analysis.clamp_misplaced" => cfg.analysis.benefit.clamp_misplaced as u64,
-        _ => {
-            return Err(format!(
-                "unknown sweep field {field:?} (expected one of: {})",
-                SWEEPABLE_FIELDS.join(", ")
-            ))
+/// The value types a config field can have, as the table names them.
+trait FieldValue: Sized {
+    const FLAG: bool = false;
+    fn to_u64(self) -> u64;
+    fn from_u64(path: &str, value: u64) -> Result<Self, String>;
+}
+
+impl FieldValue for u64 {
+    fn to_u64(self) -> u64 {
+        self
+    }
+    fn from_u64(_: &str, value: u64) -> Result<Self, String> {
+        Ok(value)
+    }
+}
+
+impl FieldValue for u32 {
+    fn to_u64(self) -> u64 {
+        self as u64
+    }
+    fn from_u64(path: &str, value: u64) -> Result<Self, String> {
+        u32::try_from(value).map_err(|_| format!("field {path:?} is u32; got {value}"))
+    }
+}
+
+impl FieldValue for bool {
+    const FLAG: bool = true;
+    fn to_u64(self) -> u64 {
+        self as u64
+    }
+    fn from_u64(path: &str, value: u64) -> Result<Self, String> {
+        match value {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(format!("field {path:?} is boolean; use 0 or 1, got {value}")),
         }
+    }
+}
+
+macro_rules! config_fields {
+    ($($path:literal => $($member:ident).+ : $ty:ty, $readers:expr;)*) => {
+        /// Every sweepable config field, in `--list-fields` order: the one
+        /// list that sweeps write through and stage keys read through.
+        pub const CONFIG_FIELDS: &[ConfigField] = &[$(ConfigField {
+            path: $path,
+            readers: $readers,
+            flag: <$ty as FieldValue>::FLAG,
+            read: |cfg| <$ty as FieldValue>::to_u64(cfg.$($member).+),
+            write: |cfg, value| {
+                cfg.$($member).+ = <$ty as FieldValue>::from_u64($path, value)?;
+                Ok(())
+            },
+        }),*];
+
+        /// Every sweepable field path, for `--list-fields` style help output.
+        pub const SWEEPABLE_FIELDS: &[&str] = &[$($path),*];
+    };
+}
+
+config_fields! {
+    "cost.driver_call_ns" => cost.driver_call_ns: u64, EVERY_RUN;
+    "cost.kernel_launch_ns" => cost.kernel_launch_ns: u64, EVERY_RUN;
+    "cost.transfer_setup_ns" => cost.transfer_setup_ns: u64, EVERY_RUN;
+    "cost.pageable_bw_bytes_per_us" => cost.pageable_bw_bytes_per_us: u64, EVERY_RUN;
+    "cost.pinned_bw_bytes_per_us" => cost.pinned_bw_bytes_per_us: u64, EVERY_RUN;
+    "cost.dtod_bw_bytes_per_us" => cost.dtod_bw_bytes_per_us: u64, EVERY_RUN;
+    "cost.transfer_latency_ns" => cost.transfer_latency_ns: u64, EVERY_RUN;
+    "cost.sync_entry_ns" => cost.sync_entry_ns: u64, EVERY_RUN;
+    "cost.alloc_base_ns" => cost.alloc_base_ns: u64, EVERY_RUN;
+    "cost.alloc_per_mib_ns" => cost.alloc_per_mib_ns: u64, EVERY_RUN;
+    "cost.free_base_ns" => cost.free_base_ns: u64, EVERY_RUN;
+    "cost.memset_bw_bytes_per_us" => cost.memset_bw_bytes_per_us: u64, EVERY_RUN;
+    "cost.memset_base_ns" => cost.memset_base_ns: u64, EVERY_RUN;
+    "cost.query_call_ns" => cost.query_call_ns: u64, EVERY_RUN;
+    "cost.probe_overhead_ns" => cost.probe_overhead_ns: u64, EVERY_RUN;
+    "cost.stackwalk_frame_ns" => cost.stackwalk_frame_ns: u64, EVERY_RUN;
+    "cost.loadstore_overhead_ns" => cost.loadstore_overhead_ns: u64, WATCHER_RUNS;
+    "cost.hash_bw_bytes_per_us" => cost.hash_bw_bytes_per_us: u64, HASH_RUN;
+    "cost.hash_base_ns" => cost.hash_base_ns: u64, HASH_RUN;
+    "cost.jitter_ppm" => cost.jitter_ppm: u32, EVERY_RUN;
+    "driver.free_implicit_sync" => driver.free_implicit_sync: bool, APP_RUNS;
+    "driver.memcpy_implicit_sync" => driver.memcpy_implicit_sync: bool, APP_RUNS;
+    "driver.async_dtoh_pageable_sync" => driver.async_dtoh_pageable_sync: bool, APP_RUNS;
+    "driver.memset_unified_sync" => driver.memset_unified_sync: bool, APP_RUNS;
+    "driver.unified_memset_penalty" => driver.unified_memset_penalty: u64, APP_RUNS;
+    "driver.device_memory_bytes" => driver.device_memory_bytes: u64, APP_RUNS;
+    "driver.private_api_discount" => driver.private_api_discount: bool, APP_RUNS;
+    "analysis.misplaced_threshold_ns" => analysis.classify.misplaced_threshold_ns: u64, ANALYSIS;
+    "analysis.clamp_misplaced" => analysis.benefit.clamp_misplaced: bool, ANALYSIS;
+}
+
+/// The table entry for `field`, or an error that lists every field.
+fn config_field(field: &str) -> Result<&'static ConfigField, String> {
+    CONFIG_FIELDS.iter().find(|f| f.path == field).ok_or_else(|| {
+        format!("unknown sweep field {field:?} (expected one of: {})", SWEEPABLE_FIELDS.join(", "))
     })
+}
+
+/// Read one `section.field` value from a configuration — the exact
+/// inverse of [`set_field`] (booleans read back as `0`/`1`).
+pub fn get_field(cfg: &FfmConfig, field: &str) -> Result<u64, String> {
+    Ok(config_field(field)?.get(cfg))
 }
 
 /// Apply one `section.field = value` override to a configuration.
 pub fn set_field(cfg: &mut FfmConfig, field: &str, value: u64) -> Result<(), String> {
-    match field {
-        "cost.driver_call_ns" => cfg.cost.driver_call_ns = value,
-        "cost.kernel_launch_ns" => cfg.cost.kernel_launch_ns = value,
-        "cost.transfer_setup_ns" => cfg.cost.transfer_setup_ns = value,
-        "cost.pageable_bw_bytes_per_us" => cfg.cost.pageable_bw_bytes_per_us = value,
-        "cost.pinned_bw_bytes_per_us" => cfg.cost.pinned_bw_bytes_per_us = value,
-        "cost.dtod_bw_bytes_per_us" => cfg.cost.dtod_bw_bytes_per_us = value,
-        "cost.transfer_latency_ns" => cfg.cost.transfer_latency_ns = value,
-        "cost.sync_entry_ns" => cfg.cost.sync_entry_ns = value,
-        "cost.alloc_base_ns" => cfg.cost.alloc_base_ns = value,
-        "cost.alloc_per_mib_ns" => cfg.cost.alloc_per_mib_ns = value,
-        "cost.free_base_ns" => cfg.cost.free_base_ns = value,
-        "cost.memset_bw_bytes_per_us" => cfg.cost.memset_bw_bytes_per_us = value,
-        "cost.memset_base_ns" => cfg.cost.memset_base_ns = value,
-        "cost.query_call_ns" => cfg.cost.query_call_ns = value,
-        "cost.probe_overhead_ns" => cfg.cost.probe_overhead_ns = value,
-        "cost.stackwalk_frame_ns" => cfg.cost.stackwalk_frame_ns = value,
-        "cost.loadstore_overhead_ns" => cfg.cost.loadstore_overhead_ns = value,
-        "cost.hash_bw_bytes_per_us" => cfg.cost.hash_bw_bytes_per_us = value,
-        "cost.hash_base_ns" => cfg.cost.hash_base_ns = value,
-        "cost.jitter_ppm" => {
-            cfg.cost.jitter_ppm = u32::try_from(value)
-                .map_err(|_| format!("field \"cost.jitter_ppm\" is u32; got {value}"))?;
-        }
-        "driver.free_implicit_sync" => cfg.driver.free_implicit_sync = as_bool(field, value)?,
-        "driver.memcpy_implicit_sync" => cfg.driver.memcpy_implicit_sync = as_bool(field, value)?,
-        "driver.async_dtoh_pageable_sync" => {
-            cfg.driver.async_dtoh_pageable_sync = as_bool(field, value)?;
-        }
-        "driver.memset_unified_sync" => cfg.driver.memset_unified_sync = as_bool(field, value)?,
-        "driver.unified_memset_penalty" => cfg.driver.unified_memset_penalty = value,
-        "driver.device_memory_bytes" => cfg.driver.device_memory_bytes = value,
-        "driver.private_api_discount" => cfg.driver.private_api_discount = as_bool(field, value)?,
-        "analysis.misplaced_threshold_ns" => cfg.analysis.classify.misplaced_threshold_ns = value,
-        "analysis.clamp_misplaced" => cfg.analysis.benefit.clamp_misplaced = as_bool(field, value)?,
-        _ => {
-            return Err(format!(
-                "unknown sweep field {field:?} (expected one of: {})",
-                SWEEPABLE_FIELDS.join(", ")
-            ))
-        }
-    }
-    Ok(())
+    config_field(field)?.set(cfg, value)
 }
 
 #[cfg(test)]

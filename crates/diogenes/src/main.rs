@@ -3,7 +3,7 @@
 //! Usage:
 //! ```text
 //! diogenes <als|cuibm|amg|gaussian|pipelined> [--scale test|paper]
-//!          [--view overview|sequence|fold]
+//!          [--view overview|sequence|fold|compare]
 //!          [--fold <apiName>] [--seq N] [--sub FROM TO] [--autoseq]
 //!          [--autofix] [--json <path>] [--jobs N]
 //! ```
@@ -25,6 +25,11 @@
 //! against fixing complexity); `--autofix` derives a fix policy from the
 //! analysis, re-runs the application under the interposition shim, and
 //! reports the realized saving.
+//!
+//! `--view compare` profiles the application with the NVProf and
+//! HPCToolkit models as well and prints its Table 2 block; it writes no
+//! report, so it takes none of `--json`, `--profile`, `--autoseq` or
+//! `--autofix` (exit 2).
 //!
 //! Runs the full five-stage feed-forward pipeline against the chosen
 //! application (no interaction needed between stages) and renders the
@@ -423,6 +428,10 @@ fn main() {
     if !matches!(view.as_str(), "overview" | "sequence" | "fold" | "compare") {
         usage();
     }
+    if view == "compare" && (json_path.is_some() || profile || autoseq || autofix) {
+        log_error!("--view compare takes none of --json, --profile, --autoseq, --autofix");
+        std::process::exit(2);
+    }
     let Some(fold_api) = ApiFn::from_name(&fold_api) else {
         log_error!("unknown API function {fold_api}");
         std::process::exit(2);
@@ -434,32 +443,7 @@ fn main() {
         eprintln!("diogenes: profiling {} with nvprof/hpctoolkit/diogenes models...", app.name());
         let t = diogenes::experiments::table2_for(app.as_ref(), &CostModel::pascal_like())
             .expect("tools run");
-        println!(
-            "{:<26} {:>26} {:>26} {:>26}",
-            "Operation", "NVProf", "HPCToolkit", "Diogenes savings"
-        );
-        let cell = |v: Option<(u64, f64, usize)>| match v {
-            Some((ns, pct, pos)) => format!("{:.3}ms ({:.1}%, {})", ns as f64 / 1e6, pct, pos),
-            None => "-".to_string(),
-        };
-        for (i, r) in diogenes::experiments::significant_rows(&t, 0.3).iter().enumerate() {
-            let nv = if t.nvprof_crashed {
-                if i == 0 {
-                    "Profiler Crashed".to_string()
-                } else {
-                    String::new()
-                }
-            } else {
-                cell(r.nvprof)
-            };
-            println!(
-                "{:<26} {:>26} {:>26} {:>26}",
-                r.operation,
-                nv,
-                cell(r.hpctoolkit),
-                cell(r.diogenes)
-            );
-        }
+        print!("{}", diogenes::experiments::render_table2(&t, 0.3));
         return;
     }
     let (jobs, jobs_origin) = resolve_jobs(jobs_flag);

@@ -7,9 +7,12 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use diogenes_apps::{AlsConfig, CumfAls};
+use cuda_driver::GpuApp;
+use diogenes_apps::{AlsConfig, Amg, AmgConfig, CumfAls, Gaussian, GaussianConfig};
+use ffm_core::engine::execute;
 use ffm_core::{
-    run_sweep, run_sweep_with_store, scan_cache, sweep_to_json, ArtifactStore, FfmConfig, SweepSpec,
+    deps, encode_artifact, plan_keys, run_collection, run_sweep, run_sweep_with_store, scan_cache,
+    sweep_to_json, Artifact, ArtifactStore, FfmConfig, StageId, SweepSpec, CONFIG_FIELDS,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -137,4 +140,56 @@ fn disk_entries_are_versioned_and_clearable() {
     assert_eq!(removed_all.entries, report.entries - 1);
     assert_eq!(scan_cache(&dir).unwrap().entries, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The proof behind every exclusion in the config-field table: each
+/// collection stage, re-run on the unperturbed dep artifacts with one
+/// field it does not declare perturbed (flags flipped, integers doubled
+/// plus one), writes the same artifact bytes. The analysis fields are
+/// skipped, because stages 1–4 never receive `AnalysisConfig`. AMG and
+/// Gaussian between them have transfers, device-to-host watches and
+/// unified memory.
+#[test]
+fn undeclared_fields_leave_every_collection_artifact_unchanged() {
+    let amg = Amg::new(AmgConfig::test_scale());
+    let gaussian = Gaussian::new(GaussianConfig::test_scale());
+    let base = FfmConfig::default().with_jobs(1);
+    let mut pairs = 0;
+    for app in [&amg as &dyn GpuApp, &gaussian] {
+        let store = ArtifactStore::in_memory();
+        run_collection(app, &base, 1, Some(&store)).expect("collection");
+        let keys = plan_keys(app, &base);
+        let artifact = |id: StageId| store.get(keys[id.index()], id.kind()).expect("collected");
+        // Every stage that runs a simulation; the merge and the analysis
+        // run none.
+        for id in [
+            StageId::Discovery,
+            StageId::Stage1,
+            StageId::Stage2,
+            StageId::Stage3a,
+            StageId::Stage3b,
+            StageId::Stage4,
+        ] {
+            let dep_artifacts: Vec<Artifact> = deps(id).iter().map(|&d| artifact(d)).collect();
+            let want = encode_artifact(&artifact(id));
+            for field in CONFIG_FIELDS {
+                if field.readers.contains(&id) || field.path.starts_with("analysis.") {
+                    continue;
+                }
+                let mut cfg = base.clone();
+                let value = field.get(&cfg);
+                field.set(&mut cfg, if field.flag { value ^ 1 } else { 2 * value + 1 }).unwrap();
+                let got = execute(id, app, &cfg, 1, &dep_artifacts).expect("stage runs");
+                assert!(
+                    encode_artifact(&got) == want,
+                    "{}: {} changed {}'s artifact, so the stage reads it",
+                    app.name(),
+                    field.path,
+                    id.name()
+                );
+                pairs += 1;
+            }
+        }
+    }
+    assert_eq!(pairs, 42, "(stage, undeclared field) pairs across both apps");
 }

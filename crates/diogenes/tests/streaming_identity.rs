@@ -12,7 +12,10 @@
 //! the streaming driver degenerating to batch).
 
 use diogenes_apps::{AlsConfig, Amg, AmgConfig, CumfAls};
-use ffm_core::{report_to_json, run_ffm, run_ffm_streaming, FfmConfig};
+use ffm_core::{
+    report_to_json, run_ffm, run_ffm_streaming, run_ffm_streaming_with_store, run_ffm_with_store,
+    ArtifactStore, FfmConfig,
+};
 
 fn batch_report(app: &dyn cuda_driver::GpuApp, jobs: usize) -> String {
     let report = run_ffm(app, &FfmConfig::default().with_jobs(jobs)).expect("batch pipeline runs");
@@ -55,5 +58,22 @@ fn streaming_identity_holds_on_a_second_app_shape() {
                 "streaming report (jobs={jobs}, window={window}) diverges from batch"
             );
         }
+    }
+}
+
+/// A streamed run stores what a batch run stores — the collection
+/// artifacts and the final analysis under the stage 5 key — and no
+/// per-epoch analyses, which nothing looks up.
+#[test]
+fn streaming_stores_no_more_artifacts_than_batch() {
+    let app = CumfAls::new(AlsConfig::test_scale());
+    let cfg = FfmConfig::default().with_jobs(1);
+    let batch = ArtifactStore::in_memory();
+    run_ffm_with_store(&app, &cfg, Some(&batch)).expect("batch pipeline runs");
+    for window in [1, 16, 1 << 20] {
+        let streamed = ArtifactStore::in_memory();
+        run_ffm_streaming_with_store(&app, &cfg, window, Some(&streamed), |_| {})
+            .expect("streaming pipeline runs");
+        assert_eq!(streamed.stats().puts, batch.stats().puts, "window={window}");
     }
 }

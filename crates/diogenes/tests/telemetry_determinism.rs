@@ -55,12 +55,21 @@ fn profiling_changes_no_report_bytes_and_records_well_formed_telemetry() {
     telemetry::set_enabled(true);
     let report_on_1 = report_json(&app, 1);
     let report_on_8 = report_json(&app, 8);
+    let pool_tasks = || {
+        let c = telemetry::gather_metrics().counters;
+        c.get("pool.tasks_submitter").copied().unwrap_or(0)
+            + c.get("pool.tasks_helper").copied().unwrap_or(0)
+    };
+    let tasks_before = pool_tasks();
     // A jobs = 4 run under its own request id, so its stage spans can be
     // told apart from the other runs' (fan-out helpers inherit the id).
     let report_on_4 = {
         let _scope = telemetry::trace_scope(Some(telemetry::TraceId(4)));
         report_json(&app, 4)
     };
+    // Only phase 2 of the stage plan fans out: its three lanes are the
+    // run's only pool tasks (discovery and stage 1 share the caller's lane).
+    assert_eq!(pool_tasks() - tasks_before, 3, "pool tasks of the jobs = 4 run");
     let sweep_on_1 = sweep_json(&app, 1);
     let sweep_on_8 = sweep_json(&app, 8);
     telemetry::set_enabled(false);

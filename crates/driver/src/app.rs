@@ -6,6 +6,8 @@
 //! program's behaviour. Tools construct a new [`crate::Cuda`] per stage,
 //! attach that stage's instrumentation, and invoke [`GpuApp::run`].
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use crate::cuda::Cuda;
 use crate::error::CudaResult;
 
@@ -38,8 +40,9 @@ pub trait GpuApp: Send + Sync {
     ///
     /// The default hashes `name()` + `workload()`. That is only correct
     /// when the workload string fully describes the configuration; apps
-    /// with config fields the workload text omits must override this and
-    /// digest every field (see [`digest_fields`]).
+    /// with a config struct override this with [`digest_config`], which
+    /// digests the whole config through its derived `Hash`, so a field
+    /// added to the config is keyed with no edit here.
     fn input_digest(&self) -> u64 {
         let mut bytes = Vec::with_capacity(self.name().len() + 1 + self.workload().len());
         bytes.extend_from_slice(self.name().as_bytes());
@@ -49,19 +52,15 @@ pub trait GpuApp: Send + Sync {
     }
 }
 
-/// Helper for [`GpuApp::input_digest`] overrides: digest an app name plus
-/// every config field as labeled `u64`s. Labels keep reordered or
-/// same-valued fields from colliding.
-pub fn digest_fields(name: &str, fields: &[(&str, u64)]) -> u64 {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(name.as_bytes());
-    for (label, value) in fields {
-        bytes.push(0);
-        bytes.extend_from_slice(label.as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&value.to_le_bytes());
-    }
-    gpu_sim::fnv1a_64(&bytes)
+/// Helper for [`GpuApp::input_digest`] overrides: digest an app name and
+/// its whole config. `DefaultHasher::new()` uses fixed keys, so the
+/// digest is the same in every run of one binary; disk cache entries are
+/// tagged with the binary that wrote them, so no digest outlives it.
+pub fn digest_config(name: &str, cfg: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    name.hash(&mut h);
+    cfg.hash(&mut h);
+    h.finish()
 }
 
 /// Run an application uninstrumented and return its execution time.

@@ -32,11 +32,6 @@ impl CublasLite {
         Self { stream: StreamId::DEFAULT }
     }
 
-    /// Bind subsequent operations to `stream` (like `cublasSetStream`).
-    pub fn set_stream(&mut self, stream: StreamId) {
-        self.stream = stream;
-    }
-
     /// Dense matrix-multiply of an `m×k` by `k×n` (element size 4).
     ///
     /// Launches a private kernel writing `c`, then synchronizes through

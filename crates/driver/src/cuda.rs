@@ -968,11 +968,6 @@ impl Cuda {
         self.machine.host_alloc(bytes, HostAllocKind::Pageable)
     }
 
-    /// Plain host `free`.
-    pub fn host_free_mem(&mut self, ptr: HostPtr) -> CudaResult<()> {
-        self.machine.host_free(ptr).map_err(CudaError::from)
-    }
-
     /// Host-side `memset` (the AMG fix replaces `cudaMemset` with this).
     pub fn host_memset(&mut self, ptr: HostPtr, value: u8, bytes: u64) -> CudaResult<()> {
         // Cost: ordinary CPU store bandwidth, much cheaper than a driver

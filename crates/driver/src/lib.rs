@@ -30,7 +30,7 @@ pub mod hooks;
 pub mod kernels;
 
 pub use api::{ApiFn, InternalFn};
-pub use app::{digest_fields, uninstrumented_exec_time, GpuApp};
+pub use app::{digest_config, uninstrumented_exec_time, GpuApp};
 pub use config::DriverConfig;
 pub use cublas::CublasLite;
 pub use cuda::{Cuda, EventId};

@@ -32,12 +32,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next byte.
-    #[inline]
-    pub fn next_u8(&mut self) -> u8 {
-        (self.next_u64() >> 56) as u8
-    }
-
     /// Uniform draw from `[0, n)` (n > 0), using Lemire's multiply-shift
     /// reduction; the bias for any n representable here is < 2⁻⁶⁴·n and
     /// irrelevant for workload synthesis.

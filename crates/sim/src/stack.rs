@@ -78,12 +78,6 @@ impl Frame {
     pub fn addr(&self) -> u64 {
         self.callsite.addr() ^ fnv1a_64(self.function.as_bytes()).rotate_left(17)
     }
-
-    /// Function name with C++ template parameters stripped, used by the
-    /// folded-function grouping ("f<int>" and "f<double>" fold together).
-    pub fn base_name(&self) -> &str {
-        base_function_name(&self.function)
-    }
 }
 
 /// Strip template parameter lists from a (pseudo-)demangled C++ name.

@@ -78,7 +78,9 @@ fn main() {
     println!("  {} traced calls", s2.calls.len());
 
     println!("stage 3: memory tracing + data hashing (two runs)...");
-    let s3 = stages::run_stage3(&app, &cost, &driver, &s1).expect("stage 3");
+    let sync = stages::run_stage3_sync(&app, &cost, &driver, &s1).expect("stage 3 memory tracing");
+    let hash = stages::run_stage3_hash(&app, &cost, &driver, &s1).expect("stage 3 data hashing");
+    let s3 = stages::merge_stage3(sync, hash);
     println!(
         "  {} sync instances observed, {} required, {} duplicate transfers",
         s3.observed_syncs.len(),

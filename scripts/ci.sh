@@ -26,20 +26,6 @@ echo "== layerbench: unit tests + smoke (the benchmark builds against this tree)
 cargo test --offline --manifest-path layerbench/Cargo.toml
 cargo run --release --offline --manifest-path layerbench/Cargo.toml -- --smoke
 
-echo "== sweep determinism (jobs=1 vs jobs=N bit-identical SWEEP json) =="
-cargo test -q -p diogenes --test sweep_determinism
-cargo test -q -p diogenes --test sequential_no_threads
-
-echo "== telemetry determinism (profiling on/off bit-identical reports) =="
-cargo test -q -p diogenes --test telemetry_determinism
-
-echo "== observability identity (flight recorder on/off bit-identical reports) =="
-cargo test -q -p diogenes --test observability_identity
-cargo test -q -p diogenes --test serve_observability
-
-echo "== cache determinism (no-cache/cold/warm bit-identical SWEEP json) =="
-cargo test -q -p diogenes --test cache_determinism
-
 echo "== telemetry smoke (--profile writes a valid self-trace) =="
 cargo build --release -p diogenes
 # Run from a scratch directory so the committed
@@ -102,7 +88,7 @@ fi
 rm -rf "$SMOKE"
 echo "concurrent sweep smoke ok"
 
-echo "== bad arguments exit 2 before any work (scale, view, fold, a sweep field named by two axes) =="
+echo "== bad arguments exit 2 before any work (scale, view, fold, compare-view flags, a sweep field named by two axes) =="
 BAD_STDERR=$(mktemp)
 expect_exit_2() {
     set +e
@@ -118,6 +104,7 @@ expect_exit_2() {
 expect_exit_2 ./target/release/diogenes als --scale papr
 expect_exit_2 ./target/release/diogenes als --view bogus
 expect_exit_2 ./target/release/diogenes als --view fold --fold cudaFreee
+expect_exit_2 ./target/release/diogenes als --view compare --json x.json
 expect_exit_2 ./target/release/diogenes sweep gaussian --no-cache \
     --axis cost.free_base_ns=1000,2000 --axis cost.free_base_ns=3000
 rm -f "$BAD_STDERR"
@@ -224,11 +211,5 @@ wait "$SERVE_PID"
 cmp "$SERVE/cli.json" "$SERVE/served.json"
 ./target/release/diogenes trace-check "$SERVE/trace.json"
 rm -rf "$SERVE"
-
-echo "== columnar identity (reports/sweeps byte-identical to pinned artifacts) =="
-cargo test -q -p diogenes --test columnar_identity
-
-echo "== streaming determinism (windowed incremental byte-identical to batch) =="
-cargo test -q -p diogenes --test streaming_identity
 
 echo "ci: all green"
