@@ -6,7 +6,7 @@ use gpu_sim::Ns;
 
 use crate::benefit::{BenefitOptions, BenefitReport};
 use crate::graph::ExecGraph;
-use crate::grouping::{IncrementalAnalysis, ProblemGroup, Sequence};
+use crate::grouping::{analyze_graph, ProblemGroup, Sequence};
 use crate::problem::{classify, ClassifyConfig, Problem};
 use crate::records::{Stage1Result, Stage2Result, Stage3Result, Stage4Result};
 
@@ -83,10 +83,9 @@ impl Analysis {
 }
 
 /// Run stage 5 over the collected stage results: build the graph,
-/// classify it, and fold it through [`IncrementalAnalysis`] as one
-/// window — the streaming analysis with the whole trace appended at once.
+/// classify it, and analyze it in one pass.
 ///
-/// `jobs` is unused: the fold is one sequential pass. The parameter
+/// `jobs` is unused: the analysis is one sequential pass. The parameter
 /// stays so existing callers keep compiling.
 pub fn analyze(
     s1: &Stage1Result,
@@ -98,9 +97,7 @@ pub fn analyze(
 ) -> Analysis {
     let mut graph = ExecGraph::from_trace(s2, s1.exec_time_ns);
     classify(&mut graph, s3, s4, &cfg.classify);
-    let mut inc = IncrementalAnalysis::new(cfg);
-    inc.fold(&graph);
-    inc.finish(graph, s1.exec_time_ns)
+    analyze_graph(graph, s1.exec_time_ns, cfg)
 }
 
 #[cfg(test)]

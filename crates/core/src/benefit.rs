@@ -21,10 +21,10 @@
 //! ### Implementation note: one forward walk
 //!
 //! Fig. 5 is phrased as graph surgery — zero this duration, grow that
-//! one — evaluated front to back. [`BenefitFold`] computes the identical
-//! result in one forward walk over the unmodified graph because every
-//! mutation the algorithm performs is invisible to the quantities later
-//! steps read:
+//! one — evaluated front to back. [`expected_benefit`] computes the
+//! identical result in one forward walk over the unmodified graph because
+//! every mutation the algorithm performs is invisible to the quantities
+//! later steps read:
 //!
 //! - `EstMaxGPUIdle` windows look strictly *forward* of the node under
 //!   evaluation, and the only `CWork`/`CLaunch` durations the algorithm
@@ -34,11 +34,6 @@
 //! - Synchronization *growth* only ever lands on `CWait` nodes, which
 //!   `EstMaxGPUIdle` never counts; the walk tracks accumulated growth in
 //!   a column (`extra`) consulted when that sync is itself evaluated.
-//!
-//! A node resolves as soon as everything its estimate reads has been
-//! appended, so one walk serves a trace that is still growing (the
-//! streaming analysis) and a whole trace ([`expected_benefit`], the
-//! one-window case).
 
 use gpu_sim::Ns;
 
@@ -81,13 +76,6 @@ pub struct BenefitReport {
     /// Predicted execution time after all problems are fixed (the sum of
     /// remaining node durations in the mutated graph).
     pub predicted_exec_ns: Ns,
-}
-
-impl BenefitReport {
-    /// Benefit attributed to a specific node, if it was problematic.
-    pub fn benefit_of(&self, node: usize) -> Option<Ns> {
-        self.per_node.iter().find(|b| b.node == node).map(|b| b.benefit_ns)
-    }
 }
 
 /// `RemoveSyncronization` from Fig. 5 (spelling faithfully theirs).
@@ -140,16 +128,14 @@ fn remove_memory_transfer(g: &mut ExecGraph, node: usize) -> Ns {
 }
 
 /// `ExpectedBenefit` from Fig. 5: evaluate every problematic node, in
-/// program order, against the progressively mutated graph — one
-/// [`BenefitFold`] walk over the whole graph.
+/// program order, against the progressively mutated graph — one forward
+/// walk over the whole graph.
 pub fn expected_benefit(graph: &ExecGraph, opts: &BenefitOptions) -> BenefitReport {
-    let mut fold = BenefitFold::new();
-    fold.finalize(graph, &graph.index(), opts);
-    fold.take_report()
+    benefit_walk(graph, &graph.index(), opts)
 }
 
 /// The clone-and-mutate transcription of Fig. 5, kept as the
-/// independent oracle the tests hold [`BenefitFold`] to.
+/// independent oracle the tests hold [`expected_benefit`] to.
 #[cfg(test)]
 pub fn expected_benefit_reference(graph: &ExecGraph, opts: &BenefitOptions) -> BenefitReport {
     let mut g = graph.clone();
@@ -169,155 +155,68 @@ pub fn expected_benefit_reference(graph: &ExecGraph, opts: &BenefitOptions) -> B
     BenefitReport { per_node, total_ns, predicted_exec_ns }
 }
 
-/// The Fig. 5 estimator as an append-only walk.
-///
-/// An evaluation cursor trails the append frontier: a node resolves as
-/// soon as everything its estimate reads has been appended (for an
-/// `UnnecessarySync`, the next `CWait`; for every other classification,
-/// immediately). Resolution happens in graph order, so the resolved
-/// estimates are exactly the prefix a walk over the finished graph would
-/// produce, and after [`BenefitFold::finalize`] the result is that walk's.
-///
-/// The caller owns the [`GraphIndex`] (shared with sequence evaluation)
-/// and passes it to every call. Steady state — graph shapes already seen
-/// since the last [`BenefitFold::reset`] — the fold allocates nothing.
-#[derive(Debug, Default)]
-pub struct BenefitFold {
-    /// Accumulated synchronization growth per node, parallel to the
-    /// graph (the `duration +=` edits of Fig. 5, tracked out-of-band).
-    extra: Vec<Ns>,
-    /// First unresolved node index.
-    cursor: usize,
-    /// Frontier of the next-`CWait` scan; never rescans.
-    scan_from: usize,
-    per_node: Vec<NodeBenefit>,
-    total_ns: Ns,
-    /// Durations of the nodes the cursor has passed, plus the growth
-    /// pushed onto later waits, less what fixing the passed problems
-    /// reclaims: after finalize, the predicted execution time.
-    predicted_ns: Ns,
-    finished: bool,
-}
-
-impl BenefitFold {
-    pub fn new() -> BenefitFold {
-        BenefitFold::default()
-    }
-
-    /// Clear all state (keeping buffer capacity) for a fresh graph.
-    pub fn reset(&mut self) {
-        self.extra.clear();
-        self.cursor = 0;
-        self.scan_from = 0;
-        self.per_node.clear();
-        self.total_ns = 0;
-        self.predicted_ns = 0;
-        self.finished = false;
-    }
-
-    /// Copy another fold's state into this one, reusing this fold's
-    /// buffers. Streaming snapshots finalize such a copy, which leaves
-    /// the running fold undisturbed.
-    pub fn copy_from(&mut self, other: &BenefitFold) {
-        self.extra.clone_from(&other.extra);
-        self.cursor = other.cursor;
-        self.scan_from = other.scan_from;
-        self.per_node.clone_from(&other.per_node);
-        self.total_ns = other.total_ns;
-        self.predicted_ns = other.predicted_ns;
-        self.finished = other.finished;
-    }
-
-    /// Fold the nodes appended since the last call and advance the
-    /// evaluation cursor as far as it can resolve. `index` must cover
-    /// the whole graph.
-    pub fn extend(&mut self, graph: &ExecGraph, index: &GraphIndex, opts: &BenefitOptions) {
-        assert!(!self.finished, "extend after finalize");
-        self.walk(graph, index, opts, false);
-    }
-
-    /// Resolve every pending node under end-of-graph semantics (an
-    /// `UnnecessarySync` with no later `CWait` is the program's final
-    /// rendezvous, bounded by the CPU tail).
-    pub fn finalize(&mut self, graph: &ExecGraph, index: &GraphIndex, opts: &BenefitOptions) {
-        assert!(!self.finished, "finalize called twice");
-        self.walk(graph, index, opts, true);
-        self.finished = true;
-    }
-
-    /// The Fig. 5 step, node by node from the cursor. Without `at_end`,
-    /// an `UnnecessarySync` whose next `CWait` has not been appended yet
-    /// stops the walk; a later window (or finalize) resolves it.
-    fn walk(&mut self, graph: &ExecGraph, index: &GraphIndex, opts: &BenefitOptions, at_end: bool) {
-        let n = graph.nodes.len();
-        debug_assert_eq!(index.len(), n, "index must cover the graph");
-        self.extra.resize(n, 0);
-        while self.cursor < n {
-            let idx = self.cursor;
-            let node = &graph.nodes[idx];
-            // Effective duration = original + growth received from
-            // earlier removals (Fig. 5's mutated duration).
-            let dur = node.duration + self.extra[idx];
-            // (estimate, duration that fixing the node reclaims)
-            let (est, reclaim) = match node.problem {
-                Problem::None => (0, 0),
-                // `RemoveSyncronization`: the CPU time up to the next
-                // synchronization bounds the idle time removal can fill;
-                // with none left, the CPU tail bounds it.
-                Problem::UnnecessarySync => {
-                    let next = next_wait(graph, &mut self.scan_from, idx, n);
-                    if next == n && !at_end {
-                        return;
-                    }
-                    let est = index.cpu_time_between(idx, next).min(dur);
-                    if next < n {
-                        // The next synchronization grows by whatever the
-                        // idle time between the two could not absorb.
-                        self.extra[next] += dur - est;
-                        self.predicted_ns += dur - est;
-                    }
-                    (est, dur)
+/// The Fig. 5 walk behind [`expected_benefit`], reading CPU windows from
+/// `index`, which must cover `graph` (the analysis shares one index with
+/// sequence scoring).
+pub(crate) fn benefit_walk(
+    graph: &ExecGraph,
+    index: &GraphIndex,
+    opts: &BenefitOptions,
+) -> BenefitReport {
+    let n = graph.nodes.len();
+    debug_assert_eq!(index.len(), n, "index must cover the graph");
+    // Accumulated synchronization growth per node (the `duration +=`
+    // edits of Fig. 5, tracked out-of-band).
+    let mut extra: Vec<Ns> = vec![0; n];
+    // Frontier of the next-`CWait` scan; never rescans.
+    let mut scan = 0;
+    let mut per_node = Vec::new();
+    let mut total_ns: Ns = 0;
+    // Durations of the nodes walked so far, plus the growth pushed onto
+    // later waits, less what fixing the walked problems reclaims: at the
+    // end, the predicted execution time.
+    let mut predicted_ns: Ns = 0;
+    for (idx, node) in graph.nodes.iter().enumerate() {
+        // Effective duration = original + growth received from earlier
+        // removals (Fig. 5's mutated duration).
+        let dur = node.duration + extra[idx];
+        // (estimate, duration that fixing the node reclaims)
+        let (est, reclaim) = match node.problem {
+            Problem::None => (0, 0),
+            // `RemoveSyncronization`: the CPU time up to the next
+            // synchronization bounds the idle time removal can fill; with
+            // none left, the wait is the program's final rendezvous with
+            // the device and the CPU tail bounds it.
+            Problem::UnnecessarySync => {
+                let next = next_wait(graph, &mut scan, idx, n);
+                let est = index.cpu_time_between(idx, next).min(dur);
+                if next < n {
+                    // The next synchronization grows by whatever the idle
+                    // time between the two could not absorb.
+                    extra[next] += dur - est;
+                    predicted_ns += dur - est;
                 }
-                // `MisplacedSynchronization`: moving the sync later by
-                // the first-use gap converts up to that much wait into
-                // overlap; the sync keeps `dur - min(first_use, dur)`.
-                Problem::MisplacedSync => {
-                    let first_use = node.first_use_ns.unwrap_or(0);
-                    let est = if opts.clamp_misplaced { first_use.min(dur) } else { first_use };
-                    (est, first_use.min(dur))
-                }
-                // `RemoveMemoryTransfer`: the CPU launch cost disappears.
-                Problem::UnnecessaryTransfer => (dur, dur),
-            };
-            self.predicted_ns += node.duration;
-            self.predicted_ns -= reclaim;
-            if node.problem != Problem::None {
-                self.total_ns += est;
-                self.per_node.push(NodeBenefit {
-                    node: idx,
-                    problem: node.problem,
-                    benefit_ns: est,
-                });
+                (est, dur)
             }
-            self.cursor += 1;
+            // `MisplacedSynchronization`: moving the sync later by the
+            // first-use gap converts up to that much wait into overlap;
+            // the sync keeps `dur - min(first_use, dur)`.
+            Problem::MisplacedSync => {
+                let first_use = node.first_use_ns.unwrap_or(0);
+                let est = if opts.clamp_misplaced { first_use.min(dur) } else { first_use };
+                (est, first_use.min(dur))
+            }
+            // `RemoveMemoryTransfer`: the CPU launch cost disappears.
+            Problem::UnnecessaryTransfer => (dur, dur),
+        };
+        predicted_ns += node.duration;
+        predicted_ns -= reclaim;
+        if node.problem != Problem::None {
+            total_ns += est;
+            per_node.push(NodeBenefit { node: idx, problem: node.problem, benefit_ns: est });
         }
     }
-
-    /// Resolved per-node estimates so far, in graph order.
-    pub fn per_node(&self) -> &[NodeBenefit] {
-        &self.per_node
-    }
-
-    /// Move the finished estimate out (the per-node buffer goes with
-    /// it); only valid after [`BenefitFold::finalize`].
-    pub fn take_report(&mut self) -> BenefitReport {
-        assert!(self.finished, "take_report before finalize");
-        BenefitReport {
-            per_node: std::mem::take(&mut self.per_node),
-            total_ns: self.total_ns,
-            predicted_exec_ns: self.predicted_ns,
-        }
-    }
+    BenefitReport { per_node, total_ns, predicted_exec_ns: predicted_ns }
 }
 
 #[cfg(test)]
@@ -538,70 +437,5 @@ mod tests {
             &expected_benefit_reference(&g, &opts),
             "20k nodes",
         );
-    }
-
-    /// Folded in any windowing, the walk must resolve to the reference
-    /// over the whole graph, and every intermediate snapshot (a copy of
-    /// the fold, finalized) must equal the reference over the prefix
-    /// graph — without disturbing the running fold.
-    #[test]
-    fn fold_matches_reference_for_any_windowing() {
-        for (len, seed) in [(0usize, 1u64), (1, 2), (7, 3), (93, 4), (512, 5), (64, 7)] {
-            let g = scrambled(len, seed);
-            for clamp in [true, false] {
-                let opts = BenefitOptions { clamp_misplaced: clamp };
-                let reference = expected_benefit_reference(&g, &opts);
-                for window in [1usize, 3, 16, 600] {
-                    let mut fold = BenefitFold::new();
-                    let mut snap = BenefitFold::new();
-                    let mut partial = ExecGraph {
-                        nodes: Vec::new(),
-                        exec_time_ns: g.exec_time_ns,
-                        baseline_exec_ns: g.baseline_exec_ns,
-                    };
-                    let mut index = GraphIndex::new();
-                    let mut lo = 0;
-                    while lo < len {
-                        let hi = (lo + window).min(len);
-                        partial.nodes.extend_from_slice(&g.nodes[lo..hi]);
-                        index.extend(&partial);
-                        fold.extend(&partial, &index, &opts);
-                        snap.copy_from(&fold);
-                        snap.finalize(&partial, &index, &opts);
-                        assert_same_report(
-                            &snap.take_report(),
-                            &expected_benefit_reference(&partial, &opts),
-                            &format!("len={len} window={window} hi={hi}"),
-                        );
-                        lo = hi;
-                    }
-                    fold.finalize(&partial, &index, &opts);
-                    assert_same_report(&fold.take_report(), &reference, &format!("w={window}"));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fold_reset_reuses_buffers_cleanly() {
-        let g = scrambled(64, 9);
-        let opts = BenefitOptions::default();
-        let reference = expected_benefit_reference(&g, &opts);
-        let index = g.index();
-        let mut fold = BenefitFold::new();
-        for _ in 0..3 {
-            fold.reset();
-            fold.extend(&g, &index, &opts);
-            fold.finalize(&g, &index, &opts);
-            assert_same_report(&fold.take_report(), &reference, "after reset");
-        }
-    }
-
-    #[test]
-    fn benefit_of_lookup() {
-        let g = graph(&[(CWait, 10, UnnecessarySync), (CWork, 20, None), (CWait, 1, None)]);
-        let r = expected_benefit(&g, &BenefitOptions::default());
-        assert_eq!(r.benefit_of(0), Some(10));
-        assert!(r.benefit_of(1).is_none());
     }
 }

@@ -39,7 +39,9 @@
 //! optional [`ArtifactStore`] before it executes, recording per-stage
 //! hit/miss counters in telemetry. With `jobs <= 1`, or inside a running
 //! fan-out such as a sweep cell, every lane runs inline on the caller's
-//! thread in plan order.
+//! thread in plan order. The batch and the streaming drivers
+//! ([`crate::pipeline`]) both run the whole plan through it, so stage 5 is
+//! looked up and stored like every other stage.
 
 use std::sync::Arc;
 
@@ -215,7 +217,6 @@ pub fn execute(
     id: StageId,
     app: &dyn GpuApp,
     cfg: &FfmConfig,
-    jobs: usize,
     dep_artifacts: &[Artifact],
 ) -> CudaResult<Artifact> {
     let _s = telemetry::span(id.name());
@@ -245,14 +246,9 @@ pub fn execute(
         (
             StageId::Stage5,
             [Artifact::Stage1(s1), Artifact::Stage2(s2), Artifact::Stage3(s3), Artifact::Stage4(s4)],
-        ) => Artifact::Analysis(Arc::new(crate::analysis::analyze(
-            s1,
-            s2,
-            s3,
-            s4,
-            &cfg.analysis,
-            jobs,
-        ))),
+        ) => {
+            Artifact::Analysis(Arc::new(crate::analysis::analyze(s1, s2, s3, s4, &cfg.analysis, 1)))
+        }
         _ => unreachable!("{} gets its dep artifacts in `deps` order", id.name()),
     };
     if let Some(t0) = t0 {
@@ -271,7 +267,6 @@ fn obtain(
     key: StageKey,
     app: &dyn GpuApp,
     cfg: &FfmConfig,
-    jobs: usize,
     store: Option<&ArtifactStore>,
     dep_artifacts: &[Artifact],
 ) -> CudaResult<Artifact> {
@@ -283,7 +278,7 @@ fn obtain(
         }
         telemetry::counter_add(misses, 1);
     }
-    let artifact = execute(id, app, cfg, jobs, dep_artifacts)?;
+    let artifact = execute(id, app, cfg, dep_artifacts)?;
     if let Some(store) = store {
         store.put(key, artifact.clone());
     }
@@ -307,35 +302,30 @@ const PLAN: [&[&[StageId]]; 4] = [
 ];
 
 /// Everything the collection stages produce — the plan minus stage 5.
-/// `stage5_key` is the content address the batch analysis would be (and
-/// the final streaming analysis is) stored under, so a streaming run
-/// seeds the cache for later batch runs of the same plan.
 pub struct CollectOut {
     pub discovery: Arc<Discovery>,
     pub stage1: Arc<Stage1Result>,
     pub stage2: Arc<Stage2Result>,
     pub stage3: Arc<Stage3Result>,
     pub stage4: Arc<Stage4Result>,
-    pub stage5_key: StageKey,
 }
 
-/// Run `phases` of [`PLAN`]; return the collection artifacts, plus the
-/// analysis when the phases include stage 5. When stages fail, the run
-/// stops after the phase they fail in and returns the error of the
-/// earliest failing stage in classic order, the one a sequential run of
-/// [`StageId::ALL`] would report. (The stage 3 merge, which runs after
-/// stage 4 in plan order but before it in classic order, cannot fail.)
-fn run_plan(
+/// Run the whole [`PLAN`]: the collection artifacts and the analysis.
+/// When stages fail, the run stops after the phase they fail in and
+/// returns the error of the earliest failing stage in classic order, the
+/// one a sequential run of [`StageId::ALL`] would report. (The stage 3
+/// merge, which runs after stage 4 in plan order but before it in classic
+/// order, cannot fail.)
+pub fn run_stages(
     app: &dyn GpuApp,
     cfg: &FfmConfig,
     jobs: usize,
     store: Option<&ArtifactStore>,
-    phases: &[&[&[StageId]]],
-) -> CudaResult<(CollectOut, Option<Arc<Analysis>>)> {
+) -> CudaResult<(CollectOut, Arc<Analysis>)> {
     let keys = plan_keys(app, cfg);
     // Artifacts of the stages run so far, indexed by `StageId::index`.
     let mut done: [Option<Artifact>; STAGE_COUNT] = Default::default();
-    for lanes in phases {
+    for lanes in PLAN {
         let ran = par_map(lanes.to_vec(), jobs, |lane| {
             let mut done = done.clone();
             let mut ran = Vec::new();
@@ -346,7 +336,7 @@ fn run_plan(
                 else {
                     break;
                 };
-                let result = obtain(id, keys[id.index()], app, cfg, jobs, store, &dep_artifacts);
+                let result = obtain(id, keys[id.index()], app, cfg, store, &dep_artifacts);
                 done[id.index()] = result.as_ref().ok().cloned();
                 ran.push((id, result));
             }
@@ -359,49 +349,17 @@ fn run_plan(
         }
     }
     let [discovery, stage1, stage2, _, _, stage3, stage4, stage5] = done;
-    let col = match (discovery, stage1, stage2, stage3, stage4) {
+    match (discovery, stage1, stage2, stage3, stage4, stage5) {
         (
             Some(Artifact::Discovery(discovery)),
             Some(Artifact::Stage1(stage1)),
             Some(Artifact::Stage2(stage2)),
             Some(Artifact::Stage3(stage3)),
             Some(Artifact::Stage4(stage4)),
-        ) => {
-            let stage5_key = keys[StageId::Stage5.index()];
-            CollectOut { discovery, stage1, stage2, stage3, stage4, stage5_key }
-        }
-        _ => unreachable!("the plan runs every collection stage"),
-    };
-    let analysis = match stage5 {
-        Some(Artifact::Analysis(a)) => Some(a),
-        None => None,
-        Some(_) => unreachable!("stage 5 produces the analysis"),
-    };
-    Ok((col, analysis))
-}
-
-/// Run the whole plan: [`run_collection`] plus stage 5.
-pub fn run_stages(
-    app: &dyn GpuApp,
-    cfg: &FfmConfig,
-    jobs: usize,
-    store: Option<&ArtifactStore>,
-) -> CudaResult<(CollectOut, Arc<Analysis>)> {
-    let (col, analysis) = run_plan(app, cfg, jobs, store, &PLAN)?;
-    Ok((col, analysis.expect("the last phase runs stage 5")))
-}
-
-/// Run the collection stages only (discovery, 1–4 with the stage 3
-/// merge), leaving the analysis to the caller — the entry point for the
-/// streaming pipeline, which folds the trace window by window instead of
-/// analyzing it in one shot.
-pub fn run_collection(
-    app: &dyn GpuApp,
-    cfg: &FfmConfig,
-    jobs: usize,
-    store: Option<&ArtifactStore>,
-) -> CudaResult<CollectOut> {
-    Ok(run_plan(app, cfg, jobs, store, &PLAN[..3])?.0)
+            Some(Artifact::Analysis(analysis)),
+        ) => Ok((CollectOut { discovery, stage1, stage2, stage3, stage4 }, analysis)),
+        _ => unreachable!("the plan runs every stage"),
+    }
 }
 
 #[cfg(test)]
@@ -561,25 +519,6 @@ mod tests {
             assert_eq!(out.stage2.calls.len(), plain.stage2.calls.len());
             assert_eq!(analysis.problems.len(), plain_analysis.problems.len());
         }
-    }
-
-    #[test]
-    fn collection_runs_everything_but_stage5() {
-        let store = ArtifactStore::in_memory();
-        let cfg = FfmConfig { jobs: 1, ..FfmConfig::default() };
-        let col = run_collection(&Tiny, &cfg, 1, Some(&store)).expect("collection");
-        let cold = store.stats();
-        assert_eq!(cold.misses, (STAGE_COUNT - 1) as u64, "stage5 never consulted");
-        assert_eq!(cold.puts, (STAGE_COUNT - 1) as u64);
-        assert_eq!(col.stage5_key, plan_keys(&Tiny, &cfg)[StageId::Stage5.index()]);
-        // A full run over the same store reuses every collection stage
-        // and computes only the analysis.
-        let (full, _) = run_stages(&Tiny, &cfg, 1, Some(&store)).expect("full");
-        let warm = store.stats();
-        assert_eq!(warm.mem_hits, (STAGE_COUNT - 1) as u64);
-        assert_eq!(warm.misses, cold.misses + 1, "only stage5 missed");
-        assert_eq!(full.stage1.exec_time_ns, col.stage1.exec_time_ns);
-        assert_eq!(full.stage2.calls.len(), col.stage2.calls.len());
     }
 
     /// Fails its stage 1 run, so every stage but discovery is unreachable.

@@ -7,12 +7,18 @@
 //! the paper's key observation is that the upper bound on reclaimable GPU
 //! idle time between two synchronizations is the CPU time spent between
 //! them, so no GPU-side graph is required for the estimate.
+//!
+//! [`ExecGraph::from_trace`] builds the chain in one pass over the stage 2
+//! trace. Every traced call yields at least one node carrying its
+//! `call_seq`, in trace order, so the nodes up to a call's last one are
+//! the graph of the trace cut after that call, less the un-traced tail.
+//! The streaming driver's epochs ([`crate::pipeline`]) are such prefixes.
 
 use cuda_driver::ApiFn;
 use gpu_sim::{Ns, SourceLoc};
 
 use crate::problem::Problem;
-use crate::records::{OpInstance, Stage2Result, TracedCall};
+use crate::records::{OpInstance, Stage2Result};
 
 /// CPU node types (paper Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,31 +96,45 @@ impl ExecGraph {
     /// happened not to block still contribute a zero-duration `CWait` so
     /// classification and grouping see every instance.
     pub fn from_trace(trace: &Stage2Result, baseline_exec_ns: Ns) -> ExecGraph {
-        let mut b = GraphBuilder::with_capacity(baseline_exec_ns, trace.calls.len());
-        b.append_calls(&trace.calls);
-        b.seal(trace.exec_time_ns);
-        b.into_graph()
-    }
-
-    /// Indices of nodes with a problem classification.
-    pub fn problematic(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.problematic_into(&mut out);
-        out
-    }
-
-    /// Scratch-reusing variant of [`ExecGraph::problematic`]: clears
-    /// `out` and fills it with the problematic node indices, allocating
-    /// only when `out`'s capacity is exceeded.
-    pub fn problematic_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
-            self.nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| n.problem != Problem::None)
-                .map(|(i, _)| i),
-        );
+        let mut nodes = Vec::with_capacity(trace.calls.len() * 2 + 1);
+        // End of the last call seen: where the next gap node starts.
+        let mut cursor: Ns = 0;
+        for call in &trace.calls {
+            if call.enter_ns > cursor {
+                nodes.push(Node::work(cursor, call.enter_ns - cursor));
+            }
+            let total = call.total_ns();
+            let wait = call.wait_ns.min(total);
+            let body = total - wait;
+            let meta = |ntype, stime, duration, is_transfer| Node {
+                ntype,
+                stime,
+                duration,
+                problem: Problem::None,
+                first_use_ns: None,
+                call_seq: Some(call.seq),
+                instance: Some(call.instance()),
+                folded_sig: Some(call.folded_sig),
+                api: Some(call.api),
+                site: Some(call.site),
+                is_transfer,
+            };
+            let is_transfer = call.transfer.is_some();
+            if body > 0 || !call.performed_sync() {
+                let ntype =
+                    if call.is_launch || is_transfer { NType::CLaunch } else { NType::CWork };
+                nodes.push(meta(ntype, call.enter_ns, body, is_transfer));
+            }
+            if call.performed_sync() {
+                nodes.push(meta(NType::CWait, call.enter_ns + body, wait, false));
+            }
+            cursor = call.exit_ns;
+        }
+        // The un-traced tail after the last call.
+        if trace.exec_time_ns > cursor {
+            nodes.push(Node::work(cursor, trace.exec_time_ns - cursor));
+        }
+        ExecGraph { nodes, exec_time_ns: trace.exec_time_ns, baseline_exec_ns }
     }
 
     /// Index of the next synchronization node strictly after `idx`.
@@ -140,160 +160,30 @@ impl ExecGraph {
     /// Build the O(1)-query index for this graph. Valid only while the
     /// graph's node types and durations stay unchanged.
     pub fn index(&self) -> GraphIndex {
-        let mut ix = GraphIndex::new();
-        ix.extend(self);
-        ix
+        let mut cpu_prefix = Vec::with_capacity(self.nodes.len() + 1);
+        let mut acc: Ns = 0;
+        cpu_prefix.push(acc);
+        for node in &self.nodes {
+            if matches!(node.ntype, NType::CWork | NType::CLaunch) {
+                acc += node.duration;
+            }
+            cpu_prefix.push(acc);
+        }
+        GraphIndex { cpu_prefix }
     }
 }
 
-/// Append-only construction of an [`ExecGraph`] from incremental
-/// stage-2 call batches.
-///
-/// [`ExecGraph::from_trace`] is implemented on top of this builder, so
-/// feeding the same calls in any batching produces a graph
-/// node-for-node identical to the batch path — the property the
-/// streaming pipeline's byte-identity guarantee rests on.
-///
-/// While the trace is still open, `graph().exec_time_ns` tracks the
-/// exit time of the last appended call; [`GraphBuilder::seal`] replaces
-/// it with the trace's measured execution time and appends the trailing
-/// `CWork` node covering any un-traced tail.
-#[derive(Debug)]
-pub struct GraphBuilder {
-    graph: ExecGraph,
-    cursor: Ns,
-    sealed: bool,
-}
-
-impl GraphBuilder {
-    pub fn new(baseline_exec_ns: Ns) -> GraphBuilder {
-        GraphBuilder::with_capacity(baseline_exec_ns, 0)
-    }
-
-    /// Builder with node storage pre-sized for `calls_hint` traced calls.
-    pub fn with_capacity(baseline_exec_ns: Ns, calls_hint: usize) -> GraphBuilder {
-        GraphBuilder {
-            graph: ExecGraph {
-                nodes: Vec::with_capacity(calls_hint * 2 + 1),
-                exec_time_ns: 0,
-                baseline_exec_ns,
-            },
-            cursor: 0,
-            sealed: false,
-        }
-    }
-
-    /// Append the next batch of traced calls. Calls must arrive in trace
-    /// order across batches. Returns the index range of nodes added.
-    pub fn append_calls(&mut self, calls: &[TracedCall]) -> std::ops::Range<usize> {
-        assert!(!self.sealed, "append_calls after seal");
-        let first = self.graph.nodes.len();
-        for call in calls {
-            if call.enter_ns > self.cursor {
-                self.graph.nodes.push(Node::work(self.cursor, call.enter_ns - self.cursor));
-            }
-            let total = call.total_ns();
-            let wait = call.wait_ns.min(total);
-            let body = total - wait;
-            let meta = |ntype, stime, duration, is_transfer| Node {
-                ntype,
-                stime,
-                duration,
-                problem: Problem::None,
-                first_use_ns: None,
-                call_seq: Some(call.seq),
-                instance: Some(call.instance()),
-                folded_sig: Some(call.folded_sig),
-                api: Some(call.api),
-                site: Some(call.site),
-                is_transfer,
-            };
-            let is_transfer = call.transfer.is_some();
-            if body > 0 || !call.performed_sync() {
-                let ntype =
-                    if call.is_launch || is_transfer { NType::CLaunch } else { NType::CWork };
-                self.graph.nodes.push(meta(ntype, call.enter_ns, body, is_transfer));
-            }
-            if call.performed_sync() {
-                self.graph.nodes.push(meta(NType::CWait, call.enter_ns + body, wait, false));
-            }
-            self.cursor = call.exit_ns;
-        }
-        self.graph.exec_time_ns = self.cursor;
-        first..self.graph.nodes.len()
-    }
-
-    /// Close the trace: record its measured execution time and append
-    /// the trailing `CWork` node if the trace extends past the last
-    /// call. Returns the index range of nodes added (empty or one).
-    pub fn seal(&mut self, exec_time_ns: Ns) -> std::ops::Range<usize> {
-        assert!(!self.sealed, "seal called twice");
-        self.sealed = true;
-        let first = self.graph.nodes.len();
-        if exec_time_ns > self.cursor {
-            self.graph.nodes.push(Node::work(self.cursor, exec_time_ns - self.cursor));
-        }
-        self.graph.exec_time_ns = exec_time_ns;
-        first..self.graph.nodes.len()
-    }
-
-    /// The graph built so far.
-    pub fn graph(&self) -> &ExecGraph {
-        &self.graph
-    }
-
-    /// Mutable access, for classification of freshly appended nodes.
-    pub fn graph_mut(&mut self) -> &mut ExecGraph {
-        &mut self.graph
-    }
-
-    pub fn into_graph(self) -> ExecGraph {
-        self.graph
-    }
-}
-
-/// Prefix sums of CPU (`CWork`/`CLaunch`) durations over an append-only
-/// [`ExecGraph`]. Turns the linear scan of [`ExecGraph::cpu_time_between`]
-/// into an O(1) query, which is what makes evaluating thousands of
-/// candidate sequence windows cheap. [`ExecGraph::index`] covers a whole
-/// graph; the streaming analysis extends one index window by window.
-/// Valid only while the covered nodes' types and durations stay
-/// unchanged.
+/// Prefix sums of CPU (`CWork`/`CLaunch`) durations over an
+/// [`ExecGraph`], built by [`ExecGraph::index`]. Turns the linear scan of
+/// [`ExecGraph::cpu_time_between`] into an O(1) query, which is what
+/// makes evaluating thousands of candidate sequence windows cheap.
 #[derive(Debug, Clone)]
 pub struct GraphIndex {
     /// `cpu_prefix[i]` = CPU time in nodes `[0, i)`; length `n + 1`.
     cpu_prefix: Vec<Ns>,
 }
 
-impl Default for GraphIndex {
-    fn default() -> Self {
-        GraphIndex { cpu_prefix: vec![0] }
-    }
-}
-
 impl GraphIndex {
-    pub fn new() -> GraphIndex {
-        GraphIndex::default()
-    }
-
-    /// Cover the nodes appended to `graph` since the last call.
-    pub fn extend(&mut self, graph: &ExecGraph) {
-        let mut acc = self.cpu_prefix[self.len()];
-        let fresh = &graph.nodes[self.len()..];
-        self.cpu_prefix.reserve(fresh.len());
-        for node in fresh {
-            if matches!(node.ntype, NType::CWork | NType::CLaunch) {
-                acc += node.duration;
-            }
-            self.cpu_prefix.push(acc);
-        }
-    }
-
-    /// Forget every covered node, keeping capacity.
-    pub fn clear(&mut self) {
-        self.cpu_prefix.truncate(1);
-    }
-
     /// O(1) equivalent of [`ExecGraph::cpu_time_between`].
     pub fn cpu_time_between(&self, start: usize, end: usize) -> Ns {
         if start + 1 >= end {
@@ -315,8 +205,7 @@ impl GraphIndex {
 /// The first `CWait` strictly after `idx` and before `end`, or `end` when
 /// there is none. `frontier` carries the scan between calls for
 /// ascending `idx`: nodes below it are known not to hold that `CWait`, so
-/// a forward walk scans each node once, and a walk that found nothing
-/// resumes where it stopped once more nodes are appended.
+/// a forward walk scans each node once.
 pub(crate) fn next_wait(graph: &ExecGraph, frontier: &mut usize, idx: usize, end: usize) -> usize {
     if *frontier <= idx {
         *frontier = idx + 1;
@@ -495,14 +384,8 @@ mod tests {
         };
         let g = ExecGraph::from_trace(&trace, 200);
         let n = g.nodes.len();
-        // An index extended one node at a time equals the one-shot build.
-        let mut ix = GraphIndex::new();
-        let mut partial = ExecGraph { nodes: Vec::new(), exec_time_ns: 200, baseline_exec_ns: 200 };
-        for node in &g.nodes {
-            partial.nodes.push(node.clone());
-            ix.extend(&partial);
-        }
-        assert_eq!(ix.cpu_prefix, g.index().cpu_prefix);
+        let ix = g.index();
+        assert_eq!(ix.len(), n);
         let mut frontier = 0;
         for i in 0..n {
             let next = next_wait(&g, &mut frontier, i, n);
@@ -535,67 +418,6 @@ mod tests {
         // Degenerate: no rows at all.
         csr.rebuild_from_pairs(0, &[]);
         assert_eq!(csr.rows(), 0);
-    }
-
-    #[test]
-    fn builder_batches_match_from_trace_for_any_chunking() {
-        let calls = vec![
-            call(0, ApiFn::CudaMemcpy, 10, 35, 20, false),
-            call(1, ApiFn::CudaLaunchKernel, 35, 45, 0, true),
-            call(2, ApiFn::CudaDeviceSynchronize, 60, 80, 18, false),
-            call(3, ApiFn::CudaFree, 80, 95, 5, false),
-            call(4, ApiFn::CudaLaunchKernel, 100, 110, 0, true),
-        ];
-        let trace = Stage2Result { exec_time_ns: 150, calls };
-        let batch = ExecGraph::from_trace(&trace, 140);
-        for chunk in [1, 2, 3, 7] {
-            let mut b = GraphBuilder::new(140);
-            for w in trace.calls.chunks(chunk) {
-                let range = b.append_calls(w);
-                assert_eq!(range.end, b.graph().nodes.len());
-            }
-            b.seal(trace.exec_time_ns);
-            let g = b.into_graph();
-            assert_eq!(g.nodes.len(), batch.nodes.len(), "chunk={chunk}");
-            for (a, e) in g.nodes.iter().zip(&batch.nodes) {
-                assert_eq!(a.ntype, e.ntype);
-                assert_eq!(a.stime, e.stime);
-                assert_eq!(a.duration, e.duration);
-                assert_eq!(a.call_seq, e.call_seq);
-                assert_eq!(a.instance, e.instance);
-                assert_eq!(a.is_transfer, e.is_transfer);
-            }
-            assert_eq!(g.exec_time_ns, batch.exec_time_ns);
-            assert_eq!(g.baseline_exec_ns, batch.baseline_exec_ns);
-        }
-    }
-
-    #[test]
-    fn builder_empty_trace_still_seals_tail() {
-        let mut b = GraphBuilder::new(500);
-        let range = b.seal(500);
-        assert_eq!(range, 0..1);
-        let g = b.into_graph();
-        assert_eq!(g.nodes.len(), 1);
-        assert_eq!(g.nodes[0].duration, 500);
-    }
-
-    #[test]
-    fn problematic_into_reuses_scratch() {
-        let trace = Stage2Result {
-            exec_time_ns: 100,
-            calls: vec![
-                call(0, ApiFn::CudaFree, 0, 20, 15, false),
-                call(1, ApiFn::CudaDeviceSynchronize, 40, 70, 30, false),
-            ],
-        };
-        let mut g = ExecGraph::from_trace(&trace, 100);
-        let wait = g.nodes.iter().position(|n| n.ntype == NType::CWait).unwrap();
-        g.nodes[wait].problem = Problem::UnnecessarySync;
-        let mut scratch = vec![99usize; 8];
-        g.problematic_into(&mut scratch);
-        assert_eq!(scratch, g.problematic());
-        assert_eq!(scratch, vec![wait]);
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! problematic operations (**sequence**, with carry-forward of savings
 //! that one window's GPU idle time could not absorb). Sequences support
 //! user-refined **subsequences** (paper Fig. 8).
+//!
+//! `analyze_graph` is stage 5's one pass over a classified graph: the
+//! Fig. 5 benefit walk, the two group passes and the sequence runs, each
+//! one forward scan.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -15,7 +19,7 @@ use cuda_driver::ApiFn;
 use gpu_sim::{Ns, SourceLoc};
 
 use crate::analysis::{Analysis, AnalysisConfig, ProblemOp};
-use crate::benefit::{BenefitFold, BenefitReport, NodeBenefit};
+use crate::benefit::{benefit_walk, BenefitReport};
 use crate::graph::{next_wait, Csr, ExecGraph, GraphIndex, NType};
 use crate::intern::{intern, intern_static, Sym};
 use crate::problem::Problem;
@@ -130,34 +134,16 @@ impl GroupScratch {
     /// accumulate per-group totals and issue tallies into the dense
     /// tables, build the CSR member index, and sort group ids by
     /// descending benefit (ties keep first-appearance order, matching
-    /// the retired stable map-based sort).
-    pub fn compute(&mut self, benefit: &BenefitReport, key: impl FnMut(usize) -> Option<u64>) {
-        self.begin();
-        self.absorb(&benefit.per_node, key);
-        self.seal();
-    }
-
-    /// Clear the accumulation tables (keeping capacity) for a fresh
-    /// grouping pass. Part of the append path: `begin` / repeated
-    /// [`GroupScratch::absorb`] / [`GroupScratch::seal`] is the windowed
-    /// decomposition of [`GroupScratch::compute`].
-    pub fn begin(&mut self) {
+    /// the retired stable map-based sort). Steady state this allocates
+    /// nothing: the tables grow only while new keys keep appearing.
+    pub fn compute(&mut self, benefit: &BenefitReport, mut key: impl FnMut(usize) -> Option<u64>) {
         self.gid_of_key.clear();
         self.rep_node.clear();
         self.benefit.clear();
         self.sync_issues.clear();
         self.transfer_issues.clear();
         self.pairs.clear();
-    }
-
-    /// Fold more benefit entries into the running tables. Entries must
-    /// arrive in benefit (graph) order across calls so gid assignment —
-    /// and therefore presentation tie-breaking and member order — is
-    /// identical to a one-shot [`GroupScratch::compute`] over the
-    /// concatenation. Steady state this allocates nothing: the tables
-    /// grow only while new keys keep appearing.
-    pub fn absorb(&mut self, entries: &[NodeBenefit], mut key: impl FnMut(usize) -> Option<u64>) {
-        for nb in entries {
+        for nb in &benefit.per_node {
             let Some(k) = key(nb.node) else { continue };
             let next = self.rep_node.len() as u32;
             let gid = *self.gid_of_key.entry(k).or_insert(next);
@@ -176,11 +162,6 @@ impl GroupScratch {
             }
             self.pairs.push((gid, nb.node));
         }
-    }
-
-    /// Build the CSR member index and the presentation order from the
-    /// accumulated tables.
-    pub fn seal(&mut self) {
         self.members.rebuild_from_pairs(self.rep_node.len(), &self.pairs);
         self.sorted.clear();
         self.sorted.extend(0..self.rep_node.len() as u32);
@@ -189,19 +170,6 @@ impl GroupScratch {
         // merge buffer allocation.
         let benefit = &self.benefit;
         self.sorted.sort_unstable_by_key(|&g| (std::cmp::Reverse(benefit[g as usize]), g));
-    }
-
-    /// Copy another scratch's accumulated state into this one, reusing
-    /// this scratch's buffers. Used by streaming snapshots: the running
-    /// tables are copied, overlaid with still-pending entries, and
-    /// sealed — without disturbing the incremental state.
-    pub fn copy_from(&mut self, other: &GroupScratch) {
-        self.gid_of_key.clone_from(&other.gid_of_key);
-        self.rep_node.clone_from(&other.rep_node);
-        self.benefit.clone_from(&other.benefit);
-        self.sync_issues.clone_from(&other.sync_issues);
-        self.transfer_issues.clone_from(&other.transfer_issues);
-        self.pairs.clone_from(&other.pairs);
     }
 
     /// Number of groups found by the last [`GroupScratch::compute`].
@@ -266,17 +234,17 @@ impl GroupScratch {
         self.compute(benefit, |n| api_key(graph, n));
     }
 
-    /// Materialize sealed single-point groups with site labels.
+    /// Materialize computed single-point groups with site labels.
     pub fn materialize_single_point(&mut self, graph: &ExecGraph) -> Vec<ProblemGroup> {
         self.materialize(graph, GroupKind::SinglePoint, site_label_sym)
     }
 
-    /// Materialize sealed per-API folds with "Fold on ..." labels.
+    /// Materialize computed per-API folds with "Fold on ..." labels.
     pub fn materialize_api_fold(&mut self, graph: &ExecGraph) -> Vec<ProblemGroup> {
         self.materialize(graph, GroupKind::FoldedFunction, fold_label_sym)
     }
 
-    /// Materialize sealed folded-function groups with site labels.
+    /// Materialize computed folded-function groups with site labels.
     pub fn materialize_folded_function(&mut self, graph: &ExecGraph) -> Vec<ProblemGroup> {
         self.materialize(graph, GroupKind::FoldedFunction, site_label_sym)
     }
@@ -416,7 +384,7 @@ fn is_starter(n: &crate::graph::Node) -> bool {
     !matches!(n.problem, Problem::None | Problem::MisplacedSync)
 }
 
-/// One candidate run found by the [`RunTracker`].
+/// One candidate run found by [`find_runs`].
 #[derive(Debug, Clone, Copy)]
 struct Run {
     start: usize,
@@ -441,95 +409,67 @@ impl Run {
     }
 }
 
-/// Sequence discovery over an append-only graph. Terminators split the
+/// The candidate runs of `graph`, in graph order. Terminators split the
 /// nodes into segments, and each segment holding a starter yields one
-/// maximal candidate run: from its first starter to the terminator
-/// (exclusive) or the end of the graph. A run is scored when its
-/// terminator is appended — every window end its estimate reads lies at
-/// or before the terminator, so the score equals the one over the
-/// finished graph.
-#[derive(Debug, Default)]
-struct RunTracker {
-    /// Closed runs, in discovery order.
-    closed: Vec<Run>,
-    /// The run still waiting for its terminator.
-    open: Option<Run>,
-}
-
-impl RunTracker {
-    fn clear(&mut self) {
-        self.closed.clear();
-        self.open = None;
-    }
-
-    /// Track the nodes `from..index.len()` of `graph`.
-    fn extend(&mut self, graph: &ExecGraph, index: &GraphIndex, from: usize) {
-        for idx in from..index.len() {
-            let node = &graph.nodes[idx];
-            if is_terminator(node) {
-                if let Some(run) = self.open.take() {
-                    self.closed.push(run.close(graph, index, idx));
-                }
-            } else if node.problem != Problem::None {
-                if self.open.is_none() && is_starter(node) {
-                    self.open = Some(Run { start: idx, end: idx, entries: 0, benefit_ns: 0 });
-                }
-                if let Some(run) = &mut self.open {
-                    run.entries += 1;
-                }
+/// maximal run: from its first starter to the terminator (exclusive) or
+/// the end of the graph.
+fn find_runs(graph: &ExecGraph, index: &GraphIndex) -> Vec<Run> {
+    let mut runs = Vec::new();
+    // The run still waiting for its terminator.
+    let mut open: Option<Run> = None;
+    for (idx, node) in graph.nodes.iter().enumerate() {
+        if is_terminator(node) {
+            if let Some(run) = open.take() {
+                runs.push(run.close(graph, index, idx));
+            }
+        } else if node.problem != Problem::None {
+            if open.is_none() && is_starter(node) {
+                open = Some(Run { start: idx, end: idx, entries: 0, benefit_ns: 0 });
+            }
+            if let Some(run) = &mut open {
+                run.entries += 1;
             }
         }
     }
+    runs.extend(open.map(|run| run.close(graph, index, graph.nodes.len())));
+    runs
+}
 
-    /// Candidate runs found so far, the open one included.
-    fn candidates(&self) -> usize {
-        self.closed.len() + usize::from(self.open.is_some())
-    }
-
-    /// The sequences — runs of more than one problem — as if the graph
-    /// ended after the nodes tracked so far, sorted by descending
-    /// benefit (stable: ties keep graph order).
-    fn sequences(&self, graph: &ExecGraph, index: &GraphIndex) -> Vec<Sequence> {
-        let open = self.open.map(|run| run.close(graph, index, index.len()));
-        let mut sequences: Vec<Sequence> = self
-            .closed
-            .iter()
-            .chain(&open)
-            .filter(|run| run.entries > 1)
-            .map(|run| Sequence {
-                start: run.start,
-                end: run.end,
-                entries: (run.start..run.end)
-                    .filter(|&i| graph.nodes[i].problem != Problem::None)
-                    .enumerate()
-                    .map(|(k, i)| SeqEntry {
-                        index: k + 1,
-                        node: i,
-                        api: graph.nodes[i].api,
-                        site: graph.nodes[i].site,
-                        problem: graph.nodes[i].problem,
-                    })
-                    .collect(),
-                benefit_ns: run.benefit_ns,
-            })
-            .collect();
-        sequences.sort_by_key(|s| std::cmp::Reverse(s.benefit_ns));
-        sequences
-    }
+/// The sequences among `runs` — runs of more than one problem — sorted
+/// by descending benefit (stable: ties keep graph order).
+fn sequences_of(graph: &ExecGraph, runs: &[Run]) -> Vec<Sequence> {
+    let mut sequences: Vec<Sequence> = runs
+        .iter()
+        .filter(|run| run.entries > 1)
+        .map(|run| Sequence {
+            start: run.start,
+            end: run.end,
+            entries: (run.start..run.end)
+                .filter(|&i| graph.nodes[i].problem != Problem::None)
+                .enumerate()
+                .map(|(k, i)| SeqEntry {
+                    index: k + 1,
+                    node: i,
+                    api: graph.nodes[i].api,
+                    site: graph.nodes[i].site,
+                    problem: graph.nodes[i].problem,
+                })
+                .collect(),
+            benefit_ns: run.benefit_ns,
+        })
+        .collect();
+    sequences.sort_by_key(|s| std::cmp::Reverse(s.benefit_ns));
+    sequences
 }
 
 /// Find maximal sequences: runs beginning at a problematic node and
 /// ending at the first *necessary* synchronization (a `CWait` with no
-/// problem, or a misplaced one — it must still happen). This is the
-/// streaming analysis' run tracker, run over the whole graph.
+/// problem, or a misplaced one — it must still happen).
 ///
 /// `jobs` is unused: discovery and scoring are one forward pass. The
 /// parameter stays so existing callers keep compiling.
 pub fn find_sequences(graph: &ExecGraph, _jobs: usize) -> Vec<Sequence> {
-    let index = graph.index();
-    let mut runs = RunTracker::default();
-    runs.extend(graph, &index, 0);
-    runs.sequences(graph, &index)
+    sequences_of(graph, &find_runs(graph, &graph.index()))
 }
 
 /// Refined estimate for a user-selected subsequence (paper Fig. 8):
@@ -601,163 +541,21 @@ pub fn savings_by_api(graph: &ExecGraph, benefit: &BenefitReport) -> Vec<(ApiFn,
     table.into_iter().filter_map(|(api, ns)| api.map(|a| (a, ns))).collect()
 }
 
-/// The two group tables a report carries — single point and per-API
-/// fold — fed the same benefit entries.
-#[derive(Debug, Default)]
-struct ReportGroups {
-    single_point: GroupScratch,
-    api_fold: GroupScratch,
-}
-
-impl ReportGroups {
-    fn begin(&mut self) {
-        self.single_point.begin();
-        self.api_fold.begin();
-    }
-
-    fn absorb(&mut self, graph: &ExecGraph, entries: &[NodeBenefit]) {
-        self.single_point.absorb(entries, |n| site_key(graph, n));
-        self.api_fold.absorb(entries, |n| api_key(graph, n));
-    }
-
-    fn copy_from(&mut self, other: &ReportGroups) {
-        self.single_point.copy_from(&other.single_point);
-        self.api_fold.copy_from(&other.api_fold);
-    }
-
-    /// Seal both tables and materialize the owned groups.
-    fn materialize(&mut self, graph: &ExecGraph) -> (Vec<ProblemGroup>, Vec<ProblemGroup>) {
-        self.single_point.seal();
-        self.api_fold.seal();
-        (
-            self.single_point.materialize_single_point(graph),
-            self.api_fold.materialize_api_fold(graph),
-        )
-    }
-}
-
-/// Stage 5 as an append-only state machine: it folds each window of
-/// freshly appended (and already classified) graph nodes into running
-/// benefit estimates, problem groups and sequence runs.
-/// [`crate::analyze`] is the one-window case: it folds the whole
-/// classified graph at once and finishes.
-///
-/// Every constituent is resolved in graph order with the semantics of a
-/// walk over the finished graph (benefit via [`BenefitFold`], groups via
-/// [`GroupScratch`] absorption in the same entry order, runs closed at
-/// the same terminators with the same carry-forward arithmetic), so the
-/// result is the same for every windowing — the identity
-/// `streaming_identity` pins at the report-byte level. Intermediate
-/// [`IncrementalAnalysis::snapshot`]s equal the analysis of the graph
-/// prefix seen so far (pending entries are resolved on copies). The
-/// per-window fold itself performs zero steady-state allocations;
-/// snapshots allocate (they materialize an owned [`Analysis`]).
-#[derive(Debug)]
-pub struct IncrementalAnalysis {
-    cfg: AnalysisConfig,
-    /// CPU prefix column over the nodes folded so far.
-    index: GraphIndex,
-    fold: BenefitFold,
-    /// Benefit entries already absorbed into the group tables.
-    absorbed: usize,
-    /// Running group tables, fed in resolution order.
-    groups: ReportGroups,
-    runs: RunTracker,
-    // Snapshot scratch, reused across epochs.
-    snap_fold: BenefitFold,
-    snap_groups: ReportGroups,
-}
-
-impl IncrementalAnalysis {
-    pub fn new(cfg: &AnalysisConfig) -> IncrementalAnalysis {
-        IncrementalAnalysis {
-            cfg: cfg.clone(),
-            index: GraphIndex::new(),
-            fold: BenefitFold::new(),
-            absorbed: 0,
-            groups: ReportGroups::default(),
-            runs: RunTracker::default(),
-            snap_fold: BenefitFold::new(),
-            snap_groups: ReportGroups::default(),
-        }
-    }
-
-    /// Clear all state (keeping buffer capacity) for a fresh graph.
-    pub fn reset(&mut self) {
-        self.index.clear();
-        self.fold.reset();
-        self.absorbed = 0;
-        self.groups.begin();
-        self.runs.clear();
-    }
-
-    /// Number of graph nodes folded so far.
-    pub fn folded_nodes(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Fold every node appended to `graph` since the last call. Nodes
-    /// must already carry their problem classification
-    /// ([`crate::problem::classify_range`] over the appended range).
-    pub fn fold(&mut self, graph: &ExecGraph) {
-        let from = self.index.len();
-        debug_assert!(from <= graph.nodes.len(), "graph shrank between folds");
-        self.index.extend(graph);
-        self.runs.extend(graph, &self.index, from);
-        self.fold.extend(graph, &self.index, &self.cfg.benefit);
-        self.groups.absorb(graph, &self.fold.per_node()[self.absorbed..]);
-        self.absorbed = self.fold.per_node().len();
-    }
-
-    /// Materialize the analysis of everything folded so far, as if the
-    /// trace ended here. Non-destructive: pending benefit entries are
-    /// resolved on snapshot copies and the running state is untouched,
-    /// so folding can continue afterwards.
-    pub fn snapshot(&mut self, graph: &ExecGraph, baseline_exec_ns: Ns) -> Analysis {
-        debug_assert_eq!(graph.nodes.len(), self.folded_nodes(), "snapshot mid-append");
-        self.snap_fold.copy_from(&self.fold);
-        self.snap_fold.finalize(graph, &self.index, &self.cfg.benefit);
-        self.snap_groups.copy_from(&self.groups);
-        self.snap_groups.absorb(graph, &self.snap_fold.per_node()[self.absorbed..]);
-        assemble(
-            graph.clone(),
-            baseline_exec_ns,
-            &self.index,
-            self.snap_fold.take_report(),
-            &mut self.snap_groups,
-            &self.runs,
-        )
-    }
-
-    /// Resolve everything pending under end-of-trace semantics and
-    /// materialize the final analysis.
-    pub fn finish(mut self, graph: ExecGraph, baseline_exec_ns: Ns) -> Analysis {
-        debug_assert_eq!(graph.nodes.len(), self.folded_nodes(), "finish before final fold");
-        self.fold.finalize(&graph, &self.index, &self.cfg.benefit);
-        self.groups.absorb(&graph, &self.fold.per_node()[self.absorbed..]);
-        crate::telemetry::counter_add("grouping.candidate_runs", self.runs.candidates() as u64);
-        assemble(
-            graph,
-            baseline_exec_ns,
-            &self.index,
-            self.fold.take_report(),
-            &mut self.groups,
-            &self.runs,
-        )
-    }
-}
-
-/// Shared assembly for snapshots and the final analysis: the finished
-/// benefit report, the group tables that absorbed all of it, and the
-/// runs found so far, materialized with the report's presentation sorts.
-fn assemble(
+/// Stage 5 over a classified graph: the Fig. 5 benefit walk, the
+/// single-point and per-API group passes, the candidate runs scored as
+/// sequences, and the report's presentation sorts. [`crate::analyze`]
+/// runs it on the whole trace's graph, and the streaming driver on every
+/// epoch's prefix of that graph.
+pub(crate) fn analyze_graph(
     graph: ExecGraph,
     baseline_exec_ns: Ns,
-    index: &GraphIndex,
-    benefit: BenefitReport,
-    groups: &mut ReportGroups,
-    runs: &RunTracker,
+    cfg: &AnalysisConfig,
 ) -> Analysis {
+    // One CPU prefix column serves the benefit walk and run scoring.
+    let index = graph.index();
+    let benefit = benefit_walk(&graph, &index, &cfg.benefit);
+    let runs = find_runs(&graph, &index);
+    crate::telemetry::counter_add("grouping.candidate_runs", runs.len() as u64);
     // Problems, sorted by descending benefit (stable: ties keep graph
     // order).
     let mut problems: Vec<ProblemOp> = benefit
@@ -775,8 +573,9 @@ fn assemble(
         })
         .collect();
     problems.sort_by_key(|p| std::cmp::Reverse(p.benefit_ns));
-    let (single_point, api_folds) = groups.materialize(&graph);
-    let sequences = runs.sequences(&graph, index);
+    let single_point = single_point_groups(&graph, &benefit);
+    let api_folds = fold_on_api(&graph, &benefit);
+    let sequences = sequences_of(&graph, &runs);
     let mut by_api = savings_by_api(&graph, &benefit);
     by_api.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     Analysis {
@@ -1074,33 +873,15 @@ mod tests {
         ExecGraph { nodes, exec_time_ns: exec, baseline_exec_ns: exec }
     }
 
-    /// The run tracker must find exactly the reference scan's runs for
-    /// any windowing, on graphs up to well past any window size.
+    /// The run scan must find exactly the reference scan's runs, on
+    /// graphs with and without an open run at the end.
     #[test]
     fn run_tracker_matches_reference_scan() {
         for (len, seed) in [(0, 1), (1, 2), (97, 3), (500, 4), (16_513, 5)] {
             let g = scrambled_graph(len, seed);
-            let expect = reference_runs(&g);
-            for window in [1, 7, 1000, len.max(1)] {
-                let mut partial = ExecGraph {
-                    nodes: Vec::new(),
-                    exec_time_ns: g.exec_time_ns,
-                    baseline_exec_ns: g.baseline_exec_ns,
-                };
-                let mut index = GraphIndex::new();
-                let mut runs = RunTracker::default();
-                for chunk in g.nodes.chunks(window) {
-                    let from = partial.nodes.len();
-                    partial.nodes.extend_from_slice(chunk);
-                    index.extend(&partial);
-                    runs.extend(&partial, &index, from);
-                }
-                let open = runs.open.map(|r| (r.start, len));
-                let found: Vec<(usize, usize)> =
-                    runs.closed.iter().map(|r| (r.start, r.end)).chain(open).collect();
-                assert_eq!(found, expect, "len={len} seed={seed} window={window}");
-                assert_eq!(runs.candidates(), expect.len());
-            }
+            let found: Vec<(usize, usize)> =
+                find_runs(&g, &g.index()).iter().map(|r| (r.start, r.end)).collect();
+            assert_eq!(found, reference_runs(&g), "len={len} seed={seed}");
         }
     }
 
@@ -1150,10 +931,10 @@ mod tests {
     }
 
     /// An independent stage-5 assembly over an already-classified graph,
-    /// the oracle for the incremental state machine: benefit from the
-    /// mutating Fig. 5 reference, groups from one-shot `GroupScratch`
-    /// passes, and sequences from the reference run scan scored by the
-    /// reference carry-forward walk.
+    /// the oracle for [`analyze_graph`]: benefit from the mutating Fig. 5
+    /// reference, groups from one-shot `GroupScratch` passes, and
+    /// sequences from the reference run scan scored by the reference
+    /// carry-forward walk.
     fn batch_analysis(graph: &ExecGraph) -> Analysis {
         let benefit = expected_benefit_reference(graph, &BenefitOptions::default());
         let mut problems: Vec<ProblemOp> = benefit
@@ -1251,87 +1032,24 @@ mod tests {
         assert_eq!(got.baseline_exec_ns, want.baseline_exec_ns, "{ctx}: baseline");
     }
 
-    /// Folding any windowing of a classified graph and finishing must
-    /// equal the independent assembly exactly — every field, every order.
+    /// The stage 5 pass must equal the independent assembly exactly —
+    /// every field, every order — over whole graphs and every 7th prefix
+    /// of them (the shape of a streamed epoch).
     #[test]
-    fn incremental_finish_matches_batch_for_any_windowing() {
+    fn analyze_graph_matches_independent_assembly() {
+        let cfg = AnalysisConfig::default();
         for (len, seed) in [(0usize, 1u64), (1, 2), (97, 3), (500, 7), (603, 11)] {
             let full = scrambled_graph(len, seed);
-            let want = batch_analysis(&full);
-            for window in [1usize, 3, 17, 1000] {
-                let mut inc = IncrementalAnalysis::new(&AnalysisConfig::default());
-                let mut growing = ExecGraph {
-                    nodes: Vec::new(),
-                    exec_time_ns: full.exec_time_ns,
+            for end in (0..len).step_by(7).chain([len]) {
+                let prefix = ExecGraph {
+                    nodes: full.nodes[..end].to_vec(),
+                    exec_time_ns: full.nodes[..end].iter().map(|n| n.duration).sum(),
                     baseline_exec_ns: full.baseline_exec_ns,
                 };
-                let mut lo = 0;
-                while lo < len {
-                    let hi = (lo + window).min(len);
-                    growing.nodes.extend(full.nodes[lo..hi].iter().cloned());
-                    inc.fold(&growing);
-                    assert_eq!(inc.folded_nodes(), hi);
-                    lo = hi;
-                }
-                if len == 0 {
-                    inc.fold(&growing);
-                }
-                let got = inc.finish(growing, full.baseline_exec_ns);
-                assert_same_analysis(&got, &want, &format!("len={len} seed={seed} w={window}"));
+                let want = batch_analysis(&prefix);
+                let got = analyze_graph(prefix, full.baseline_exec_ns, &cfg);
+                assert_same_analysis(&got, &want, &format!("len={len} seed={seed} prefix={end}"));
             }
         }
-    }
-
-    /// Snapshots must equal the independent analysis of the prefix seen
-    /// so far — and must not disturb the running state (folding continues
-    /// and still converges to the whole-graph answer).
-    #[test]
-    fn incremental_snapshot_matches_batch_on_every_prefix() {
-        let full = scrambled_graph(120, 5);
-        for window in [7usize, 31] {
-            let mut inc = IncrementalAnalysis::new(&AnalysisConfig::default());
-            let mut growing = ExecGraph {
-                nodes: Vec::new(),
-                exec_time_ns: 0,
-                baseline_exec_ns: full.baseline_exec_ns,
-            };
-            let mut lo = 0;
-            while lo < full.nodes.len() {
-                let hi = (lo + window).min(full.nodes.len());
-                growing.nodes.extend(full.nodes[lo..hi].iter().cloned());
-                growing.exec_time_ns = growing.nodes.iter().map(|n| n.duration).sum();
-                inc.fold(&growing);
-                let snap = inc.snapshot(&growing, growing.baseline_exec_ns);
-                let want = batch_analysis(&growing);
-                assert_same_analysis(&snap, &want, &format!("prefix={hi} w={window}"));
-                lo = hi;
-            }
-            let want = batch_analysis(&growing);
-            let got = inc.finish(growing, want.baseline_exec_ns);
-            assert_same_analysis(&got, &want, &format!("final w={window}"));
-        }
-    }
-
-    /// `reset` must restore a clean state machine on retained buffers.
-    #[test]
-    fn incremental_reset_reuses_state_cleanly() {
-        let g = scrambled_graph(200, 13);
-        let want = batch_analysis(&g);
-        let mut inc = IncrementalAnalysis::new(&AnalysisConfig::default());
-        inc.fold(&g);
-        let _ = inc.snapshot(&g, g.baseline_exec_ns);
-        inc.reset();
-        assert_eq!(inc.folded_nodes(), 0);
-        let mut growing = ExecGraph {
-            nodes: Vec::new(),
-            exec_time_ns: g.exec_time_ns,
-            baseline_exec_ns: g.baseline_exec_ns,
-        };
-        for chunk in g.nodes.chunks(9) {
-            growing.nodes.extend(chunk.iter().cloned());
-            inc.fold(&growing);
-        }
-        let got = inc.finish(growing, g.baseline_exec_ns);
-        assert_same_analysis(&got, &want, "after reset");
     }
 }

@@ -81,21 +81,19 @@ pub mod sweep;
 pub mod telemetry;
 
 pub use analysis::{analyze, Analysis, AnalysisConfig, ProblemOp};
-pub use benefit::{expected_benefit, BenefitFold, BenefitOptions, BenefitReport, NodeBenefit};
+pub use benefit::{expected_benefit, BenefitOptions, BenefitReport, NodeBenefit};
 pub use codec::{
     decode_any_doc, decode_artifact, encode_artifact, encode_doc, is_ffb, CallRow, ColU64, Ffb,
     FrameRow, Stage2Cols, StrTable, KIND_DOC,
 };
-pub use engine::{
-    declared_fields, deps, plan_keys, run_collection, run_stages, stage_key, CollectOut, StageId,
-};
+pub use engine::{declared_fields, deps, plan_keys, run_stages, stage_key, CollectOut, StageId};
 pub use export::{analysis_to_json, report_to_json};
-pub use graph::{Csr, ExecGraph, GraphBuilder, GraphIndex, NType, Node};
+pub use graph::{Csr, ExecGraph, GraphIndex, NType, Node};
 pub use grouping::{
     carry_forward_benefit, carry_forward_masked, find_sequences, fold_on_api,
     folded_function_groups, savings_by_api, single_point_groups, subsequence_benefit,
-    subsequence_benefit_indexed, GroupKind, GroupScratch, GroupView, IncrementalAnalysis,
-    ProblemGroup, SeqEntry, Sequence,
+    subsequence_benefit_indexed, GroupKind, GroupScratch, GroupView, ProblemGroup, SeqEntry,
+    Sequence,
 };
 pub use intern::{intern, intern_static, Sym};
 pub use json::Json;
@@ -105,7 +103,7 @@ pub use pipeline::{
     overhead_factor, run_ffm, run_ffm_streaming, run_ffm_streaming_with_store, run_ffm_with_store,
     EpochSnapshot, FfmConfig, FfmReport, StageStats, DEFAULT_STREAM_WINDOW,
 };
-pub use problem::{classify, classify_range, ClassifyConfig, Problem};
+pub use problem::{classify, ClassifyConfig, Problem};
 pub use records::{
     DuplicateTransfer, OpInstance, ProtectedAccess, Stage1Result, Stage2Result, Stage3Result,
     Stage4Result, TracedCall, TransferRec,

@@ -35,6 +35,15 @@
 //! bit-identical, because every run is a complete isolated execution
 //! whose virtual clock starts at zero, and cached artifacts are
 //! bit-identical to freshly computed ones.
+//!
+//! ## Streaming epochs
+//!
+//! [`run_ffm_streaming_with_store`] runs the same plan, then publishes an
+//! [`EpochSnapshot`] per `window` stage 2 calls: the stage 5 analysis of
+//! the trace cut after the window's last call. Stage 5 needs the finished
+//! stage 2–4 results (paper §3), so every epoch is a view of a finished
+//! trace. Its graph is a prefix of the classified batch graph (see
+//! [`crate::graph`]), so an epoch costs a stage 5 pass over its prefix.
 
 use std::sync::Arc;
 
@@ -43,13 +52,12 @@ use gpu_sim::{CostModel, Ns};
 use instrument::Discovery;
 
 use crate::analysis::{Analysis, AnalysisConfig};
-use crate::engine::{run_collection, run_stages, CollectOut};
-use crate::graph::GraphBuilder;
-use crate::grouping::IncrementalAnalysis;
+use crate::engine::{run_stages, CollectOut};
+use crate::graph::ExecGraph;
+use crate::grouping::analyze_graph;
 use crate::par::effective_jobs;
-use crate::problem::classify_range;
 use crate::records::{Stage1Result, Stage2Result, Stage3Result, Stage4Result};
-use crate::store::{Artifact, ArtifactStore};
+use crate::store::ArtifactStore;
 use crate::telemetry;
 
 /// Pipeline configuration.
@@ -160,10 +168,9 @@ pub fn run_ffm_with_store(
     Ok(assemble_report(app, col, analysis))
 }
 
-/// Build the final report from collection results and the analysis —
-/// the single assembly both the batch and the streaming drivers go
-/// through, so their reports can only ever differ in the analysis
-/// itself (and the identity suite pins that they don't).
+/// Build the final report from the plan's collection results and
+/// analysis — the one assembly both the batch and the streaming drivers
+/// go through.
 fn assemble_report(app: &dyn GpuApp, col: CollectOut, analysis: Arc<Analysis>) -> FfmReport {
     record_collection_metrics(&col.stage2, &col.stage3, &col.stage4, &analysis);
 
@@ -215,24 +222,22 @@ fn assemble_report(app: &dyn GpuApp, col: CollectOut, analysis: Arc<Analysis>) -
 /// streaming pipeline.
 pub const DEFAULT_STREAM_WINDOW: usize = 256;
 
-/// One per-window analysis epoch published by the streaming driver
-/// while the fold is still in flight.
+/// One per-window analysis epoch published by the streaming driver.
 pub struct EpochSnapshot<'a> {
     /// Epoch ordinal, starting at 0. The last epoch of a run carries the
     /// final analysis (identical to the batch answer).
     pub epoch: usize,
-    /// Stage 2 calls consumed so far.
+    /// Stage 2 calls the epoch covers.
     pub calls_consumed: usize,
-    /// Graph nodes materialized so far.
+    /// Graph nodes the epoch covers.
     pub nodes: usize,
-    /// The analysis of everything folded so far.
+    /// The analysis of the trace cut after the last covered call.
     pub analysis: &'a Analysis,
 }
 
 /// Run the streaming pipeline with no artifact reuse and no epoch
-/// subscriber: collection, then windowed incremental analysis. The
-/// returned report is byte-identical to [`run_ffm`]'s (pinned by the
-/// `streaming_identity` suite).
+/// subscriber. The returned report is byte-identical to [`run_ffm`]'s
+/// (pinned by the `streaming_identity` suite).
 pub fn run_ffm_streaming(
     app: &dyn GpuApp,
     cfg: &FfmConfig,
@@ -241,12 +246,11 @@ pub fn run_ffm_streaming(
     run_ffm_streaming_with_store(app, cfg, window, None, |_| {})
 }
 
-/// The streaming driver: run the collection stages, then interleave
-/// graph building with windowed incremental analysis, publishing an
-/// [`EpochSnapshot`] after every `window` consumed stage 2 calls. The
-/// final epoch carries the finished analysis, which is stored under the
-/// plain stage 5 key — so a later batch run of the same plan is a warm
-/// cache hit. Epochs themselves are not stored: nothing looks them up.
+/// The streaming driver: run the plan exactly as [`run_ffm_with_store`]
+/// does, then publish an [`EpochSnapshot`] for every `window` stage 2
+/// calls — the batch analysis of the trace cut after the window's last
+/// call — and last the batch analysis itself. Epochs are not stored:
+/// nothing looks them up.
 pub fn run_ffm_streaming_with_store(
     app: &dyn GpuApp,
     cfg: &FfmConfig,
@@ -257,59 +261,43 @@ pub fn run_ffm_streaming_with_store(
     let _run_span = telemetry::span_detail("run_ffm_streaming", || app.name().to_string());
     let jobs = effective_jobs(cfg.jobs);
     let window = window.max(1);
-    let col = run_collection(app, cfg, jobs, store)?;
+    let (col, analysis) = run_stages(app, cfg, jobs, store)?;
 
-    let _fold_span = telemetry::span("stage5-streaming");
-    let calls = &col.stage2.calls;
-    let dups = col.stage3.duplicate_set();
-    let mut builder = GraphBuilder::with_capacity(col.stage1.exec_time_ns, calls.len());
-    let mut inc = IncrementalAnalysis::new(&cfg.analysis);
-    let mut epoch = 0usize;
-    let mut publish = |snapshot: &EpochSnapshot<'_>| {
+    let _epochs_span = telemetry::span("stage5-streaming");
+    let mut publish = |epoch, calls_consumed, analysis: &Analysis| {
         telemetry::counter_add("stream.epochs", 1);
-        on_epoch(snapshot);
+        on_epoch(&EpochSnapshot {
+            epoch,
+            calls_consumed,
+            nodes: analysis.graph.nodes.len(),
+            analysis,
+        });
     };
-    let mut consumed = 0usize;
-    while consumed < calls.len() {
-        let hi = (consumed + window).min(calls.len());
-        let range = builder.append_calls(&calls[consumed..hi]);
-        classify_range(
-            builder.graph_mut(),
-            range,
-            &col.stage3,
-            &dups,
-            &col.stage4,
-            &cfg.analysis.classify,
-        );
-        inc.fold(builder.graph());
-        consumed = hi;
-        if consumed < calls.len() {
-            // Intermediate epoch: snapshot of the prefix seen so far.
-            let analysis = inc.snapshot(builder.graph(), col.stage1.exec_time_ns);
-            publish(&EpochSnapshot {
-                epoch,
-                calls_consumed: consumed,
-                nodes: analysis.graph.nodes.len(),
-                analysis: &analysis,
-            });
-            epoch += 1;
+    let calls = &col.stage2.calls;
+    let nodes = &analysis.graph.nodes;
+    // One past the last node of the calls consumed so far. Every call
+    // yields at least one node carrying its `call_seq`, in trace order,
+    // so one forward cursor finds every epoch's end.
+    let mut end = 0;
+    let mut epoch = 0;
+    for hi in (window..calls.len()).step_by(window) {
+        let last = Some(calls[hi - 1].seq);
+        while nodes[end].call_seq != last {
+            end += 1;
         }
+        while end < nodes.len() && nodes[end].call_seq == last {
+            end += 1;
+        }
+        let prefix = ExecGraph {
+            nodes: nodes[..end].to_vec(),
+            exec_time_ns: calls[hi - 1].exit_ns,
+            baseline_exec_ns: col.stage1.exec_time_ns,
+        };
+        publish(epoch, hi, &analyze_graph(prefix, col.stage1.exec_time_ns, &cfg.analysis));
+        epoch += 1;
     }
-    // Seal the graph (tail work past the last call) and resolve
-    // everything still pending under end-of-trace semantics.
-    builder.seal(col.stage2.exec_time_ns);
-    inc.fold(builder.graph());
-    let analysis = Arc::new(inc.finish(builder.into_graph(), col.stage1.exec_time_ns));
-    if let Some(store) = store {
-        store.put(col.stage5_key, Artifact::Analysis(analysis.clone()));
-    }
-    publish(&EpochSnapshot {
-        epoch,
-        calls_consumed: calls.len(),
-        nodes: analysis.graph.nodes.len(),
-        analysis: &analysis,
-    });
-    drop(_fold_span);
+    publish(epoch, calls.len(), &analysis);
+    drop(_epochs_span);
     Ok(assemble_report(app, col, analysis))
 }
 

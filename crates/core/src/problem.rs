@@ -57,7 +57,8 @@ impl Default for ClassifyConfig {
 }
 
 /// Annotate graph nodes with problem classifications using stage 3/4
-/// evidence. Returns the number of problematic nodes.
+/// evidence. Classification is strictly per node. Returns the number of
+/// problematic nodes.
 pub fn classify(
     graph: &mut ExecGraph,
     s3: &Stage3Result,
@@ -65,26 +66,8 @@ pub fn classify(
     cfg: &ClassifyConfig,
 ) -> usize {
     let dups = s3.duplicate_set();
-    classify_range(graph, 0..graph.nodes.len(), s3, &dups, s4, cfg)
-}
-
-/// Classify only the nodes in `range` — the append-path variant used by
-/// the streaming pipeline, which classifies each window as it lands.
-/// Classification is strictly per-node, so classifying a graph window
-/// by window yields exactly what [`classify`] yields on the final
-/// graph. The caller computes `dups` once via
-/// [`Stage3Result::duplicate_set`] and reuses it across windows.
-/// Returns the number of problematic nodes in the range.
-pub fn classify_range(
-    graph: &mut ExecGraph,
-    range: std::ops::Range<usize>,
-    s3: &Stage3Result,
-    dups: &std::collections::HashSet<crate::records::OpInstance>,
-    s4: &Stage4Result,
-    cfg: &ClassifyConfig,
-) -> usize {
     let mut count = 0;
-    for node in &mut graph.nodes[range] {
+    for node in &mut graph.nodes {
         let Some(inst) = node.instance else { continue };
         match node.ntype {
             NType::CWait => {
@@ -205,48 +188,6 @@ mod tests {
         classify(&mut g, &s3, &Stage4Result::default(), &ClassifyConfig::default());
         assert_eq!(g.nodes[0].problem, Problem::None, "first transfer is necessary");
         assert_eq!(g.nodes[1].problem, Problem::UnnecessaryTransfer);
-    }
-
-    #[test]
-    fn windowed_classification_matches_batch() {
-        let nodes = vec![
-            node(NType::CWait, 1, 0, false),
-            node(NType::CLaunch, 9, 0, true),
-            node(NType::CWait, 2, 0, false),
-            node(NType::CLaunch, 9, 1, true),
-            node(NType::CWait, 3, 0, false),
-        ];
-        let mut s3 = Stage3Result::default();
-        for inst in [OpInstance { sig: 1, occ: 0 }, OpInstance { sig: 2, occ: 0 }] {
-            s3.observed_syncs.insert(inst);
-        }
-        s3.required_syncs.insert(OpInstance { sig: 2, occ: 0 });
-        s3.duplicates.push(crate::records::DuplicateTransfer {
-            op: OpInstance { sig: 9, occ: 1 },
-            site: SourceLoc::new("a.cpp", 1),
-            first_site: SourceLoc::new("a.cpp", 1),
-            bytes: 10,
-            digest: instrument::Digest(1),
-        });
-        let mut s4 = Stage4Result::default();
-        s4.first_use_ns.insert(OpInstance { sig: 2, occ: 0 }, 50_000);
-        let cfg = ClassifyConfig::default();
-
-        let mut batch = graph(nodes.clone());
-        let batch_count = classify(&mut batch, &s3, &s4, &cfg);
-
-        let mut windowed = graph(nodes);
-        let dups = s3.duplicate_set();
-        let mut windowed_count = 0;
-        for lo in (0..windowed.nodes.len()).step_by(2) {
-            let hi = (lo + 2).min(windowed.nodes.len());
-            windowed_count += classify_range(&mut windowed, lo..hi, &s3, &dups, &s4, &cfg);
-        }
-        assert_eq!(windowed_count, batch_count);
-        for (a, e) in windowed.nodes.iter().zip(&batch.nodes) {
-            assert_eq!(a.problem, e.problem);
-            assert_eq!(a.first_use_ns, e.first_use_ns);
-        }
     }
 
     #[test]

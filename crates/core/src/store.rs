@@ -12,6 +12,8 @@
 //! The store has two layers:
 //!
 //! - an in-memory map (always on), shared across the cells of one sweep;
+//!   a long-lived owner drops what it no longer needs with
+//!   [`ArtifactStore::forget`] (serve does, for evicted jobs);
 //! - an optional on-disk layer under `results/cache/`, so separate
 //!   processes (e.g. two sweeps started at once) and repeated runs share
 //!   work.
@@ -293,6 +295,20 @@ impl ArtifactStore {
             }
         }
         self.mem.lock().unwrap().insert(key, artifact);
+    }
+
+    /// Drop `keys` from the memory layer. Disk entries stay, so a
+    /// configured cache still answers for them.
+    pub fn forget(&self, keys: &[StageKey]) {
+        let mut mem = self.mem.lock().expect("no thread panics holding the memory layer");
+        for key in keys {
+            mem.remove(key);
+        }
+    }
+
+    /// Number of artifacts the memory layer holds.
+    pub fn mem_entries(&self) -> usize {
+        self.mem.lock().expect("no thread panics holding the memory layer").len()
     }
 
     pub fn stats(&self) -> StoreStats {

@@ -3,9 +3,8 @@
 //!
 //! - steady-state [`Stage2Cols`] reads allocate nothing once a first
 //!   read has sized their columns;
-//! - the windowed [`IncrementalAnalysis::fold`] loop and reused
-//!   [`GroupScratch`] grouping passes allocate nothing once sized (and
-//!   the windowed fold still agrees with the whole-graph entry points);
+//! - reused [`GroupScratch`] grouping passes allocate nothing once
+//!   sized;
 //! - flight recording on a wrapped ring allocates nothing and stays
 //!   within its byte budget;
 //! - the store's FFB decode (`decode_artifact`) beats parsing the same
@@ -24,10 +23,9 @@ use std::time::Instant;
 
 use cuda_driver::ApiFn;
 use ffm_core::{
-    decode_artifact, encode_artifact, expected_benefit, find_sequences, fold_on_api,
-    single_point_groups, telemetry, AnalysisConfig, Artifact, ArtifactKind, ExecGraph,
-    GroupScratch, IncrementalAnalysis, Json, NType, Node, OpInstance, Problem, ProblemGroup,
-    SpanEvent, Stage2Cols, Stage2Result, Stage4Result, TracedCall, TransferRec,
+    decode_artifact, encode_artifact, expected_benefit, telemetry, Artifact, ArtifactKind,
+    BenefitOptions, ExecGraph, GroupScratch, Json, NType, Node, OpInstance, Problem, SpanEvent,
+    Stage2Cols, Stage2Result, Stage4Result, TracedCall, TransferRec,
 };
 use gpu_sim::{Direction, Frame, SourceLoc, StackTrace, WaitReason};
 
@@ -221,12 +219,11 @@ fn ffb_stage4_decode_beats_json_parse() {
 }
 
 // ---------------------------------------------------------------------------
-// Windowed fold and grouping
+// Grouping scratch
 // ---------------------------------------------------------------------------
 
-/// A large pre-classified graph (what the streaming driver hands the
-/// fold after `classify_range`): problematic syncs and transfers mixed
-/// with plain work over ~1000 call sites.
+/// A large classified graph: problematic syncs and transfers mixed with
+/// plain work over ~1000 call sites.
 fn synthetic_graph(len: usize) -> ExecGraph {
     let mut rng = Rng(0xd10_9e2e5);
     let apis =
@@ -261,69 +258,13 @@ fn synthetic_graph(len: usize) -> ExecGraph {
     ExecGraph { nodes, exec_time_ns: exec, baseline_exec_ns: exec }
 }
 
-fn empty_prefix(full: &ExecGraph) -> ExecGraph {
-    ExecGraph {
-        nodes: Vec::with_capacity(full.nodes.len()),
-        exec_time_ns: full.exec_time_ns,
-        baseline_exec_ns: full.baseline_exec_ns,
-    }
-}
-
-/// Fold `full` into `inc` window by window through a growing prefix
-/// graph, as the streaming driver does. Returns the allocations made
-/// inside the `fold` calls (the prefix append is outside the contract).
-fn fold_in_windows(
-    inc: &mut IncrementalAnalysis,
-    growing: &mut ExecGraph,
-    full: &ExecGraph,
-    window: usize,
-) -> u64 {
-    let mut allocs = 0;
-    for chunk in full.nodes.chunks(window) {
-        growing.nodes.extend_from_slice(chunk);
-        allocs += allocs_in(|| inc.fold(growing));
-    }
-    allocs
-}
-
+/// Reused grouping scratch allocates nothing once a first pass has sized
+/// it.
 #[test]
 fn windowed_fold_and_grouping_allocate_nothing_in_steady_state() {
     let full = synthetic_graph(20_000);
-    let cfg = AnalysisConfig::default();
-    let benefit = expected_benefit(&full, &cfg.benefit);
-    for window in [64, 997] {
-        // The windowed fold agrees with the whole-graph entry points.
-        let mut inc = IncrementalAnalysis::new(&cfg);
-        let mut growing = empty_prefix(&full);
-        fold_in_windows(&mut inc, &mut growing, &full, window);
-        let analysis = inc.finish(growing, full.baseline_exec_ns);
-        assert_eq!(analysis.benefit.total_ns, benefit.total_ns, "window {window}");
-        assert_eq!(analysis.benefit.per_node, benefit.per_node, "window {window}");
-        let sum = |gs: &[ProblemGroup]| gs.iter().map(|g| g.benefit_ns).sum::<u64>();
-        let single_point = single_point_groups(&full, &benefit);
-        assert_eq!(analysis.single_point.len(), single_point.len(), "window {window}");
-        assert_eq!(sum(&analysis.single_point), sum(&single_point), "window {window}");
-        assert_eq!(analysis.api_folds.len(), fold_on_api(&full, &benefit).len());
-        let seqs = find_sequences(&full, 1);
-        assert_eq!(analysis.sequences.len(), seqs.len(), "window {window}");
-        assert_eq!(
-            analysis.sequences.iter().map(|s| s.benefit_ns).sum::<u64>(),
-            seqs.iter().map(|s| s.benefit_ns).sum::<u64>(),
-            "window {window}"
-        );
-
-        // Once a full pass has sized the state, reset-and-refold
-        // allocates nothing inside the fold loop.
-        let mut inc = IncrementalAnalysis::new(&cfg);
-        let mut growing = empty_prefix(&full);
-        fold_in_windows(&mut inc, &mut growing, &full, window);
-        inc.reset();
-        growing.nodes.clear();
-        let allocs = fold_in_windows(&mut inc, &mut growing, &full, window);
-        assert_eq!(allocs, 0, "steady-state fold must not allocate (window {window})");
-    }
-
-    // Reused grouping scratch: single point, folded function, per-API.
+    let benefit = expected_benefit(&full, &BenefitOptions::default());
+    // Single point, folded function, per-API.
     let mut scratch = GroupScratch::new();
     let mut passes = || {
         scratch.compute_single_point(&full, &benefit);

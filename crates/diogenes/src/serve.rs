@@ -35,15 +35,16 @@
 //! ## Streaming jobs
 //!
 //! `POST /run?stream=1` executes through the streaming pipeline
-//! ([`ffm_core::run_ffm_streaming_with_store`]): the job publishes one
-//! analysis snapshot per window of consumed stage 2 calls, readable
-//! while the job still runs via `GET /report/<id>?epoch=<k>`. The final
-//! report bytes are identical to the batch job's (the identity suite
-//! pins it), but the *id* is distinct — epochs are part of what the job
-//! computes, so `stream` and the window size join the digest. `/stats`
-//! lists in-flight streaming jobs under `live`, and `/metrics` exposes
-//! epoch counters. Clients that poll epochs are expected to reuse the
-//! connection (`Connection: keep-alive`, see [`crate::http`]).
+//! ([`ffm_core::run_ffm_streaming_with_store`]): after stage 5, the job
+//! publishes one epoch per window of stage 2 calls, the analysis of the
+//! trace cut after the window, readable while the job still runs via
+//! `GET /report/<id>?epoch=<k>`. The final report bytes are identical to
+//! the batch job's (the identity suite pins it), but the *id* is
+//! distinct — epochs are part of what the job computes, so `stream` and
+//! the window size join the digest. `/stats` lists in-flight streaming
+//! jobs under `live`, and `/metrics` exposes epoch counters. Clients
+//! that poll epochs are expected to reuse the connection
+//! (`Connection: keep-alive`, see [`crate::http`]).
 //!
 //! ## Content negotiation
 //!
@@ -71,10 +72,10 @@ use cuda_driver::GpuApp;
 use diogenes_apps::*;
 use ffm_core::telemetry::TraceId;
 use ffm_core::{
-    analysis_to_json, decode_any_doc, encode_doc, is_ffb, log_debug, log_info, log_warn,
+    analysis_to_json, decode_any_doc, encode_doc, is_ffb, log_debug, log_info, log_warn, plan_keys,
     report_to_json, run_ffm_streaming_with_store, run_ffm_with_store, run_sweep_with_store,
     sweep_to_json, telemetry, ArtifactStore, Axis, CacheMode, FfmConfig, Json, KeyHasher, PromText,
-    StoreStats, DEFAULT_STREAM_WINDOW,
+    StageKey, StoreStats, DEFAULT_STREAM_WINDOW,
 };
 
 use crate::http::{
@@ -131,8 +132,9 @@ pub struct ServeConfig {
     pub max_queue: usize,
     /// Completed (done or failed) jobs retained in the job table; the
     /// least-recently-accessed past this count are evicted
-    /// (`--max-done`). Evicted results are reconstructible: resubmitting
-    /// the same spec replays through the artifact store's caches.
+    /// (`--max-done`), and with them the in-memory stage artifacts no
+    /// remaining job records. Resubmitting an evicted spec computes it
+    /// again, reading the disk cache when one is configured.
     pub max_done: usize,
     /// Byte budget for the always-on flight recorder (`0` disables;
     /// `--flight-recorder-bytes`).
@@ -208,6 +210,15 @@ impl JobSpec {
     }
 }
 
+/// The stage keys of the plans `app` runs under `configs`, sorted and
+/// deduplicated.
+fn plan_stage_keys(app: &dyn GpuApp, configs: &[FfmConfig]) -> Vec<StageKey> {
+    let mut keys: Vec<StageKey> = configs.iter().flat_map(|cfg| plan_keys(app, cfg)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobStatus {
     Queued,
@@ -236,6 +247,10 @@ struct Job {
     /// it executes; index k answers `GET /report/<id>?epoch=k`. The last
     /// epoch of a finished job carries the final analysis.
     epochs: Vec<Arc<Vec<u8>>>,
+    /// The stage keys of every plan the job runs, recorded at admission
+    /// (see [`parse_spec`]). The store's memory layer keeps an artifact
+    /// while some job in the table records its key.
+    keys: Vec<StageKey>,
     error: Option<String>,
     /// Correlation id installed while the job executes (derived from the
     /// job id, so `/trace?job=<id>` can find its spans).
@@ -490,9 +505,10 @@ fn executor_loop(shared: &Shared) {
 /// LRU eviction of completed jobs: whenever the table holds more than
 /// `max_done` done/failed entries, drop the least-recently-accessed
 /// until back under the cap. Queued and running jobs are never evicted.
-/// An evicted result is not lost work — resubmitting the same spec
-/// replays through the artifact store, which still holds the stage
-/// artifacts.
+/// An evicted job's stage artifacts leave the store's memory layer unless
+/// a remaining job records their keys, so the daemon's memory follows its
+/// job table. The disk layer keeps them: with a cache directory,
+/// resubmitting the spec reads the stages back instead of recomputing.
 fn evict_done(st: &mut ServeState, shared: &Shared) {
     loop {
         let done: Vec<(&String, u64)> = st
@@ -509,7 +525,9 @@ fn evict_done(st: &mut ServeState, shared: &Shared) {
             .min_by_key(|(_, tick)| *tick)
             .map(|(id, _)| (*id).clone())
             .expect("non-empty by the cap check");
-        st.jobs.remove(&victim);
+        let mut orphans = st.jobs.remove(&victim).expect("the victim is in the table").keys;
+        orphans.retain(|key| !st.jobs.values().any(|job| job.keys.binary_search(key).is_ok()));
+        shared.store.forget(&orphans);
         shared.evicted.fetch_add(1, Ordering::Relaxed);
         log_debug!("evicted completed job id={victim} (table over --max-done)");
     }
@@ -517,7 +535,7 @@ fn evict_done(st: &mut ServeState, shared: &Shared) {
 
 /// Compute a job's result bytes — exactly the bytes the offline CLI
 /// writes for the same config. A streaming run additionally publishes
-/// per-epoch snapshot documents into the job table as it folds, so
+/// per-epoch snapshot documents into the job table as it goes, so
 /// clients can read them (`?epoch=k`) before the result exists.
 fn execute_job(spec: &JobSpec, shared: &Shared, id: &str) -> Result<Vec<u8>, String> {
     let doc = match spec {
@@ -688,7 +706,11 @@ fn parse_body(body: &[u8]) -> Result<Json, String> {
     }
 }
 
-fn parse_spec(doc: &Json, sweep: bool, stream: bool) -> Result<JobSpec, String> {
+/// Parse and validate a submission into its job spec and the stage keys
+/// of every plan the job runs: one plan for a run, streamed or not, and
+/// one per cell for a sweep. The sweep's grid is expanded here, so a bad
+/// grid fails the submission, not the job.
+fn parse_spec(doc: &Json, sweep: bool, stream: bool) -> Result<(JobSpec, Vec<StageKey>), String> {
     let app = doc
         .get("app")
         .and_then(Json::as_str)
@@ -698,9 +720,9 @@ fn parse_spec(doc: &Json, sweep: bool, stream: bool) -> Result<JobSpec, String> 
         None => false,
         Some(scale) => parse_scale(scale.as_str().ok_or("\"scale\" must be a string")?)?,
     };
-    if build_app(&app, paper).is_none() {
+    let Some(built) = build_app(&app, paper) else {
         return Err(format!("unknown app {app:?} (expected als|cuibm|amg|gaussian|pipelined)"));
-    }
+    };
     // "jobs" is accepted for parity with the CLI and otherwise ignored:
     // a job runs on its executor's thread.
     if let Some(j) = doc.get("jobs") {
@@ -717,7 +739,9 @@ fn parse_spec(doc: &Json, sweep: bool, stream: bool) -> Result<JobSpec, String> 
                 .filter(|&w| w > 0)
                 .ok_or("\"stream_window\" must be a positive integer")?,
         };
-        return Ok(JobSpec::Run { app, paper, stream, window: if stream { window } else { 0 } });
+        let keys = plan_stage_keys(built.as_ref(), &[FfmConfig::default()]);
+        let window = if stream { window } else { 0 };
+        return Ok((JobSpec::Run { app, paper, stream, window }, keys));
     }
     if stream {
         return Err("streaming (?stream=1) applies to /run submissions only".to_string());
@@ -753,22 +777,17 @@ fn parse_spec(doc: &Json, sweep: bool, stream: bool) -> Result<JobSpec, String> 
         Some(Json::Bool(b)) => *b,
         Some(_) => return Err("\"paired\" must be a boolean".to_string()),
     };
-    Ok(JobSpec::Sweep { app, paper, axes, paired })
+    let cells = crate::sweep::build_spec(axes.clone(), paired, 1).expand()?;
+    let configs: Vec<FfmConfig> = cells.into_iter().map(|cell| cell.cfg).collect();
+    Ok((JobSpec::Sweep { app, paper, axes, paired }, plan_stage_keys(built.as_ref(), &configs)))
 }
 
 fn submit(req: &Request, shared: &Shared, sweep: bool) -> (u16, Vec<u8>) {
     let stream = matches!(req.query_param("stream"), Some("1") | Some("true"));
-    let spec = match parse_body(&req.body).and_then(|doc| parse_spec(&doc, sweep, stream)) {
-        Ok(s) => s,
+    let (spec, keys) = match parse_body(&req.body).and_then(|doc| parse_spec(&doc, sweep, stream)) {
+        Ok(parsed) => parsed,
         Err(e) => return (400, error_body(&e)),
     };
-    // Validate sweep axes up front so a bad grid fails the submission,
-    // not the job.
-    if let JobSpec::Sweep { axes, paired, .. } = &spec {
-        if let Err(e) = crate::sweep::build_spec(axes.clone(), *paired, 1).expand() {
-            return (400, error_body(&e));
-        }
-    }
     let id = spec.id();
     let kind = spec.kind();
     shared.submissions.fetch_add(1, Ordering::Relaxed);
@@ -808,6 +827,7 @@ fn submit(req: &Request, shared: &Shared, sweep: bool) -> (u16, Vec<u8>) {
                     status: JobStatus::Queued,
                     result: None,
                     epochs: Vec::new(),
+                    keys,
                     error: None,
                     trace: job_trace(&id),
                     last_access: tick,
@@ -882,7 +902,7 @@ fn fetch(
     let streaming = matches!(job.spec, JobSpec::Run { stream: true, .. });
     if let Some(k) = epoch {
         // Epoch view: published snapshots are readable the moment the
-        // executor folds them, long before the job is done.
+        // executor renders them, before the job is done.
         if let Some(bytes) = job.epochs.get(k) {
             let bytes = bytes.as_ref().clone();
             drop(st);
@@ -957,6 +977,8 @@ struct Counters {
     in_flight: u64,
     stream_epochs: u64,
     cache: StoreStats,
+    /// Artifacts in the store's memory layer.
+    cache_entries: usize,
 }
 
 fn counters(shared: &Shared) -> Counters {
@@ -990,6 +1012,7 @@ fn counters(shared: &Shared) -> Counters {
         in_flight: load(&shared.in_flight),
         stream_epochs: load(&shared.stream_epochs),
         cache: shared.store.stats(),
+        cache_entries: shared.store.mem_entries(),
     }
 }
 
@@ -1021,6 +1044,7 @@ fn stats_doc(c: &Counters) -> Json {
                 ("misses", int(c.cache.misses)),
                 ("puts", int(c.cache.puts)),
                 ("hit_rate", Json::Float(c.cache.hit_rate())),
+                ("entries", int(c.cache_entries as u64)),
             ]),
         ),
     ])
@@ -1179,6 +1203,7 @@ fn trace_dump(req: &Request) -> (u16, Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffm_core::{Artifact, Stage1Result, StageId};
 
     #[test]
     fn parse_scale_accepts_exactly_test_and_paper() {
@@ -1209,7 +1234,7 @@ mod tests {
 
     /// The id of a submission body, as `submit` computes it.
     fn submitted_id(body: &str, sweep: bool, stream: bool) -> String {
-        parse_spec(&Json::parse(body).unwrap(), sweep, stream).unwrap().id()
+        parse_spec(&Json::parse(body).unwrap(), sweep, stream).unwrap().0.id()
     }
 
     #[test]
@@ -1267,7 +1292,7 @@ mod tests {
     #[test]
     fn submissions_parse_and_validate() {
         let doc = Json::parse(r#"{"app": "als"}"#).unwrap();
-        match parse_spec(&doc, false, false).unwrap() {
+        match parse_spec(&doc, false, false).unwrap().0 {
             JobSpec::Run { app, paper, stream, window } => {
                 assert_eq!(app, "als");
                 assert!(!paper);
@@ -1283,7 +1308,7 @@ mod tests {
                 "paired": false}"#,
         )
         .unwrap();
-        match parse_spec(&doc, true, false).unwrap() {
+        match parse_spec(&doc, true, false).unwrap().0 {
             JobSpec::Sweep { app, paper, axes, paired } => {
                 assert_eq!(app, "amg");
                 assert!(paper);
@@ -1312,7 +1337,7 @@ mod tests {
     #[test]
     fn streaming_submissions_parse_windows_and_reject_sweeps() {
         let doc = Json::parse(r#"{"app": "als"}"#).unwrap();
-        match parse_spec(&doc, false, true).unwrap() {
+        match parse_spec(&doc, false, true).unwrap().0 {
             JobSpec::Run { stream, window, .. } => {
                 assert!(stream);
                 assert_eq!(window, DEFAULT_STREAM_WINDOW);
@@ -1320,7 +1345,7 @@ mod tests {
             other => panic!("expected run spec, got {other:?}"),
         }
         let doc = Json::parse(r#"{"app": "als", "stream_window": 64}"#).unwrap();
-        match parse_spec(&doc, false, true).unwrap() {
+        match parse_spec(&doc, false, true).unwrap().0 {
             JobSpec::Run { stream: true, window: 64, .. } => {}
             other => panic!("expected window 64, got {other:?}"),
         }
@@ -1435,6 +1460,22 @@ mod tests {
             let (s, _) = submit(&post("/run", &format!(r#"{{"app": "{app}"}}"#)), shared, false);
             assert_eq!(s, 200);
         }
+        // Every key a job records holds an artifact in the memory layer.
+        let recorded = |st: &ServeState| {
+            let mut keys: Vec<StageKey> = st.jobs.values().flat_map(|j| j.keys.clone()).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        };
+        let stage1 = Artifact::Stage1(Arc::new(Stage1Result {
+            exec_time_ns: 0,
+            sync_apis: Default::default(),
+            total_wait_ns: 0,
+            sync_hits: 0,
+        }));
+        for key in recorded(&shared.state.lock().unwrap()) {
+            shared.store.put(key, stage1.clone());
+        }
         let ids: Vec<String> = {
             let mut st = shared.state.lock().unwrap();
             let ids: Vec<String> = st.queue.iter().cloned().collect();
@@ -1453,6 +1494,14 @@ mod tests {
         assert!(st.jobs.contains_key(&ids[1]) && st.jobs.contains_key(&ids[2]));
         assert!(st.jobs.contains_key(&ids[3]), "queued jobs are never evicted");
         assert_eq!(shared.evicted.load(Ordering::Relaxed), 1);
+        // The evicted job's own artifacts leave memory; discovery, keyed
+        // on the cost model alone, is shared with the remaining jobs and
+        // stays.
+        let remaining = recorded(&st);
+        assert_eq!(shared.store.mem_entries(), remaining.len());
+        let discovery = plan_keys(&CumfAls::new(AlsConfig::test_scale()), &FfmConfig::default())
+            [StageId::Discovery.index()];
+        assert!(remaining.contains(&discovery));
         drop(st);
         // Fetching bumps recency: touch ids[1], complete ids[3], and the
         // next eviction must pick ids[2].

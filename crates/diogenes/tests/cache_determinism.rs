@@ -11,7 +11,7 @@ use cuda_driver::GpuApp;
 use diogenes_apps::{AlsConfig, Amg, AmgConfig, CumfAls, Gaussian, GaussianConfig};
 use ffm_core::engine::execute;
 use ffm_core::{
-    deps, encode_artifact, plan_keys, run_collection, run_sweep, run_sweep_with_store, scan_cache,
+    deps, encode_artifact, plan_keys, run_stages, run_sweep, run_sweep_with_store, scan_cache,
     sweep_to_json, Artifact, ArtifactStore, FfmConfig, StageId, SweepSpec, CONFIG_FIELDS,
 };
 
@@ -157,7 +157,7 @@ fn undeclared_fields_leave_every_collection_artifact_unchanged() {
     let mut pairs = 0;
     for app in [&amg as &dyn GpuApp, &gaussian] {
         let store = ArtifactStore::in_memory();
-        run_collection(app, &base, 1, Some(&store)).expect("collection");
+        run_stages(app, &base, 1, Some(&store)).expect("the plan runs");
         let keys = plan_keys(app, &base);
         let artifact = |id: StageId| store.get(keys[id.index()], id.kind()).expect("collected");
         // Every stage that runs a simulation; the merge and the analysis
@@ -179,7 +179,7 @@ fn undeclared_fields_leave_every_collection_artifact_unchanged() {
                 let mut cfg = base.clone();
                 let value = field.get(&cfg);
                 field.set(&mut cfg, if field.flag { value ^ 1 } else { 2 * value + 1 }).unwrap();
-                let got = execute(id, app, &cfg, 1, &dep_artifacts).expect("stage runs");
+                let got = execute(id, app, &cfg, &dep_artifacts).expect("stage runs");
                 assert!(
                     encode_artifact(&got) == want,
                     "{}: {} changed {}'s artifact, so the stage reads it",

@@ -2,7 +2,8 @@
 //! `POST /run` + `GET /report/<id>` with bytes identical to the offline
 //! CLI export for the same config, concurrent identical submissions must
 //! compute once, and `/stats`, `/metrics`, and `/shutdown` must behave
-//! as documented.
+//! as documented. Under `--max-done`, the daemon's in-memory artifacts
+//! must follow its job table.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -158,6 +159,69 @@ fn serve_runs_sweeps_and_keys_them_separately() {
     let bad = br#"{"app": "als", "axes": [{"field": "no.such.field", "values": [1]}]}"#;
     let (status, _) = request(addr, "POST", "/sweep", bad);
     assert_eq!(status, 400);
+
+    let (status, _) = request(addr, "POST", "/shutdown", b"");
+    assert_eq!(status, 200);
+    daemon.join().expect("daemon exits");
+}
+
+/// The daemon's memory follows its job table. With no disk cache and
+/// `--max-done 2`, each finished sweep evicts the oldest completed one,
+/// and the evicted job's stage artifacts leave the store's memory layer.
+/// A 2-cell sweep over `cost.free_base_ns` re-keys all eight stages of
+/// both cells, so no two of these sweeps share an artifact.
+#[test]
+fn serve_memory_follows_the_job_table() {
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        jobs: 1,
+        executors: 1,
+        cache_dir: None,
+        max_done: 2,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || server.run().expect("serve runs"));
+
+    const KEYS_PER_JOB: i128 = 2 * 8;
+    let sweep = |i: u64| {
+        format!(
+            r#"{{"app": "gaussian",
+                 "axes": [{{"field": "cost.free_base_ns", "values": [{}, {}]}}]}}"#,
+            1_000 + 2 * i,
+            1_001 + 2 * i
+        )
+    };
+    for i in 0..12 {
+        let (status, resp) = request(addr, "POST", "/sweep", sweep(i).as_bytes());
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
+        let doc = Json::parse(std::str::from_utf8(&resp).unwrap()).unwrap();
+        let location = doc.get("location").and_then(Json::as_str).unwrap().to_string();
+        let (status, served) = poll_done(addr, &location);
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&served));
+        let (_, stats) = request(addr, "GET", "/stats", b"");
+        let stats = Json::parse(std::str::from_utf8(&stats).unwrap()).unwrap();
+        let entries = stats
+            .get("cache")
+            .and_then(|cache| cache.get("entries"))
+            .and_then(Json::as_i128)
+            .expect("/stats reports cache.entries");
+        assert!(
+            (KEYS_PER_JOB..=3 * KEYS_PER_JOB).contains(&entries),
+            "after sweep {i}: {entries} artifacts in memory"
+        );
+    }
+
+    // The newest sweep is still known, so resubmitting it dedupes.
+    let (status, _) = request(addr, "POST", "/sweep", sweep(11).as_bytes());
+    assert_eq!(status, 200);
+    let (_, stats) = request(addr, "GET", "/stats", b"");
+    let stats = Json::parse(std::str::from_utf8(&stats).unwrap()).unwrap();
+    let jobs = stats.get("jobs").expect("stats carries a jobs block");
+    assert_eq!(jobs.get("deduped").and_then(Json::as_i128), Some(1));
+    assert_eq!(jobs.get("computed").and_then(Json::as_i128), Some(12));
+    assert_eq!(jobs.get("evicted").and_then(Json::as_i128), Some(10));
 
     let (status, _) = request(addr, "POST", "/shutdown", b"");
     assert_eq!(status, 200);

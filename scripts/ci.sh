@@ -110,7 +110,7 @@ expect_exit_2 ./target/release/diogenes sweep gaussian --no-cache \
 rm -f "$BAD_STDERR"
 echo "bad-argument checks ok"
 
-echo "== serve smoke (daemon report byte-identical to CLI, /metrics + /trace live, clean drain) =="
+echo "== serve smoke (batch and streamed reports byte-identical to CLI, epochs, /metrics + /trace live, clean drain) =="
 SERVE=$(mktemp -d)
 ./target/release/diogenes als --jobs 2 --json "$SERVE/cli.json" > /dev/null
 ./target/release/diogenes serve --addr 127.0.0.1:0 --no-cache \
@@ -132,6 +132,7 @@ import http.client, json, os, sys, time
 addr = os.environ['SERVE_ADDR']
 host, port = addr.rsplit(':', 1)
 out = os.path.join(os.environ['SERVE_DIR'], 'served.json')
+cli = open(os.path.join(os.environ['SERVE_DIR'], 'cli.json'), 'rb').read()
 
 def req(method, path, body=None):
     c = http.client.HTTPConnection(host, int(port), timeout=30)
@@ -141,22 +142,35 @@ def req(method, path, body=None):
     c.close()
     return r.status, data
 
-status, body = req('POST', '/run', json.dumps({'app': 'als'}))
-assert status == 200, (status, body)
-sub = json.loads(body)
-location = sub['location']
-for _ in range(600):
-    status, body = req('GET', location)
-    if status != 202:
-        break
-    time.sleep(0.1)
-assert status == 200, (status, body)
+def submit_and_wait(path, spec):
+    status, body = req('POST', path, json.dumps(spec))
+    assert status == 200, (status, body)
+    location = json.loads(body)['location']
+    for _ in range(600):
+        status, body = req('GET', location)
+        if status != 202:
+            break
+        time.sleep(0.1)
+    assert status == 200, (status, body)
+    return location, body
+
+_, body = submit_and_wait('/run', {'app': 'als'})
 open(out, 'wb').write(body)
+
+# A streamed job end to end: its report is the CLI's bytes, and its
+# epochs are served by index once published.
+location, body = submit_and_wait('/run?stream=1', {'app': 'als', 'stream_window': 64})
+assert body == cli, 'streamed report differs from the CLI report'
+status, body = req('GET', location + '?epoch=0')
+assert status == 200, (status, body)
+assert json.loads(body)['calls_consumed'] == 64, body[:200]
+status, body = req('GET', location + '?epoch=100000')
+assert status == 404, (status, body)
 
 status, body = req('GET', '/stats')
 assert status == 200, (status, body)
 stats = json.loads(body)
-assert stats['jobs']['computed'] == 1, stats
+assert stats['jobs']['computed'] == 2, stats
 assert stats['jobs']['failed'] == 0, stats
 assert stats['jobs']['rejected'] == 0 and stats['jobs']['evicted'] == 0, stats
 assert 'queue_depth' in stats, stats
@@ -181,7 +195,7 @@ def sample(head):
     return float(hits[0].rpartition(' ')[2])
 assert sample('diogenes_http_requests_total{route="POST /run"}') >= 1
 assert sample('diogenes_http_request_duration_ns_count{route="POST /run"}') >= 1
-assert sample('diogenes_jobs_computed_total') == 1
+assert sample('diogenes_jobs_computed_total') == 2
 assert sample('diogenes_flight_recorder_events') > 0
 assert sample('diogenes_flight_recorder_bytes') <= sample('diogenes_flight_recorder_budget_bytes')
 # Ingest buffers: every request body lands in a pooled buffer that is
